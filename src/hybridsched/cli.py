@@ -18,7 +18,7 @@ import sys
 
 import requests
 
-from .engine import NonTerminating, SimConfig, run_trace
+from .engine import NonTerminating, SimConfig, UnknownNode, run_trace
 from .metrics import compare, utilization, wait_stats
 from .model import ValidationError, cluster_spec_from_obj
 from .service import ConfigError, load_config, serve
@@ -179,6 +179,9 @@ def cmd_simulate(args) -> int:
         return EXIT_GUARD
     except ValidationError as exc:
         print(f"hsctl: invalid job in trace: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnknownNode as exc:
+        print(f"hsctl: invalid fault in trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     log.write(args.out)
     last = log.events[-1].t_ms if log.events else 0

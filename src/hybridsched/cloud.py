@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .model import Elastic, JobSpec, ResourceKind
+from .model import Elastic, JobSpec, ResourceKind, is_integer
 from .engine import Simulation
 
 
@@ -57,6 +57,11 @@ class BadQuota(CloudError):
     pass
 
 
+class BadNodeCount(CloudError):
+    def __init__(self, node_count):
+        super().__init__(f"node_count must be an integer >= 1, got {node_count!r}")
+
+
 class PartitionViolation(CloudError):
     pass
 
@@ -69,7 +74,10 @@ class Quota:
 
     def __post_init__(self):
         for name in ("max_concurrent_jobs", "max_nodes_in_use", "max_vcluster_nodes"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise BadQuota(f"{name} must be an integer")
+            if value < 0:
                 raise BadQuota(f"{name} must be >= 0")
 
 
@@ -203,8 +211,8 @@ class CloudLayer:
         until release.
         """
         account = self.get_user(user_id)
-        if node_count < 1:
-            raise CloudError("node_count must be >= 1")
+        if not is_integer(node_count) or node_count < 1:
+            raise BadNodeCount(node_count)
         held = self._vc_nodes_of(user_id)
         if held + node_count > account.quota.max_vcluster_nodes:
             raise QuotaExceeded(

@@ -137,7 +137,6 @@ class SimConfig:
     backfill: bool = True
     hybrid_rigid_on_cloud: bool = False
     first_preference_only: bool = False
-    provision_delay_ms: int = 0
 
 
 class SimulationError(Exception):
@@ -220,7 +219,6 @@ class Simulation:
         )
         self.log = EventLog()
         self.clock = 0
-        self.last_decision: Optional[DispatchDecision] = None
         self.first_reserved_job: Optional[str] = None
         self._pending: list[tuple[int, int, int, tuple]] = []
         self._tick = 0
@@ -458,7 +456,6 @@ class Simulation:
 
     def _plan_cycle(self):
         decision = self.scheduler.plan(self.clock)
-        self.last_decision = decision
         if decision.reservation is not None and self.first_reserved_job is None:
             self.first_reserved_job = decision.reservation.job_id
         for advisory in decision.advisories:

@@ -27,8 +27,8 @@ class ResourceKind(str, Enum):
     @classmethod
     def parse(cls, text: str) -> "ResourceKind":
         try:
-            return cls(text)
-        except ValueError:
+            return _KIND_BY_VALUE[text]
+        except (KeyError, TypeError):     # TypeError: an unhashable value
             raise UnknownKind(text) from None
 
     def __str__(self) -> str:
@@ -318,7 +318,25 @@ def job_duration_ms(work_units: int, speed_factor: int, nodes: int) -> int:
 # --- canonical JSON encoding ---------------------------------------------
 
 _SPEC_REQUIRED = ("name", "user_id", "kind_preferences", "shape", "work_units", "walltime_limit_ms")
-_SPEC_OPTIONAL = ("dataset_refs", "priority")
+_SPEC_FIELDS = frozenset(_SPEC_REQUIRED + ("dataset_refs", "priority"))
+_RIGID_FIELDS = frozenset({"node_count"})
+_ELASTIC_FIELDS = frozenset({"min_workers", "max_workers"})
+_KIND_BY_VALUE = {kind.value: kind for kind in ResourceKind}
+
+# Decoded shapes and preference tuples are frozen, so all specs with equal
+# ones can share one instance: a trace of thousands of jobs has a few dozen
+# distinct shapes. Only tuples of at most len(ResourceKind) known kinds are
+# shared, which bounds that table by itself; node counts are unbounded, so
+# the shape table starts over when it reaches its cap.
+_SHARED_SHAPES_MAX = 1024
+_SHAPES: dict[tuple, JobShape] = {}
+_PREFERENCES: dict[tuple[str, ...], tuple[ResourceKind, ...]] = {}
+
+
+def is_integer(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    # `type(...) is int` is the fast path; bool is a subclass of int
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def job_spec_to_obj(spec: JobSpec) -> dict:
@@ -346,69 +364,97 @@ def job_spec_to_obj(spec: JobSpec) -> dict:
 
 def _require_int(obj: dict, key: str, where: str) -> int:
     value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise MalformedSpec(f"{where}.{key} must be an integer")
+    return value
+
+
+def _require_str_list(value, fieldname: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedSpec(f"{fieldname} must be a list of strings")
+    for item in value:
+        if not isinstance(item, str):
+            raise MalformedSpec(f"{fieldname} must be a list of strings")
     return value
 
 
 def _parse_shape(obj) -> JobShape:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedSpec('shape must be {"rigid": {...}} or {"elastic": {...}}')
-    tag, body = next(iter(obj.items()))
+    [(tag, body)] = obj.items()
     if not isinstance(body, dict):
         raise MalformedSpec(f"shape.{tag} must be an object")
     if tag == "rigid":
-        unknown = set(body) - {"node_count"}
-        if unknown:
-            raise MalformedSpec(f"unknown shape field: {sorted(unknown)[0]}")
-        return Rigid(node_count=_require_int(body, "node_count", "shape.rigid"))
+        if not body.keys() <= _RIGID_FIELDS:
+            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _RIGID_FIELDS)}")
+        return _shared_shape(Rigid, _require_int(body, "node_count", "shape.rigid"))
     if tag == "elastic":
-        unknown = set(body) - {"min_workers", "max_workers"}
-        if unknown:
-            raise MalformedSpec(f"unknown shape field: {sorted(unknown)[0]}")
-        return Elastic(
-            min_workers=_require_int(body, "min_workers", "shape.elastic"),
-            max_workers=_require_int(body, "max_workers", "shape.elastic"),
-        )
+        if not body.keys() <= _ELASTIC_FIELDS:
+            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _ELASTIC_FIELDS)}")
+        return _shared_shape(Elastic, _require_int(body, "min_workers", "shape.elastic"),
+                             _require_int(body, "max_workers", "shape.elastic"))
     raise MalformedSpec(f"unknown shape tag: {tag}")
+
+
+def _shared_shape(cls, *fields: int) -> JobShape:
+    key = (cls, *fields)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= _SHARED_SHAPES_MAX:
+            _SHAPES.clear()
+        shape = _SHAPES[key] = cls(*fields)
+    return shape
+
+
+def _parse_preferences(kinds: list[str]) -> tuple[ResourceKind, ...]:
+    key = tuple(kinds)
+    prefs = _PREFERENCES.get(key)
+    if prefs is None:
+        prefs = tuple([ResourceKind.parse(k) for k in key])
+        if len(key) <= len(ResourceKind):
+            _PREFERENCES[key] = prefs
+    return prefs
 
 
 def job_spec_from_obj(obj: dict) -> JobSpec:
     """Parse the canonical JSON object form; unknown fields are rejected."""
     if not isinstance(obj, dict):
         raise MalformedSpec("job spec must be a JSON object")
-    unknown = set(obj) - set(_SPEC_REQUIRED) - set(_SPEC_OPTIONAL)
-    if unknown:
-        raise MalformedSpec(f"unknown field: {sorted(unknown)[0]}")
-    missing = [k for k in _SPEC_REQUIRED if k not in obj]
-    if missing:
-        raise MalformedSpec(f"missing field: {missing[0]}")
-    if not isinstance(obj["name"], str):
+    fields = obj.keys()
+    if not fields <= _SPEC_FIELDS:
+        raise MalformedSpec(f"unknown field: {min(fields - _SPEC_FIELDS)}")
+    has_refs = "dataset_refs" in obj
+    # every key is known, so a required one is missing iff too few remain
+    if len(obj) - has_refs - ("priority" in obj) < len(_SPEC_REQUIRED):
+        missing = next(k for k in _SPEC_REQUIRED if k not in obj)
+        raise MalformedSpec(f"missing field: {missing}")
+    name = obj["name"]
+    if not isinstance(name, str):
         raise MalformedSpec("name must be a string")
-    if not isinstance(obj["user_id"], str):
+    user_id = obj["user_id"]
+    if not isinstance(user_id, str):
         raise MalformedSpec("user_id must be a string")
-    kinds_raw = obj["kind_preferences"]
-    if not isinstance(kinds_raw, list) or not all(isinstance(k, str) for k in kinds_raw):
-        raise MalformedSpec("kind_preferences must be a list of strings")
-    refs = obj.get("dataset_refs", [])
-    if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-        raise MalformedSpec("dataset_refs must be a list of strings")
+    kinds = _require_str_list(obj["kind_preferences"], "kind_preferences")
+    refs = tuple(_require_str_list(obj["dataset_refs"], "dataset_refs")) if has_refs else ()
     priority = obj.get("priority", 0)
-    if not isinstance(priority, int) or isinstance(priority, bool):
+    if not is_integer(priority):
         raise MalformedSpec("priority must be an integer")
+    # positional, in field order: keyword arguments make the frozen
+    # dataclass's __init__ about 30% slower, and this runs once per job
     return JobSpec(
-        name=obj["name"],
-        user_id=obj["user_id"],
-        kind_preferences=tuple(ResourceKind.parse(k) for k in kinds_raw),
-        shape=_parse_shape(obj["shape"]),
-        work_units=_require_int(obj, "work_units", "spec"),
-        walltime_limit_ms=_require_int(obj, "walltime_limit_ms", "spec"),
-        dataset_refs=tuple(refs),
-        priority=priority,
+        name,
+        user_id,
+        _parse_preferences(kinds),
+        _parse_shape(obj["shape"]),
+        _require_int(obj, "work_units", "spec"),
+        _require_int(obj, "walltime_limit_ms", "spec"),
+        refs,
+        priority,
     )
 
 
 _CLUSTER_FIELDS = ("cluster_id", "kind", "node_count", "cores_per_node", "speed_factor")
+_CLUSTER_FIELD_SET = frozenset(_CLUSTER_FIELDS)
 
 
 def cluster_spec_to_obj(spec: ClusterSpec) -> dict:
@@ -424,12 +470,12 @@ def cluster_spec_to_obj(spec: ClusterSpec) -> dict:
 def cluster_spec_from_obj(obj: dict) -> ClusterSpec:
     if not isinstance(obj, dict):
         raise MalformedSpec("cluster spec must be a JSON object")
-    unknown = set(obj) - set(_CLUSTER_FIELDS)
-    if unknown:
-        raise MalformedSpec(f"unknown field: {sorted(unknown)[0]}")
-    missing = [k for k in _CLUSTER_FIELDS if k not in obj]
-    if missing:
-        raise MalformedSpec(f"missing field: {missing[0]}")
+    fields = obj.keys()
+    if not fields <= _CLUSTER_FIELD_SET:
+        raise MalformedSpec(f"unknown field: {min(fields - _CLUSTER_FIELD_SET)}")
+    if len(fields) < len(_CLUSTER_FIELDS):
+        missing = next(k for k in _CLUSTER_FIELDS if k not in obj)
+        raise MalformedSpec(f"missing field: {missing}")
     if not isinstance(obj["cluster_id"], str) or not obj["cluster_id"]:
         raise MalformedSpec("cluster_id must be a non-empty string")
     spec = ClusterSpec(

@@ -52,16 +52,6 @@ class AlreadyTerminal(SchedulerError):
         super().__init__(f"job {job_id} is already terminal ({state.value})")
 
 
-class NotElastic(SchedulerError):
-    def __init__(self, job_id: str):
-        super().__init__(f"job {job_id} is not elastic")
-
-
-class NotRunning(SchedulerError):
-    def __init__(self, job_id: str):
-        super().__init__(f"job {job_id} is not running")
-
-
 class UnknownJob(SchedulerError):
     def __init__(self, job_id: str):
         self.job_id = job_id
@@ -508,28 +498,6 @@ class Scheduler:
             bounds.append((shape.min_workers, shape.max_workers))
         targets = fair_share_targets(pool, bounds)
         return list(zip(jobs, targets))
-
-    def rescale_elastic(self, job_id: str, now_ms: int) -> int:
-        """Recompute this job's fair-share worker count and apply it.
-
-        Returns the new worker count. The engine is responsible for
-        crediting progress before calling this and for logging the change.
-        """
-        job = self.records.get(job_id)
-        if job is None:
-            raise UnknownJob(job_id)
-        if not isinstance(job.spec.shape, Elastic):
-            raise NotElastic(job_id)
-        if job.state is not JobState.RUNNING:
-            raise NotRunning(job_id)
-        cid = self._find_cluster_of(job_id)
-        if cid is None:
-            raise NoAllocation(job_id)
-        for jid, target in self.elastic_targets(cid):
-            if jid == job_id:
-                self.apply_worker_count(job_id, target)
-                return target
-        raise NotRunning(job_id)
 
     def apply_worker_count(self, job_id: str, target: int) -> tuple[int, ...]:
         """Shrink or grow a running elastic allocation to `target` workers.

@@ -83,6 +83,13 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
         cfg.listen_addr = addr
     if cfg.mode not in ("sim", "realtime"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
+    if not model.is_integer(cfg.retry_budget) or cfg.retry_budget < 0:
+        raise ConfigError("scheduler.retry_budget must be a non-negative integer")
+    for entry in cfg.users:
+        try:
+            cloud_mod.Quota(**entry["quota"])
+        except (cloud_mod.BadQuota, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad user entry {entry!r}: {exc}") from exc
     return cfg
 
 
@@ -102,6 +109,7 @@ ERROR_TABLE: list[tuple[type, str, int]] = [
     (cloud_mod.UnknownUser, "unknown_user", 404),
     (cloud_mod.DuplicateUser, "duplicate_user", 409),
     (cloud_mod.BadQuota, "validation_failed", 422),
+    (cloud_mod.BadNodeCount, "validation_failed", 422),
     (cloud_mod.UnknownVCluster, "unknown_vcluster", 404),
     (cloud_mod.AlreadyReleased, "already_released", 409),
     (cloud_mod.InsufficientCloudCapacity, "insufficient_capacity", 409),
@@ -309,14 +317,14 @@ class Service:
     def handle_advance(self, req) -> tuple[int, dict]:
         body = req.json()
         if "until_ms" in body:
-            until = body["until_ms"]
+            target, base = body["until_ms"], 0
         elif "by_ms" in body:
-            until = self.sim.now_ms + body["by_ms"]
+            target, base = body["by_ms"], self.sim.now_ms
         else:
             raise ApiError("validation_failed", "need until_ms or by_ms", 422)
-        if not isinstance(until, int) or until < 0:
+        if not model.is_integer(target) or base + target < 0:
             raise ApiError("validation_failed", "advance target must be a non-negative integer", 422)
-        events = self.sim.step(until)
+        events = self.sim.step(base + target)
         return 200, {"now_ms": self.sim.now_ms, "events_fired": len(events)}
 
     def _vc_view(self, vc) -> dict:

@@ -19,6 +19,7 @@ from .model import (
     MalformedSpec,
     ResourceKind,
     Rigid,
+    is_integer,
     job_duration_ms,
     job_spec_from_obj,
     job_spec_to_obj,
@@ -76,27 +77,38 @@ def trace_to_obj(trace: SubmissionTrace) -> dict:
     }
 
 
+_TRACE_FIELDS = frozenset({"rng_seed", "jobs", "faults"})
+_JOB_ENTRY_FIELDS = frozenset({"t_ms", "spec"})
+_FAULT_FIELDS = frozenset({"t_ms", "cluster_id", "node_index", "down_duration_ms"})
+_FAULT_INT_FIELDS = ("t_ms", "node_index", "down_duration_ms")
+
+
 def trace_from_obj(obj) -> SubmissionTrace:
     if not isinstance(obj, dict):
         raise MalformedTrace("trace must be a JSON object")
-    unknown = set(obj) - {"rng_seed", "jobs", "faults"}
-    if unknown:
-        raise MalformedTrace(f"unknown trace fields: {sorted(unknown)}")
+    if not obj.keys() <= _TRACE_FIELDS:
+        raise MalformedTrace(f"unknown trace fields: {sorted(obj.keys() - _TRACE_FIELDS)}")
     jobs = []
-    for entry in obj.get("jobs", []):
-        if not isinstance(entry, dict) or set(entry) != {"t_ms", "spec"}:
+    for entry in obj.get("jobs", ()):
+        if not isinstance(entry, dict) or entry.keys() != _JOB_ENTRY_FIELDS:
             raise MalformedTrace("each job entry needs exactly t_ms and spec")
         try:
             spec = job_spec_from_obj(entry["spec"])
         except MalformedSpec as exc:
             raise MalformedTrace(str(exc)) from exc
-        jobs.append((entry["t_ms"], spec))
+        t_ms = entry["t_ms"]
+        if not is_integer(t_ms):
+            raise MalformedTrace("job t_ms must be an integer")
+        jobs.append((t_ms, spec))
     faults = []
-    for entry in obj.get("faults", []):
-        if not isinstance(entry, dict) or set(entry) != {
-            "t_ms", "cluster_id", "node_index", "down_duration_ms"
-        }:
+    for entry in obj.get("faults", ()):
+        if not isinstance(entry, dict) or entry.keys() != _FAULT_FIELDS:
             raise MalformedTrace("bad fault directive")
+        for key in _FAULT_INT_FIELDS:
+            if not is_integer(entry[key]):
+                raise MalformedTrace(f"fault {key} must be an integer")
+        if not isinstance(entry["cluster_id"], str):
+            raise MalformedTrace("fault cluster_id must be a string")
         faults.append(FaultDirective(**entry))
     return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=obj.get("rng_seed", 0))
 

@@ -197,6 +197,38 @@ class TestSimulate:
                      "--clusters", str(broken)]) == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section, field, value, message", [
+        ("jobs", "t_ms", 1.5, "job t_ms must be an integer"),
+        ("jobs", "t_ms", "5", "job t_ms must be an integer"),
+        ("jobs", "t_ms", True, "job t_ms must be an integer"),
+        ("faults", "t_ms", 2.0, "fault t_ms must be an integer"),
+        ("faults", "node_index", True, "fault node_index must be an integer"),
+        ("faults", "down_duration_ms", "100", "fault down_duration_ms must be an integer"),
+        ("faults", "cluster_id", 0, "fault cluster_id must be a string"),
+        ("faults", "cluster_id", "gpu9", "no node 0 on cluster gpu9"),
+        ("faults", "node_index", 7, "no node 7 on cluster cpu0"),
+    ])
+    def test_bad_trace_field_exits_2(self, tmp_path, capsys, section, field, value, message):
+        trace = SubmissionTrace(
+            jobs=[(0, JobSpec(name="j", user_id="u", kind_preferences=(CPU,),
+                              shape=Rigid(node_count=1), work_units=1,
+                              walltime_limit_ms=1_000))],
+            faults=[FaultDirective(10, "cpu0", 0, 100)],
+        )
+        obj = trace_to_obj(trace)
+        obj[section][0][field] = value
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(json.dumps(obj))
+        clusters_path = tmp_path / "clusters.json"
+        clusters_path.write_text(json.dumps(
+            [cluster_spec_to_obj(cluster("cpu0", CPU, 1))]))
+        out = tmp_path / "o.jsonl"
+        code = main(["simulate", "--trace", str(trace_path),
+                     "--clusters", str(clusters_path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonterminating_guard_exits_3(self, tmp_path, capsys):
         # the only node goes down past the horizon while a job waits
         trace = SubmissionTrace(

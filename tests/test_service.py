@@ -261,6 +261,14 @@ class TestUsers:
                            {"user_id": "bob", "quota": {"max_jobs": 5}})
         assert status == 422 and err["error"]["code"] == "validation_failed"
 
+    @pytest.mark.parametrize("value", [1.5, True, "2", None])
+    def test_non_integer_quota_field(self, svc, value):
+        quota = {"max_concurrent_jobs": 1, "max_nodes_in_use": 1, "max_vcluster_nodes": 0}
+        quota["max_nodes_in_use"] = value
+        status, err = call(svc, "POST", "/v1/users", {"user_id": "bob", "quota": quota})
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        assert "max_nodes_in_use must be an integer" in err["error"]["message"]
+
 
 class TestVClusters:
     def test_lifecycle(self, svc):
@@ -303,6 +311,14 @@ class TestVClusters:
                            {"user_id": "ghost", "node_count": 1, "image": "i"})
         assert status == 404 and err["error"]["code"] == "unknown_user"
 
+    @pytest.mark.parametrize("node_count", ["2", 1.5, True, 0, None])
+    def test_bad_node_count(self, svc, node_count):
+        status, err = call(svc, "POST", "/v1/vclusters",
+                           {"user_id": "u", "node_count": node_count, "image": "i"})
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        _status, listing = call(svc, "GET", "/v1/vclusters")
+        assert listing["vclusters"] == []
+
 
 class TestClock:
     def test_clock_and_advance(self, svc):
@@ -320,6 +336,13 @@ class TestClock:
         assert call(svc, "POST", "/v1/clock/advance", {})[0] == 422
         assert call(svc, "POST", "/v1/clock/advance", {"until_ms": -5})[0] == 422
         assert call(svc, "POST", "/v1/clock/advance", {"until_ms": "soon"})[0] == 422
+
+    @pytest.mark.parametrize("body", [{"until_ms": True}, {"by_ms": True},
+                                      {"by_ms": "5"}, {"by_ms": 1.5}, {"until_ms": None}])
+    def test_advance_needs_an_integer(self, svc, body):
+        status, err = call(svc, "POST", "/v1/clock/advance", body)
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        assert call(svc, "GET", "/v1/clock")[1]["now_ms"] == 0
 
     def test_advance_reports_events_fired(self, svc):
         call(svc, "POST", "/v1/jobs", rigid_obj(work=10))
@@ -346,6 +369,7 @@ class TestWireTables:
         (cloud_mod.UnknownUser("u"), "unknown_user", 404),
         (cloud_mod.DuplicateUser("u"), "duplicate_user", 409),
         (cloud_mod.BadQuota("q"), "validation_failed", 422),
+        (cloud_mod.BadNodeCount("2"), "validation_failed", 422),
         (cloud_mod.UnknownVCluster("v"), "unknown_vcluster", 404),
         (cloud_mod.AlreadyReleased("v"), "already_released", 409),
         (cloud_mod.InsufficientCloudCapacity(3), "insufficient_capacity", 409),
@@ -432,6 +456,20 @@ class TestConfigFile:
         bad.write_text("{")
         with pytest.raises(ConfigError):
             load_config(str(bad), env={})
+
+    @pytest.mark.parametrize("value", [-1, "1", 1.5, True, None])
+    def test_rejects_bad_retry_budget(self, tmp_path, value):
+        obj = self.good_obj()
+        obj["scheduler"]["retry_budget"] = value
+        with pytest.raises(ConfigError, match="retry_budget"):
+            load_config(self.write(tmp_path, obj), env={})
+
+    @pytest.mark.parametrize("value", [1.5, True, "1", -1])
+    def test_rejects_bad_user_quota(self, tmp_path, value):
+        obj = self.good_obj()
+        obj["users"][0]["quota"]["max_concurrent_jobs"] = value
+        with pytest.raises(ConfigError, match="max_concurrent_jobs"):
+            load_config(self.write(tmp_path, obj), env={})
 
 
 class TestOverRealHttp:
