@@ -19,7 +19,7 @@ import sys
 import requests
 
 from .engine import NonTerminating, SimConfig, UnknownNode, run_trace
-from .metrics import compare, utilization, wait_stats
+from .metrics import compare, format_table, utilization, utilization_rows, wait_stats
 from .model import ValidationError, cluster_spec_from_obj
 from .service import ConfigError, load_config, serve
 from .traces import MalformedTrace, read_trace
@@ -107,13 +107,9 @@ def cmd_clusters(args) -> int:
     def render(obj):
         rows = [("cluster", "kind", "nodes", "free", "busy", "down", "held", "speed")]
         for c in obj["clusters"]:
-            rows.append((c["cluster_id"], c["kind"], str(c["node_count"]),
-                         str(c["free_nodes"]), str(c["busy_nodes"]),
-                         str(c["down_nodes"]), str(c["held_nodes"]),
-                         str(c["speed_factor"])))
-        widths = [max(len(r[i]) for r in rows) for i in range(8)]
-        for row in rows:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+            rows.append((c["cluster_id"], c["kind"], c["node_count"], c["free_nodes"],
+                         c["busy_nodes"], c["down_nodes"], c["held_nodes"], c["speed_factor"]))
+        print(format_table(rows))
 
     resp = _request(args, "GET", "/v1/clusters")
     return _finish(args, resp, render)
@@ -125,18 +121,7 @@ def cmd_metrics(args) -> int:
         path += f"?window_ms={args.window_ms}"
 
     def render(obj):
-        util = obj["utilization"]
-        rows = [("cluster", "busy_node_ms", "avail_node_ms", "held_node_ms", "util")]
-        for c in util["clusters"]:
-            rows.append((c["cluster_id"], str(c["busy_node_ms"]),
-                         str(c["available_node_ms"]), str(c["held_node_ms"]),
-                         c["utilization"]))
-        agg = util["aggregate"]
-        rows.append(("TOTAL", str(agg["busy_node_ms"]), str(agg["available_node_ms"]),
-                     str(agg["held_node_ms"]), agg["utilization"]))
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        for row in rows:
-            print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+        print(format_table(utilization_rows(obj["utilization"])))
         waits = obj["waits"]
         print(f"jobs: {waits['n_jobs']}  started: {waits['n_started']}  "
               f"mean_wait_ms: {waits['mean_wait_ms']}  makespan_ms: {waits['makespan_ms']}")

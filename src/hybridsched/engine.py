@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -29,12 +29,11 @@ from .model import (
     JobSpec,
     JobState,
     LifecycleEvent,
-    ValidationError,
     transition,
     validate_cluster,
     validate_job,
 )
-from .scheduler import ClusterState, DispatchDecision, Scheduler
+from .scheduler import ClusterState, DispatchDecision, Scheduler, Unsatisfiable
 
 
 class SimEventKind(str, Enum):
@@ -47,6 +46,8 @@ class SimEventKind(str, Enum):
     JOB_CANCELLED = "JobCancelled"
     NODE_DOWN = "NodeDown"
     NODE_UP = "NodeUp"
+    NODES_HELD = "NodesHeld"
+    NODES_RELEASED = "NodesReleased"
     RESCALE_APPLIED = "RescaleApplied"
 
 
@@ -225,7 +226,7 @@ class Simulation:
         self._seq = 0
         self._run: dict[str, _RunState] = {}
         self._job_idx = 0
-        self.hold_intervals: list[tuple[str, int, int, Optional[int]]] = []
+        self._down_depth: dict[tuple[str, int], int] = {}   # faults open per node
         self._known_kinds = {s.kind for s in clusters}
 
     # -- plumbing ---------------------------------------------------------
@@ -301,24 +302,20 @@ class Simulation:
     # -- vcluster carve-outs (driven by the cloud layer) ------------------
 
     def hold_nodes(self, cluster_id: str, nodes: tuple[int, ...]):
-        """Mark free nodes invisible to the scheduler (vcluster carve-out)."""
+        """Mark free nodes invisible to the scheduler (vcluster carve-out); logs NodesHeld."""
         cs = self.scheduler.clusters[cluster_id]
         free = set(cs.free_nodes())
         for n in nodes:
             if n not in free:
                 raise SimulationError(f"node {n} on {cluster_id} is not free")
         cs.held.update(nodes)
-        for n in sorted(nodes):
-            self.hold_intervals.append((cluster_id, n, self.clock, None))
+        self._emit(SimEventKind.NODES_HELD, cluster_id=cluster_id, node_indices=sorted(nodes))
 
     def release_hold(self, cluster_id: str, nodes: tuple[int, ...]):
-        """Return carved-out nodes to scheduler visibility and replan."""
+        """Return carved-out nodes to scheduler visibility, log NodesReleased, replan."""
         cs = self.scheduler.clusters[cluster_id]
         cs.held.difference_update(nodes)
-        nodeset = set(nodes)
-        for i, (cid, n, t0, t1) in enumerate(self.hold_intervals):
-            if cid == cluster_id and n in nodeset and t1 is None:
-                self.hold_intervals[i] = (cid, n, t0, self.clock)
+        self._emit(SimEventKind.NODES_RELEASED, cluster_id=cluster_id, node_indices=sorted(nodes))
         self._plan_cycle()
 
     # -- time -------------------------------------------------------------
@@ -388,7 +385,9 @@ class Simulation:
         rs = _RunState(retries_left=self.config.retry_budget)
         self._run[job_id] = rs
         self._emit(SimEventKind.JOB_SUBMITTED, job_id=job_id)
-        if not self.scheduler.is_satisfiable(record):
+        try:
+            self.scheduler.enqueue(record, self.clock)
+        except Unsatisfiable:
             # There is no Queued->Failed edge in the lifecycle table, so a
             # job no acceptable cluster could ever hold is failed here,
             # before it enters the queue.
@@ -397,7 +396,6 @@ class Simulation:
             self._emit(SimEventKind.JOB_FAILED, job_id=job_id)
             return
         record.state = transition(record.state, LifecycleEvent.VALIDATED)
-        self.scheduler.enqueue(record, self.clock)
         self._emit(SimEventKind.JOB_QUEUED, job_id=job_id)
 
     def _handle_finish(self, job_id: str):
@@ -421,6 +419,12 @@ class Simulation:
         self._emit(SimEventKind.JOB_TIMED_OUT, job_id=job_id)
 
     def _handle_node_down(self, cluster_id: str, node_index: int):
+        # Faults may overlap on one node: only the first opens the outage,
+        # so the log holds one NodeDown/NodeUp pair spanning their union.
+        key = (cluster_id, node_index)
+        self._down_depth[key] = self._down_depth.get(key, 0) + 1
+        if self._down_depth[key] > 1:
+            return
         cs = self.scheduler.clusters[cluster_id]
         cs.down.add(node_index)
         self._emit(SimEventKind.NODE_DOWN, cluster_id=cluster_id, node_index=node_index)
@@ -448,6 +452,11 @@ class Simulation:
             self._emit(SimEventKind.JOB_FAILED, job_id=victim)
 
     def _handle_node_up(self, cluster_id: str, node_index: int):
+        key = (cluster_id, node_index)
+        self._down_depth[key] -= 1
+        if self._down_depth[key] > 0:
+            return
+        del self._down_depth[key]
         cs = self.scheduler.clusters[cluster_id]
         cs.down.discard(node_index)
         self._emit(SimEventKind.NODE_UP, cluster_id=cluster_id, node_index=node_index)
@@ -458,14 +467,6 @@ class Simulation:
         decision = self.scheduler.plan(self.clock)
         if decision.reservation is not None and self.first_reserved_job is None:
             self.first_reserved_job = decision.reservation.job_id
-        for advisory in decision.advisories:
-            record = self.records[advisory.job_id]
-            if record.state.terminal:
-                continue
-            self.scheduler.remove_queued(advisory.job_id)
-            record.state = JobState.FAILED
-            record.end_ms = self.clock
-            self._emit(SimEventKind.JOB_FAILED, job_id=advisory.job_id)
         for job_id, alloc in decision.starts:
             self._start_job(job_id, alloc)
         self._rescale_pass(decision)

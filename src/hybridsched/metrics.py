@@ -2,7 +2,7 @@
 
 Everything here is exact integer arithmetic over the canonical log: busy
 node-time from allocation segments, available node-time net of downtime
-and vcluster carve-outs, wait/turnaround statistics with nearest-rank
+and vcluster holds, wait/turnaround statistics with nearest-rank
 percentiles, and side-by-side comparisons of two configurations run on
 the same trace. Ratios are rendered to four decimals by integer
 arithmetic (half-up); no floats are involved anywhere.
@@ -42,6 +42,24 @@ def format_fixed4(q: int) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     return f"{sign}{q // 10000}.{q % 10000:04d}"
+
+
+def format_table(rows) -> str:
+    """Left-aligned columns two spaces apart, a dashed rule under the header row."""
+    cells = [[str(cell) for cell in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def utilization_rows(obj: dict) -> list[tuple]:
+    """Table rows of a UtilizationReport in its to_obj() form, TOTAL last."""
+    rows = [("cluster", "busy_node_ms", "avail_node_ms", "held_node_ms", "util")]
+    for c in obj["clusters"] + [{**obj["aggregate"], "cluster_id": "TOTAL"}]:
+        rows.append((c["cluster_id"], c["busy_node_ms"], c["available_node_ms"],
+                     c["held_node_ms"], c["utilization"]))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -99,19 +117,7 @@ class UtilizationReport:
         }
 
     def render_text(self) -> str:
-        rows = [("cluster", "busy_node_ms", "avail_node_ms", "held_node_ms", "util")]
-        for c in self.per_cluster:
-            rows.append((c.cluster_id, str(c.busy_node_ms), str(c.available_node_ms),
-                         str(c.held_node_ms), c.utilization))
-        rows.append(("TOTAL", str(self.busy_node_ms), str(self.available_node_ms),
-                     str(self.held_node_ms), self.aggregate_utilization))
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        lines = []
-        for idx, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-            if idx == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return format_table(utilization_rows(self.to_obj()))
 
 
 def _clip(a: int, b: int, lo: int, hi: int) -> int:
@@ -139,24 +145,37 @@ def _merge_len(intervals: list[tuple[int, int]], lo: int, hi: int) -> int:
     return total
 
 
-def utilization(log: EventLog, clusters: list[ClusterSpec], window: tuple[int, int],
-                holds: list[tuple[str, int, int, Optional[int]]] = ()) -> UtilizationReport:
+# Node spans in the log: the event kind that closes one -> the kind that opened it.
+_CLOSES = {SimEventKind.NODE_UP: SimEventKind.NODE_DOWN,
+           SimEventKind.NODES_RELEASED: SimEventKind.NODES_HELD}
+_OPENERS = frozenset(_CLOSES.values())
+
+
+def _span_keys(event, opener: SimEventKind) -> list[tuple[SimEventKind, str, int]]:
+    nodes = event.get("node_indices")
+    if nodes is None:
+        nodes = (event.get("node_index"),)
+    return [(opener, event.get("cluster_id"), n) for n in nodes]
+
+
+def utilization(log: EventLog, clusters: list[ClusterSpec], window: tuple[int, int]
+                ) -> UtilizationReport:
     """Replay the log into exact busy/available node-time over a window.
 
     Busy time is the sum over allocation segments of node count x overlap
     with the window; a segment opens at JobStarted, is split by every
     RescaleApplied, and closes at the job's terminal event or requeue. A
-    node's available time excludes its down intervals and any vcluster
-    holds (passed separately, since holds are not log events).
+    node's available time excludes its NodeDown..NodeUp and
+    NodesHeld..NodesReleased spans; a span still open at the end of the
+    window runs to its end, and a close with no open span is ignored.
     """
     from_ms, to_ms = window
     if from_ms >= to_ms:
         raise EmptyWindow(from_ms, to_ms)
     busy: dict[str, int] = {c.cluster_id: 0 for c in clusters}
     open_seg: dict[str, tuple[str, int, int]] = {}          # job -> (cluster, nnodes, t0)
-    excluded: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    open_down: dict[tuple[str, int], int] = {}
-    held: dict[str, list[tuple[int, int]]] = {c.cluster_id: [] for c in clusters}
+    open_span: dict[tuple[SimEventKind, str, int], int] = {}  # (opener, cluster, node) -> t0
+    spans: dict[tuple[SimEventKind, str, int], list[tuple[int, int]]] = {}
 
     def close_seg(job_id: str, t: int):
         cid, nnodes, t0 = open_seg.pop(job_id)
@@ -178,33 +197,31 @@ def utilization(log: EventLog, clusters: list[ClusterSpec], window: tuple[int, i
             job_id = event.get("job_id")
             if job_id in open_seg:
                 close_seg(job_id, event.t_ms)
-        elif kind is SimEventKind.NODE_DOWN:
-            open_down[(event.get("cluster_id"), event.get("node_index"))] = event.t_ms
-        elif kind is SimEventKind.NODE_UP:
-            key = (event.get("cluster_id"), event.get("node_index"))
-            t0 = open_down.pop(key, None)
-            if t0 is not None:
-                excluded.setdefault(key, []).append((t0, event.t_ms))
+        elif kind in _OPENERS:
+            for key in _span_keys(event, kind):
+                open_span[key] = event.t_ms
+        elif kind in _CLOSES:
+            for key in _span_keys(event, _CLOSES[kind]):
+                t0 = open_span.pop(key, None)
+                if t0 is not None:
+                    spans.setdefault(key, []).append((t0, event.t_ms))
     for job_id in list(open_seg):
         close_seg(job_id, to_ms)
-    for key, t0 in open_down.items():
-        excluded.setdefault(key, []).append((t0, to_ms))
-    for cid, node, t0, t1 in holds:
-        span = (t0, to_ms if t1 is None else t1)
-        excluded.setdefault((cid, node), []).append(span)
-        if cid in held:
-            held[cid].append(span)
+    for key, t0 in open_span.items():
+        spans.setdefault(key, []).append((t0, to_ms))
 
     per = []
     length = to_ms - from_ms
     for spec in sorted(clusters, key=lambda c: c.cluster_id):
         cid = spec.cluster_id
         avail = spec.node_count * length
+        held_ms = 0
         for node in range(spec.node_count):
-            ivs = excluded.get((cid, node))
-            if ivs:
-                avail -= _merge_len(ivs, from_ms, to_ms)
-        held_ms = sum(_clip(a, b, from_ms, to_ms) for a, b in held[cid])
+            holds = spans.get((SimEventKind.NODES_HELD, cid, node), [])
+            excluded = spans.get((SimEventKind.NODE_DOWN, cid, node), []) + holds
+            if excluded:
+                avail -= _merge_len(excluded, from_ms, to_ms)
+            held_ms += sum(_clip(a, b, from_ms, to_ms) for a, b in holds)
         per.append(ClusterUtilization(cluster_id=cid, busy_node_ms=busy[cid],
                                       available_node_ms=avail, held_node_ms=held_ms))
     return UtilizationReport(window=window, per_cluster=tuple(per))
@@ -315,30 +332,15 @@ class Comparison:
         }
 
     def render_text(self) -> str:
-        rows = [
+        ua, ub, wa, wb = self.utilization_a, self.utilization_b, self.waits_a, self.waits_b
+        return format_table([
             ("metric", self.label_a, self.label_b, "delta"),
-            ("utilization",
-             self.utilization_a.aggregate_utilization,
-             self.utilization_b.aggregate_utilization,
+            ("utilization", ua.aggregate_utilization, ub.aggregate_utilization,
              format_fixed4(self.delta_utilization_fixed4)),
-            ("busy_node_ms",
-             str(self.utilization_a.busy_node_ms),
-             str(self.utilization_b.busy_node_ms),
-             str(self.utilization_b.busy_node_ms - self.utilization_a.busy_node_ms)),
-            ("mean_wait_ms",
-             str(self.waits_a.mean_wait_ms), str(self.waits_b.mean_wait_ms),
-             str(self.waits_b.mean_wait_ms - self.waits_a.mean_wait_ms)),
-            ("makespan_ms",
-             str(self.waits_a.makespan_ms), str(self.waits_b.makespan_ms),
-             str(self.waits_b.makespan_ms - self.waits_a.makespan_ms)),
-        ]
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        lines = []
-        for idx, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-            if idx == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+            ("busy_node_ms", ua.busy_node_ms, ub.busy_node_ms, ub.busy_node_ms - ua.busy_node_ms),
+            ("mean_wait_ms", wa.mean_wait_ms, wb.mean_wait_ms, wb.mean_wait_ms - wa.mean_wait_ms),
+            ("makespan_ms", wa.makespan_ms, wb.makespan_ms, wb.makespan_ms - wa.makespan_ms),
+        ])
 
 
 def compare(trace, clusters_a: list[ClusterSpec], clusters_b: list[ClusterSpec],

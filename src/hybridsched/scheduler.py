@@ -13,7 +13,7 @@ identical inputs always produce identical decisions.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -24,7 +24,6 @@ from .model import (
     JobState,
     LifecycleEvent,
     ResourceKind,
-    Rigid,
     transition,
 )
 
@@ -58,6 +57,15 @@ class UnknownJob(SchedulerError):
         super().__init__(f"unknown job {job_id}")
 
 
+class Unsatisfiable(SchedulerError):
+    """No acceptable cluster owns enough nodes for this job, ever."""
+
+    def __init__(self, job_id: str, needed: int):
+        self.job_id = job_id
+        self.needed = needed
+        super().__init__(f"job {job_id} needs {needed} nodes; no acceptable cluster has them")
+
+
 @dataclass(frozen=True)
 class QueueEntry:
     """One queued job. Queue order is (-priority, submit_seq, job_id)."""
@@ -65,7 +73,6 @@ class QueueEntry:
     job_id: str
     priority: int
     submit_seq: int
-    remaining_kind_preferences: tuple[ResourceKind, ...] = ()
 
     @property
     def sort_key(self) -> tuple:
@@ -84,20 +91,11 @@ class Reservation:
 
 
 @dataclass(frozen=True)
-class Unsatisfiable:
-    """Advisory: no acceptable cluster owns enough nodes for this job."""
-
-    job_id: str
-    needed: int
-
-
-@dataclass(frozen=True)
 class DispatchDecision:
     """Output of one plan cycle: jobs to start now, plus head reservation."""
 
     starts: tuple[tuple[str, Allocation], ...]
     reservation: Optional[Reservation]
-    advisories: tuple[Unsatisfiable, ...] = ()
 
 
 class ClusterState:
@@ -185,7 +183,7 @@ class Scheduler:
         self._needed: dict[str, int] = {}
         self._wall: dict[str, int] = {}
         self._accept: dict[str, list[str]] = {}
-        self._sat: dict[str, bool] = {}
+        self._cluster_of: dict[str, str] = {}   # job -> cluster of its live allocation
         # cluster ids per kind, lexicographic, fixed at construction
         self._by_kind: dict[ResourceKind, list[str]] = {}
         for cid in sorted(clusters):
@@ -197,28 +195,29 @@ class Scheduler:
         """Insert a Queued job preserving the total order.
 
         A job requeued after a node loss keeps its original submit_seq, so
-        it goes back to its old position rather than the tail.
+        it goes back to its old position rather than the tail. Raises
+        Unsatisfiable, and queues nothing, when no acceptable cluster owns
+        enough nodes.
         """
         job_id = job.job_id
-        if job_id in self._queue_entries or self._find_cluster_of(job_id) is not None:
+        if job_id in self._queue_entries or job_id in self._cluster_of:
             raise DuplicateJob(job_id)
+        needed = job.spec.needed_nodes()
+        accept = self._acceptable_clusters(self.effective_preferences(job))
+        if all(self.clusters[cid].spec.node_count < needed for cid in accept):
+            raise Unsatisfiable(job_id, needed)
         if job_id in self._seq_of_job:
             seq = self._seq_of_job[job_id]
         else:
             seq = self._submit_seq
             self._submit_seq += 1
             self._seq_of_job[job_id] = seq
-        prefs = self.effective_preferences(job)
-        entry = QueueEntry(job_id=job_id, priority=job.spec.priority, submit_seq=seq,
-                           remaining_kind_preferences=prefs)
+        entry = QueueEntry(job_id=job_id, priority=job.spec.priority, submit_seq=seq)
         bisect.insort(self._queue_keys, entry.sort_key)
         self._queue_entries[job_id] = entry
-        needed = job.spec.needed_nodes()
         self._needed[job_id] = needed
         self._wall[job_id] = job.spec.walltime_limit_ms
-        self._accept[job_id] = self._acceptable_clusters(prefs)
-        self._sat[job_id] = any(self.clusters[cid].spec.node_count >= needed
-                                for cid in self._accept[job_id])
+        self._accept[job_id] = accept
         return entry
 
     def remove_queued(self, job_id: str) -> bool:
@@ -235,9 +234,6 @@ class Scheduler:
 
     def queue_length(self) -> int:
         return len(self._queue_keys)
-
-    def submit_seq_of(self, job_id: str) -> int:
-        return self._seq_of_job[job_id]
 
     # -- helpers ----------------------------------------------------------
 
@@ -264,20 +260,6 @@ class Scheduler:
             out.extend(self._by_kind.get(kind, []))
         return out
 
-    def is_satisfiable(self, job: JobRecord) -> bool:
-        """True if some acceptable cluster owns enough nodes in total."""
-        needed = job.spec.needed_nodes()
-        for cid in self._acceptable_clusters(self.effective_preferences(job)):
-            if self.clusters[cid].spec.node_count >= needed:
-                return True
-        return False
-
-    def _find_cluster_of(self, job_id: str) -> Optional[str]:
-        for cid, cs in self.clusters.items():
-            if job_id in cs.allocations:
-                return cid
-        return None
-
     # -- planning ---------------------------------------------------------
 
     def plan(self, now_ms: int) -> DispatchDecision:
@@ -288,7 +270,6 @@ class Scheduler:
         backfills later entries that provably do not delay it.
         """
         starts: list[tuple[str, Allocation]] = []
-        advisories: list[Unsatisfiable] = []
         reservation: Optional[Reservation] = None
         reserved_set: frozenset[int] = frozenset()
         res_cid: Optional[str] = None
@@ -304,9 +285,6 @@ class Scheduler:
             if free_total == 0 and reservation is not None:
                 break   # no node anywhere, head already protected: nothing can start
             needed = self._needed[job_id]
-            if not self._sat[job_id]:
-                advisories.append(Unsatisfiable(job_id=job_id, needed=needed))
-                continue
             acceptable = self._accept[job_id]
             wall = self._wall[job_id]
             if reservation is not None:
@@ -356,10 +334,10 @@ class Scheduler:
                 if cid == res_cid:
                     res_usable -= sum(1 for n in nodes if n not in reserved_set)
 
-        for job_id, _ in starts:
+        for job_id, alloc in starts:
             self.remove_queued(job_id)
-        return DispatchDecision(starts=tuple(starts), reservation=reservation,
-                                advisories=tuple(advisories))
+            self._cluster_of[job_id] = alloc.cluster_id
+        return DispatchDecision(starts=tuple(starts), reservation=reservation)
 
     def _free(self, cid: str, cache: dict[str, list[int]]) -> list[int]:
         if cid not in cache:
@@ -441,7 +419,7 @@ class Scheduler:
 
     def release(self, job_id: str) -> tuple[str, tuple[int, ...]]:
         """Free all nodes of a live allocation; returns (cluster_id, nodes)."""
-        cid = self._find_cluster_of(job_id)
+        cid = self._cluster_of.pop(job_id, None)
         if cid is None:
             raise NoAllocation(job_id)
         return cid, self.clusters[cid].release(job_id)
@@ -505,7 +483,7 @@ class Scheduler:
         Shrinks drop the highest node indices; growth takes the lowest
         free indices. Growth is clamped by what is actually free.
         """
-        cid = self._find_cluster_of(job_id)
+        cid = self._cluster_of.get(job_id)
         if cid is None:
             raise NoAllocation(job_id)
         cs = self.clusters[cid]

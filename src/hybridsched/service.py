@@ -26,7 +26,7 @@ from . import cloud as cloud_mod
 from . import model
 from .engine import SimConfig, Simulation
 from .metrics import utilization, wait_stats
-from .model import ClusterSpec, Elastic, JobState, cluster_spec_from_obj, job_spec_from_obj
+from .model import ClusterSpec, Elastic, cluster_spec_from_obj, job_spec_from_obj
 from .scheduler import AlreadyTerminal, UnknownJob
 
 
@@ -274,8 +274,7 @@ class Service:
         window_ms = req.query_int("window_ms")
         from_ms = 0 if window_ms is None else max(0, now - window_ms)
         to_ms = max(now, from_ms + 1)
-        report = utilization(self.sim.log, self.config.clusters, (from_ms, to_ms),
-                             holds=self.sim.hold_intervals)
+        report = utilization(self.sim.log, self.config.clusters, (from_ms, to_ms))
         return 200, {"utilization": report.to_obj(), "waits": wait_stats(self.sim.log).to_obj()}
 
     def handle_create_user(self, req) -> tuple[int, dict]:

@@ -88,6 +88,12 @@ def trace_from_obj(obj) -> SubmissionTrace:
         raise MalformedTrace("trace must be a JSON object")
     if not obj.keys() <= _TRACE_FIELDS:
         raise MalformedTrace(f"unknown trace fields: {sorted(obj.keys() - _TRACE_FIELDS)}")
+    for key in ("jobs", "faults"):
+        if not isinstance(obj.get(key, []), list):
+            raise MalformedTrace(f"trace {key} must be a list")
+    rng_seed = obj.get("rng_seed", 0)
+    if not is_integer(rng_seed):
+        raise MalformedTrace("trace rng_seed must be an integer")
     jobs = []
     for entry in obj.get("jobs", ()):
         if not isinstance(entry, dict) or entry.keys() != _JOB_ENTRY_FIELDS:
@@ -110,7 +116,7 @@ def trace_from_obj(obj) -> SubmissionTrace:
         if not isinstance(entry["cluster_id"], str):
             raise MalformedTrace("fault cluster_id must be a string")
         faults.append(FaultDirective(**entry))
-    return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=obj.get("rng_seed", 0))
+    return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=rng_seed)
 
 
 def write_trace(trace: SubmissionTrace, path):

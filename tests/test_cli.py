@@ -207,6 +207,10 @@ class TestSimulate:
         ("faults", "cluster_id", 0, "fault cluster_id must be a string"),
         ("faults", "cluster_id", "gpu9", "no node 0 on cluster gpu9"),
         ("faults", "node_index", 7, "no node 7 on cluster cpu0"),
+        (None, "jobs", 5, "trace jobs must be a list"),
+        (None, "faults", {}, "trace faults must be a list"),
+        (None, "rng_seed", "1", "trace rng_seed must be an integer"),
+        (None, "rng_seed", False, "trace rng_seed must be an integer"),
     ])
     def test_bad_trace_field_exits_2(self, tmp_path, capsys, section, field, value, message):
         trace = SubmissionTrace(
@@ -216,7 +220,7 @@ class TestSimulate:
             faults=[FaultDirective(10, "cpu0", 0, 100)],
         )
         obj = trace_to_obj(trace)
-        obj[section][0][field] = value
+        (obj if section is None else obj[section][0])[field] = value
         trace_path = tmp_path / "trace.json"
         trace_path.write_text(json.dumps(obj))
         clusters_path = tmp_path / "clusters.json"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from hybridsched.catalog import DatasetCatalog
@@ -15,6 +16,7 @@ from hybridsched.engine import (
     UnknownNode,
     run_trace,
 )
+from hybridsched.metrics import utilization
 from hybridsched.model import (
     ClusterSpec,
     Elastic,
@@ -194,6 +196,59 @@ class TestFailures:
         rec = sim.records["j000000"]
         assert rec.state is JobState.COMPLETED
         assert rec.end_ms == 2_500 + 6_000
+
+
+class TestOverlappingFaults:
+    def test_inner_fault_neither_ends_nor_restarts_the_outage(self):
+        # node 0 is down 100..1100 and, inside that, 200..300: one outage,
+        # so the probe arriving at 400 waits for the node until 1100
+        spec = cluster("cpu0", CPU, 1)
+        sim = Simulation([spec])
+        sim.inject_node_failure("cpu0", 0, 100, 1_000)
+        sim.inject_node_failure("cpu0", 0, 200, 100)
+        sim.schedule_arrival(400, rigid("probe", 1, 1, 5_000))   # 1000 ms of work
+        sim.run_to_quiescence()
+        assert [(e.t_ms, e.kind.value) for e in sim.log] == [
+            (100, "NodeDown"), (400, "JobSubmitted"), (400, "JobQueued"),
+            (1_100, "NodeUp"), (1_100, "JobStarted"), (2_100, "JobFinished")]
+        assert events_of(sim.log, SimEventKind.JOB_STARTED)[0].get("node_indices") == [0]
+        window = (0, 2_100)
+        report = utilization(sim.log, [spec], window)
+        busy, avail = oracles.scan_utilization(sim.log.canonical_lines(), [("cpu0", 1)], window)
+        assert report.per_cluster[0].available_node_ms == avail["cpu0"] == 2_100 - 1_000
+        assert report.per_cluster[0].busy_node_ms == busy["cpu0"] == 1_000
+
+    def test_probe_goes_to_the_node_that_is_up(self):
+        sim = Simulation([cluster("cpu0", CPU, 2)])
+        sim.inject_node_failure("cpu0", 0, 100, 1_000)
+        sim.inject_node_failure("cpu0", 0, 200, 100)
+        sim.schedule_arrival(400, rigid("probe", 1, 1, 5_000))
+        sim.run_to_quiescence()
+        started = events_of(sim.log, SimEventKind.JOB_STARTED)[0]
+        assert (started.t_ms, started.get("node_indices")) == (400, [1])
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(1, 40)),
+                    max_size=8),
+           st.lists(st.tuples(st.integers(0, 60), st.integers(1, 3), st.integers(1, 40)),
+                    max_size=4))
+    def test_down_set_is_the_union_of_fault_windows(self, faults, jobs):
+        spec = cluster("cpu0", CPU, 3)
+        sim = Simulation([spec], config=SimConfig(retry_budget=2))
+        for node, t_ms, down_ms in faults:
+            sim.inject_node_failure("cpu0", node, t_ms, down_ms)
+        for t_ms, nodes, work in jobs:
+            sim.schedule_arrival(t_ms, rigid("j", nodes, work, 100_000))
+        cs = sim.clusters()["cpu0"]
+        for now in range(0, 102):
+            sim.step(now)
+            assert cs.down == {n for n, t, d in faults if t <= now < t + d}, now
+            for alloc in cs.allocations.values():
+                assert not cs.down & set(alloc.node_indices), now
+        # the log's down spans cover exactly the union of the windows
+        spans = oracles.down_spans_from_log(oracles.parse_log(sim.log.canonical_lines()), 101)
+        for node in range(3):
+            logged = {ms for a, b in spans.get(("cpu0", node), ()) for ms in range(a, b)}
+            assert logged == {ms for n, t, d in faults if n == node for ms in range(t, t + d)}
 
 
 class TestCancellation:

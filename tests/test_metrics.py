@@ -168,9 +168,15 @@ class TestUtilization:
         assert report.available_node_ms == 4_000
 
     def test_holds_excluded_and_reported(self):
-        report = utilization(EventLog(), [cluster("cloud0", CLOUD, 4)], (0, 10_000),
-                             holds=[("cloud0", 0, 1_000, 3_000),
-                                    ("cloud0", 1, 5_000, None)])
+        # node 0 held 1000..3000, node 1 from 5000 to the end of the window;
+        # the release of node 3, which was never held, is ignored
+        log = log_of(
+            '{"t":1000,"seq":0,"kind":"NodesHeld","cluster_id":"cloud0","node_indices":[0]}',
+            '{"t":3000,"seq":1,"kind":"NodesReleased","cluster_id":"cloud0","node_indices":[0]}',
+            '{"t":4000,"seq":2,"kind":"NodesReleased","cluster_id":"cloud0","node_indices":[3]}',
+            '{"t":5000,"seq":3,"kind":"NodesHeld","cluster_id":"cloud0","node_indices":[1]}',
+        )
+        report = utilization(log, [cluster("cloud0", CLOUD, 4)], (0, 10_000))
         assert report.per_cluster[0].held_node_ms == 2_000 + 5_000
         assert report.per_cluster[0].available_node_ms == 40_000 - 7_000
 
@@ -212,11 +218,13 @@ class TestUtilization:
             shape=Elastic(min_workers=1, max_workers=2), work_units=8,
             walltime_limit_ms=60_000))
         sim.run_to_quiescence()
-        holds = sim.hold_intervals
+        assert sim.log.events[0].canonical() == (
+            '{"t":0,"seq":0,"kind":"NodesHeld","cluster_id":"cloud0","node_indices":[2]}')
         window = (0, max(sim.log.events[-1].t_ms, 1))
-        report = utilization(sim.log, [spec], window, holds=holds)
+        report = utilization(sim.log, [spec], window)
         busy, avail = oracles.scan_utilization(
-            sim.log.canonical_lines(), [("cloud0", 3)], window, holds=holds)
+            sim.log.canonical_lines(), [("cloud0", 3)], window,
+            holds=[("cloud0", 2, 0, None)])
         assert report.per_cluster[0].busy_node_ms == busy["cloud0"]
         assert report.per_cluster[0].available_node_ms == avail["cloud0"]
         assert report.per_cluster[0].held_node_ms > 0

@@ -18,6 +18,7 @@ from hybridsched.scheduler import (
     Reservation,
     Scheduler,
     UnknownJob,
+    Unsatisfiable,
     fair_share_targets,
 )
 
@@ -122,17 +123,19 @@ class TestPlacement:
 
     def test_unsatisfiable_reported_not_queued_forever(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
-        add(sched, records, rigid("huge", 3))
-        decision = sched.plan(0)
-        assert decision.starts == ()
-        assert [a.job_id for a in decision.advisories] == ["huge"]
+        with pytest.raises(Unsatisfiable) as err:
+            add(sched, records, rigid("huge", 3))
+        assert (err.value.job_id, err.value.needed) == ("huge", 3)
+        assert sched.queued_jobs() == []
+        assert sched.plan(0).starts == ()
 
     def test_rigid_never_lands_on_cloud_by_default(self):
         sched, records = mk([cluster("cloud0", CLOUD, 4)])
-        add(sched, records, rigid("r", 1, prefs=(CLOUD,)))
-        decision = sched.plan(0)
-        assert decision.starts == ()
-        assert [a.job_id for a in decision.advisories] == ["r"]
+        with pytest.raises(Unsatisfiable) as err:
+            add(sched, records, rigid("r", 1, prefs=(CLOUD,)))
+        assert err.value.job_id == "r"
+        assert sched.queued_jobs() == []
+        assert sched.plan(0).starts == ()
 
     def test_rigid_on_cloud_with_flag(self):
         sched, records = mk([cluster("cloud0", CLOUD, 4)],

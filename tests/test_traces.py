@@ -81,6 +81,21 @@ class TestCodec:
         with pytest.raises(MalformedTrace):
             trace_from_obj([1, 2])
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("jobs", 5, "trace jobs must be a list"),
+        ("jobs", None, "trace jobs must be a list"),
+        ("jobs", {"t_ms": 0}, "trace jobs must be a list"),
+        ("faults", "none", "trace faults must be a list"),
+        ("rng_seed", "7", "trace rng_seed must be an integer"),
+        ("rng_seed", True, "trace rng_seed must be an integer"),
+        ("rng_seed", 1.5, "trace rng_seed must be an integer"),
+    ])
+    def test_top_level_field_types(self, field, value, message):
+        obj = trace_to_obj(SubmissionTrace(jobs=[(0, spec())]))
+        obj[field] = value
+        with pytest.raises(MalformedTrace, match=message):
+            trace_from_obj(obj)
+
 
 class TestOrdering:
     def test_jobs_sorted_by_time(self):
