@@ -20,6 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 from .model import (
@@ -59,26 +60,44 @@ TERMINAL_EVENT_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+# One encoder for every line: json.dumps would build a new one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _flat_payload(items) -> tuple:
+    """(k1, v1, k2, v2, ...) from (key, value) pairs, keys in canonical (sorted) order."""
+    return tuple(chain.from_iterable(sorted(items)))
+
+
+@dataclass(frozen=True, slots=True)
 class SimEvent:
-    """One log entry, totally ordered by (t_ms, seq)."""
+    """One log entry, totally ordered by (t_ms, seq).
+
+    payload is flat, (k1, v1, k2, v2, ...), with its keys sorted once when
+    the event is built (see _flat_payload): a run holds tens of thousands
+    of events, and a flat tuple is one object where pairs would be n + 1.
+    """
 
     t_ms: int
     seq: int
     kind: SimEventKind
-    payload: tuple[tuple[str, object], ...]
+    payload: tuple
 
     def canonical(self) -> str:
         """Fixed serialization: t, seq, kind, then payload keys alphabetical."""
         obj = {"t": self.t_ms, "seq": self.seq, "kind": self.kind.value}
-        for key, value in sorted(self.payload):
-            obj[key] = value
-        return json.dumps(obj, separators=(",", ":"))
+        p = self.payload
+        for i in range(0, len(p), 2):
+            obj[p[i]] = p[i + 1]
+        return _ENCODER.encode(obj)
 
     def get(self, key: str):
-        for k, v in self.payload:
-            if k == key:
-                return v
+        p = self.payload
+        i, n = 0, len(p)
+        while i < n:            # a while loop: a range object per call costs more
+            if p[i] == key:
+                return p[i + 1]
+            i += 2
         return None
 
 
@@ -104,8 +123,11 @@ class EventLog:
         return ("".join(line + "\n" for line in self.canonical_lines())).encode("utf-8")
 
     def write(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.canonical_bytes())
+        """Write the canonical bytes one line at a time, never the whole log at once."""
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for event in self.events:
+                fh.write(event.canonical())
+                fh.write("\n")
 
     @classmethod
     def parse_lines(cls, lines) -> "EventLog":
@@ -115,10 +137,8 @@ class EventLog:
             if not line:
                 continue
             obj = json.loads(line)
-            payload = tuple(sorted(
-                (k, tuple(v) if isinstance(v, list) else v)
-                for k, v in obj.items() if k not in ("t", "seq", "kind")
-            ))
+            payload = _flat_payload((k, v) for k, v in obj.items()
+                                    if k not in ("t", "seq", "kind"))
             log.append(SimEvent(t_ms=obj["t"], seq=obj["seq"],
                                 kind=SimEventKind(obj["kind"]), payload=payload))
         return log
@@ -166,7 +186,7 @@ class DuplicateCluster(SimulationError):
         super().__init__(f"duplicate cluster_id {cluster_id}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _RunState:
     """Engine-internal execution bookkeeping for one job."""
 
@@ -227,6 +247,7 @@ class Simulation:
         self._run: dict[str, _RunState] = {}
         self._job_idx = 0
         self._down_depth: dict[tuple[str, int], int] = {}   # faults open per node
+        self._fault_starts: dict[int, list[tuple[str, int]]] = {}   # t_ms -> (cluster, node)
         self._known_kinds = {s.kind for s in clusters}
 
     # -- plumbing ---------------------------------------------------------
@@ -240,7 +261,7 @@ class Simulation:
 
     def _emit(self, kind: SimEventKind, **payload) -> SimEvent:
         event = SimEvent(t_ms=self.clock, seq=self._seq, kind=kind,
-                         payload=tuple(sorted(payload.items())))
+                         payload=_flat_payload(payload.items()))
         self._seq += 1
         self.log.append(event)
         return event
@@ -297,6 +318,7 @@ class Simulation:
         if down_ms < 1:
             raise SimulationError("down_ms must be >= 1")
         self._push(at_ms, _NODE_DOWN, (cluster_id, node_index))
+        self._fault_starts.setdefault(at_ms, []).append((cluster_id, node_index))
         self._push(at_ms + down_ms, _NODE_UP, (cluster_id, node_index))
 
     # -- vcluster carve-outs (driven by the cloud layer) ------------------
@@ -419,12 +441,14 @@ class Simulation:
         self._emit(SimEventKind.JOB_TIMED_OUT, job_id=job_id)
 
     def _handle_node_down(self, cluster_id: str, node_index: int):
-        # Faults may overlap on one node: only the first opens the outage,
-        # so the log holds one NodeDown/NodeUp pair spanning their union.
+        # Faults may overlap or touch on one node: only the first opens the
+        # outage, so the log holds one NodeDown/NodeUp pair spanning their
+        # union. The node is down while its key is in _down_depth.
         key = (cluster_id, node_index)
-        self._down_depth[key] = self._down_depth.get(key, 0) + 1
-        if self._down_depth[key] > 1:
+        if key in self._down_depth:
+            self._down_depth[key] += 1
             return
+        self._down_depth[key] = 1
         cs = self.scheduler.clusters[cluster_id]
         cs.down.add(node_index)
         self._emit(SimEventKind.NODE_DOWN, cluster_id=cluster_id, node_index=node_index)
@@ -454,7 +478,10 @@ class Simulation:
     def _handle_node_up(self, cluster_id: str, node_index: int):
         key = (cluster_id, node_index)
         self._down_depth[key] -= 1
-        if self._down_depth[key] > 0:
+        # A fault starting on this node at this very millisecond is still
+        # pending (had it run, its window would hold the depth above 0): it
+        # continues the outage, so the node stays down at depth 0 until then.
+        if self._down_depth[key] > 0 or key in self._fault_starts.get(self.clock, ()):
             return
         del self._down_depth[key]
         cs = self.scheduler.clusters[cluster_id]
@@ -464,6 +491,12 @@ class Simulation:
     # -- the plan cycle ---------------------------------------------------
 
     def _plan_cycle(self):
+        # A fault takes its node out of placement from its millisecond's
+        # first plan cycle, though its NodeDown (and any eviction) comes at
+        # its own turn among that millisecond's events: no job starts on a
+        # node only to lose it in the same millisecond.
+        for cluster_id, node_index in self._fault_starts.get(self.clock, ()):
+            self.scheduler.clusters[cluster_id].down.add(node_index)
         decision = self.scheduler.plan(self.clock)
         if decision.reservation is not None and self.first_reserved_job is None:
             self.first_reserved_job = decision.reservation.job_id

@@ -74,14 +74,14 @@ class LifecycleEvent(str, Enum):
     NODE_LOST = "NodeLost"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rigid:
     """Fixed node count for the whole run (classic HPC/MPI style)."""
 
     node_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Elastic:
     """Worker count may vary between min and max while running.
 
@@ -95,7 +95,7 @@ class Elastic:
 JobShape = Union[Rigid, Elastic]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """A user's computing task as submitted.
 
@@ -119,7 +119,7 @@ class JobSpec:
         return self.shape.min_workers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterSpec:
     """A typed resource pool.
 
@@ -135,7 +135,7 @@ class ClusterSpec:
     speed_factor: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """A binding of a job to concrete nodes of one cluster."""
 
@@ -148,7 +148,7 @@ class Allocation:
         object.__setattr__(self, "node_indices", tuple(sorted(self.node_indices)))
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """Mutable per-job record tracked by the platform.
 

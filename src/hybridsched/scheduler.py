@@ -66,7 +66,7 @@ class Unsatisfiable(SchedulerError):
         super().__init__(f"job {job_id} needs {needed} nodes; no acceptable cluster has them")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueEntry:
     """One queued job. Queue order is (-priority, submit_seq, job_id)."""
 
@@ -79,7 +79,7 @@ class QueueEntry:
         return (-self.priority, self.submit_seq, self.job_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reservation:
     """Earliest guaranteed start for the blocked head of the queue."""
 
@@ -90,7 +90,7 @@ class Reservation:
     expected_end_ms: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DispatchDecision:
     """Output of one plan cycle: jobs to start now, plus head reservation."""
 

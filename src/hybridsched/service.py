@@ -283,8 +283,10 @@ class Service:
             quota = cloud_mod.Quota(**body.get("quota", {}))
         except TypeError as exc:
             raise ApiError("validation_failed", f"bad quota: {exc}", 422) from exc
-        account = self.cloud.create_user(body.get("user_id", ""), quota,
-                                         body.get("display_name", ""))
+        user_id = _str_field(body, "user_id")
+        if not user_id:
+            raise ApiError("validation_failed", "user_id must be non-empty", 422)
+        account = self.cloud.create_user(user_id, quota, _str_field(body, "display_name"))
         return 201, {"user_id": account.user_id, "created_at_ms": account.created_at_ms}
 
     def handle_list_users(self, req) -> tuple[int, dict]:
@@ -298,9 +300,9 @@ class Service:
 
     def handle_create_vcluster(self, req) -> tuple[int, dict]:
         body = req.json()
-        owner = req.header(self.config.auth_header) or body.get("user_id", "")
+        owner = req.header(self.config.auth_header) or _str_field(body, "user_id")
         vc = self.cloud.provision_vcluster(owner, body.get("node_count", 0),
-                                           body.get("image", ""))
+                                           _str_field(body, "image"))
         return 201, self._vc_view(vc)
 
     def handle_list_vclusters(self, req) -> tuple[int, dict]:
@@ -323,6 +325,11 @@ class Service:
             raise ApiError("validation_failed", "need until_ms or by_ms", 422)
         if not model.is_integer(target) or base + target < 0:
             raise ApiError("validation_failed", "advance target must be a non-negative integer", 422)
+        if base + target > self.sim.config.horizon_ms:
+            # the engine raises NonTerminating past the horizon, mid-step
+            raise ApiError("validation_failed",
+                           f"advance target is past the horizon ({self.sim.config.horizon_ms} ms)",
+                           422)
         events = self.sim.step(base + target)
         return 200, {"now_ms": self.sim.now_ms, "events_fired": len(events)}
 
@@ -373,6 +380,13 @@ class Service:
         return 404, {"error": {"code": "no_such_route", "message": path}}
 
 
+def _str_field(body: dict, name: str) -> str:
+    value = body.get(name, "")
+    if not isinstance(value, str):
+        raise ApiError("validation_failed", f"{name} must be a string", 422)
+    return value
+
+
 def _error_body(err: ApiError) -> dict:
     return {"error": {"code": err.code, "message": err.message}}
 
@@ -404,7 +418,9 @@ class _Request:
             raise ApiError("validation_failed", "empty request body", 422)
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and integers past the
+            # interpreter's digit limit; RecursionError, nesting too deep
             raise ApiError("validation_failed", f"body is not valid JSON: {exc}", 422)
         if not isinstance(obj, dict):
             raise ApiError("validation_failed", "body must be a JSON object", 422)

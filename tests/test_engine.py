@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -227,11 +230,57 @@ class TestOverlappingFaults:
         started = events_of(sim.log, SimEventKind.JOB_STARTED)[0]
         assert (started.t_ms, started.get("node_indices")) == (400, [1])
 
-    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(1, 40)),
+    def test_back_to_back_windows_form_one_outage(self):
+        # node 0 is down 100..200 and 200..300: one outage 100..300, so the
+        # job arriving at 150 starts at 300, not at 200 only to be evicted
+        # (and, with no retries, failed) in the same millisecond
+        spec = cluster("cpu0", CPU, 1)
+        sim = Simulation([spec], config=SimConfig(retry_budget=0))
+        sim.inject_node_failure("cpu0", 0, 100, 100)
+        sim.inject_node_failure("cpu0", 0, 200, 100)
+        sim.schedule_arrival(150, rigid("probe", 1, 1, 5_000))   # 1000 ms of work
+        sim.run_to_quiescence()
+        assert [(e.t_ms, e.kind.value) for e in sim.log] == [
+            (100, "NodeDown"), (150, "JobSubmitted"), (150, "JobQueued"),
+            (300, "NodeUp"), (300, "JobStarted"), (1_300, "JobFinished")]
+        assert sim.records["j000000"].state is JobState.COMPLETED
+        window = (0, 1_300)
+        report = utilization(sim.log, [spec], window)
+        _busy, avail = oracles.scan_utilization(sim.log.canonical_lines(), [("cpu0", 1)], window)
+        assert report.per_cluster[0].available_node_ms == avail["cpu0"] == 1_300 - 200
+
+    def test_no_start_on_a_node_whose_fault_starts_in_the_same_millisecond(self):
+        # at 100 node 0 fails under the running job, and node 1 fails too,
+        # its fault injected later: the requeued job must not start on
+        # node 1 between the two NodeDowns, only to lose it (and, with one
+        # retry, fail); it waits for node 0 to come back at 200
+        sim = Simulation([cluster("cpu0", CPU, 2)], config=SimConfig(retry_budget=1))
+        sim.schedule_arrival(0, rigid("j", 1, 1, 5_000))          # 1000 ms of work
+        sim.inject_node_failure("cpu0", 0, 100, 100)
+        sim.inject_node_failure("cpu0", 1, 100, 500)
+        sim.run_to_quiescence()
+        assert [(e.t_ms, e.kind.value) for e in sim.log] == [
+            (0, "JobSubmitted"), (0, "JobQueued"), (0, "JobStarted"),
+            (100, "NodeDown"), (100, "JobQueued"), (100, "NodeDown"),
+            (200, "NodeUp"), (200, "JobStarted"), (600, "NodeUp"), (1_200, "JobFinished")]
+        assert [e.get("node_index") for e in events_of(sim.log, SimEventKind.NODE_DOWN)] == [0, 1]
+        assert [e.get("node_indices") for e in events_of(sim.log, SimEventKind.JOB_STARTED)] == [
+            [0], [0]]
+        assert sim.records["j000000"].state is JobState.COMPLETED
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(1, 40),
+                              st.booleans()),
                     max_size=8),
            st.lists(st.tuples(st.integers(0, 60), st.integers(1, 3), st.integers(1, 40)),
                     max_size=4))
-    def test_down_set_is_the_union_of_fault_windows(self, faults, jobs):
+    def test_down_set_is_the_union_of_fault_windows(self, drawn, jobs):
+        # a fault drawn with `touch` starts on the previous fault's node at
+        # the millisecond that fault ends
+        faults = []
+        for node, t_ms, down_ms, touch in drawn:
+            if touch and faults:
+                node, t_ms = faults[-1][0], faults[-1][1] + faults[-1][2]
+            faults.append((node, t_ms, down_ms))
         spec = cluster("cpu0", CPU, 3)
         sim = Simulation([spec], config=SimConfig(retry_budget=2))
         for node, t_ms, down_ms in faults:
@@ -239,13 +288,21 @@ class TestOverlappingFaults:
         for t_ms, nodes, work in jobs:
             sim.schedule_arrival(t_ms, rigid("j", nodes, work, 100_000))
         cs = sim.clusters()["cpu0"]
-        for now in range(0, 102):
+        end = max([t + d for _n, t, d in faults], default=0) + 1
+        for now in range(0, end + 1):
             sim.step(now)
             assert cs.down == {n for n, t, d in faults if t <= now < t + d}, now
             for alloc in cs.allocations.values():
                 assert not cs.down & set(alloc.node_indices), now
+        # no start or rescale puts a job on a node inside an injected window,
+        # not even for the instant between two events of one millisecond
+        for event in sim.log:
+            if event.kind in (SimEventKind.JOB_STARTED, SimEventKind.RESCALE_APPLIED):
+                for n, t, d in faults:
+                    assert not (n in event.get("node_indices") and t <= event.t_ms < t + d), \
+                        (event.canonical(), (n, t, d))
         # the log's down spans cover exactly the union of the windows
-        spans = oracles.down_spans_from_log(oracles.parse_log(sim.log.canonical_lines()), 101)
+        spans = oracles.down_spans_from_log(oracles.parse_log(sim.log.canonical_lines()), end)
         for node in range(3):
             logged = {ms for a, b in spans.get(("cpu0", node), ()) for ms in range(a, b)}
             assert logged == {ms for n, t, d in faults if n == node for ms in range(t, t + d)}
@@ -459,6 +516,76 @@ class TestDeterminismAndLog:
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         times = [e.t_ms for e in log]
         assert times == sorted(times)
+
+
+def _pinned_rigid_with_faults():
+    clusters = [cluster("cpu0", CPU, 4), cluster("gpu0", GPU, 2, speed=3)]
+    return run_trace(random_trace(4, clusters, n_jobs=40, n_faults=6, rigid_only=True),
+                     clusters)[0]
+
+
+def _pinned_cloud_elastic():
+    clusters = [cluster("cloud0", CLOUD, 6, speed=2), cluster("cpu0", CPU, 3)]
+    return run_trace(random_trace(8, clusters, n_jobs=40, elastic_fraction=0.6, n_faults=3),
+                     clusters)[0]
+
+
+class TestPinnedLogBytes:
+    """The canonical bytes of two seeded runs, pinned: a change to the
+    engine, the event form or the serializer must not move one byte."""
+
+    @pytest.mark.parametrize("run, events, sha256", [
+        (_pinned_rigid_with_faults, 176,
+         "d00c6b0b962ac593ec2541579d3a680ea84b5c720d093388ec3c0debbeeb68be"),
+        (_pinned_cloud_elastic, 168,
+         "a5b4d514f693942c9721859359b766be36dd89d34dbd9e38900b928c78eeef1f"),
+    ])
+    def test_seeded_log_bytes(self, tmp_path, run, events, sha256):
+        log = run()
+        data = log.canonical_bytes()
+        assert (len(log), hashlib.sha256(data).hexdigest()) == (events, sha256)
+        path = tmp_path / "events.jsonl"
+        log.write(path)
+        assert path.read_bytes() == data
+
+    def test_empty_log_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        EventLog().write(path)
+        assert path.read_bytes() == EventLog().canonical_bytes() == b""
+
+
+class TestCompactEvents:
+    def test_events_have_no_instance_dict(self):
+        event = _pinned_cloud_elastic().events[0]
+        assert not hasattr(event, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.t_ms = 1
+
+    def test_get_returns_every_key_and_none_for_a_missing_one(self):
+        for event in _pinned_cloud_elastic():
+            obj = json.loads(event.canonical())
+            for key in ("t", "seq", "kind"):
+                del obj[key]
+            assert obj, event
+            for key, value in obj.items():
+                assert event.get(key) == value, (event, key)
+            assert event.get("no_such_key") is None
+
+    def test_get_skips_a_value_equal_to_a_key_name(self):
+        sim = Simulation([cluster("job_id", CPU, 1)])   # a cluster named like a key
+        sim.submit_now(rigid("j", 1, 1, 1000))
+        started = events_of(sim.log, SimEventKind.JOB_STARTED)[0]
+        assert (started.get("cluster_id"), started.get("job_id")) == ("job_id", "j000000")
+
+    def test_parsed_events_agree_with_the_emitted_ones(self):
+        log = _pinned_cloud_elastic()
+        parsed = EventLog.parse_lines(log.canonical_lines())
+        assert len(parsed) == len(log)
+        for ours, theirs in zip(log, parsed):
+            assert theirs.canonical() == ours.canonical()
+            assert (theirs.t_ms, theirs.seq, theirs.kind) == (ours.t_ms, ours.seq, ours.kind)
+            for key in json.loads(ours.canonical()):
+                assert theirs.get(key) == ours.get(key), (ours, key)
 
 
 class TestAgainstFifoOracle:

@@ -1,15 +1,20 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from hybridsched.engine import _RunState
 from hybridsched.model import (
+    Allocation,
     BadShape,
+    ClusterSpec,
     DuplicateKind,
     Elastic,
     EmptyPreferences,
     InvalidTransition,
+    JobRecord,
     JobSpec,
     JobState,
     LifecycleEvent,
@@ -25,6 +30,7 @@ from hybridsched.model import (
     transition,
     validate_job,
 )
+from hybridsched.scheduler import DispatchDecision, QueueEntry, Reservation
 
 ALL_KINDS = {ResourceKind.CPU, ResourceKind.GPU, ResourceKind.KNL, ResourceKind.CLOUD}
 
@@ -246,3 +252,35 @@ class TestClusterCodec:
                 "cluster_id": "c", "kind": "cpu", "node_count": 1,
                 "cores_per_node": 8, "speed_factor": 1, "rack": "r1",
             })
+
+
+class TestSlottedRecords:
+    """Specs and per-job records carry no instance dict; frozen ones stay frozen."""
+
+    FROZEN = [
+        Rigid(node_count=2),
+        Elastic(min_workers=1, max_workers=3),
+        spec(),
+        ClusterSpec(cluster_id="c", kind=ResourceKind.CPU, node_count=2, cores_per_node=8,
+                    speed_factor=1),
+        Allocation(job_id="j", cluster_id="c", node_indices=(1, 0), start_ms=0),
+        QueueEntry(job_id="j", priority=0, submit_seq=0),
+        Reservation(job_id="j", cluster_id="c", node_indices=(0,), start_ms=0,
+                    expected_end_ms=1),
+        DispatchDecision(starts=(), reservation=None),
+    ]
+
+    @pytest.mark.parametrize("obj", FROZEN, ids=lambda o: type(o).__name__)
+    def test_frozen_and_slotted(self, obj):
+        assert not hasattr(obj, "__dict__")
+        name = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+    def test_mutable_records_are_slotted(self):
+        record = JobRecord(job_id="j", spec=spec())
+        record.state = JobState.QUEUED
+        assert not hasattr(record, "__dict__")
+        assert not hasattr(_RunState(), "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "no such field"

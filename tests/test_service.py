@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsched import cloud as cloud_mod
 from hybridsched import model
@@ -73,6 +74,17 @@ def call(service, method, path, body=None, headers=None, query=""):
     payload = b"".join(service.wsgi_app(environ, start_response))
     assert out["headers"]["Content-Type"] == "application/json"
     return out["status"], json.loads(payload)
+
+
+def raw_call(service, method, path, raw, user=None, query=""):
+    """Send raw body bytes; returns (status, payload bytes)."""
+    environ = {"REQUEST_METHOD": method, "PATH_INFO": path, "QUERY_STRING": query,
+               "CONTENT_LENGTH": str(len(raw)), "wsgi.input": io.BytesIO(raw)}
+    if user is not None:
+        environ["HTTP_X_USER_ID"] = user
+    out = []
+    payload = b"".join(service.wsgi_app(environ, lambda status, headers: out.append(status)))
+    return int(out[0].split()[0]), payload
 
 
 def rigid_obj(name="j", nodes=1, work=5, wall=60_000, prefs=("cpu",), user="u"):
@@ -269,6 +281,17 @@ class TestUsers:
         assert status == 422 and err["error"]["code"] == "validation_failed"
         assert "max_nodes_in_use must be an integer" in err["error"]["message"]
 
+    @pytest.mark.parametrize("field, value", [("user_id", ""), ("user_id", 5),
+                                              ("user_id", ["bob"]), ("display_name", [1])])
+    def test_bad_user_fields(self, svc, field, value):
+        body = {"user_id": "bob", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
+                                            "max_vcluster_nodes": 0}}
+        body[field] = value
+        status, err = call(svc, "POST", "/v1/users", body)
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        _status, listing = call(svc, "GET", "/v1/users")
+        assert [u["user_id"] for u in listing["users"]] == ["u"]
+
 
 class TestVClusters:
     def test_lifecycle(self, svc):
@@ -319,6 +342,14 @@ class TestVClusters:
         _status, listing = call(svc, "GET", "/v1/vclusters")
         assert listing["vclusters"] == []
 
+    @pytest.mark.parametrize("field, value", [("user_id", ["u"]), ("user_id", {"u": 1}),
+                                              ("image", {"a": 1})])
+    def test_non_string_fields(self, svc, field, value):
+        body = {"user_id": "u", "node_count": 1, "image": "i"}
+        body[field] = value
+        status, err = call(svc, "POST", "/v1/vclusters", body)
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+
 
 class TestClock:
     def test_clock_and_advance(self, svc):
@@ -343,6 +374,20 @@ class TestClock:
         status, err = call(svc, "POST", "/v1/clock/advance", body)
         assert status == 422 and err["error"]["code"] == "validation_failed"
         assert call(svc, "GET", "/v1/clock")[1]["now_ms"] == 0
+
+    def test_advance_past_the_horizon_is_refused(self, svc):
+        # the kill timer of this job lies past the engine's horizon
+        call(svc, "POST", "/v1/jobs", rigid_obj(work=10**9, wall=10**12))
+        status, err = call(svc, "POST", "/v1/clock/advance", {"until_ms": 10**13})
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        _status, job = call(svc, "GET", "/v1/jobs/j000000")
+        assert job["state"] == "Running"
+
+    @pytest.mark.parametrize("raw", [b"[" * 100_000, b'{"by_ms": 1' + b"0" * 5_000 + b"}",
+                                     b"\xff\xfe", b'{"by_ms": 1'])
+    def test_undecodable_body(self, svc, raw):
+        status, payload = raw_call(svc, "POST", "/v1/clock/advance", raw)
+        assert status == 422 and b"validation_failed" in payload
 
     def test_advance_reports_events_fired(self, svc):
         call(svc, "POST", "/v1/jobs", rigid_obj(work=10))
@@ -516,3 +561,70 @@ class TestOverRealHttp:
             server.shutdown()
             thread.join(timeout=5)
             server.server_close()
+
+
+# -- fuzzing the wire -------------------------------------------------------
+
+QUOTA = {"max_concurrent_jobs": 2, "max_nodes_in_use": 4, "max_vcluster_nodes": 2}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def maybe(valid):
+    """A field's valid value half the time, any JSON value otherwise."""
+    return st.just(valid) | json_values
+
+
+# one body per route family: every field optional, each valid or of any type
+valid_jobs = st.sampled_from([rigid_obj(), elastic_obj(), rigid_obj(wall=10**12, work=10**9)])
+bodies = st.one_of(
+    json_values, valid_jobs,
+    valid_jobs.flatmap(lambda obj: st.fixed_dictionaries(
+        {}, optional={k: maybe(v) for k, v in obj.items()})),
+    st.fixed_dictionaries({}, optional={"user_id": maybe("v"), "quota": maybe(QUOTA),
+                                        "display_name": maybe("V")}),
+    st.fixed_dictionaries({}, optional={"user_id": maybe("u"), "node_count": maybe(1),
+                                        "image": maybe("img")}),
+    st.fixed_dictionaries({}, optional={"by_ms": maybe(1_000), "until_ms": maybe(10**13)}),
+)
+encoded = bodies.map(lambda obj: json.dumps(obj).encode("utf-8"))
+ROUTES = [("POST", "/v1/jobs"), ("GET", "/v1/jobs/{}"), ("GET", "/v1/jobs/{}/result"),
+          ("DELETE", "/v1/jobs/{}"), ("GET", "/v1/clusters"), ("GET", "/v1/metrics"),
+          ("POST", "/v1/users"), ("GET", "/v1/users"), ("POST", "/v1/vclusters"),
+          ("GET", "/v1/vclusters"), ("DELETE", "/v1/vclusters/{}"), ("GET", "/v1/clock"),
+          ("POST", "/v1/clock/advance")]
+segments = st.sampled_from(["j000000", "j000001", "vc0000", "vc0001", "", ".."]) \
+    | st.text(max_size=6)
+
+
+@st.composite
+def wire_requests(draw):
+    method, path = draw(st.sampled_from(ROUTES))
+    if draw(st.integers(0, 3)) == 0:     # now and then a wrong method or an unknown route
+        method = draw(st.sampled_from(["GET", "POST", "DELETE", "PUT", "HEAD"]))
+        path = draw(st.sampled_from([path, "/v1/{}", "/v1/{}/{}"]))
+    path = path.format(*(draw(segments) for _ in range(path.count("{}"))))
+    body = draw(st.one_of(
+        encoded,
+        encoded.flatmap(lambda raw: st.integers(0, len(raw)).map(lambda cut: raw[:cut])),
+        st.binary(max_size=24),                        # often not UTF-8
+        st.sampled_from([b"[" * 100_000,               # nested past the recursion limit
+                         b'{"by_ms": 1' + b"0" * 5_000 + b"}"]),   # past the int digit limit
+    ))
+    user = draw(st.none() | st.sampled_from(["u", "v", "nobody"]) | st.text(max_size=6))
+    query = draw(st.sampled_from(["", "window_ms=100", "window_ms=-5", "window_ms=x"]))
+    return method, path, body, user, query
+
+
+class TestFuzz:
+    @given(st.lists(wire_requests(), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_no_request_gets_a_500(self, reqs):
+        svc = Service(base_config())
+        for method, path, body, user, query in reqs:
+            status, payload = raw_call(svc, method, path, body, user, query)
+            assert status < 500, (method, path, body[:80], user, payload)
+            json.loads(payload)
