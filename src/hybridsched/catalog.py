@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class CatalogError(ValueError):
@@ -33,8 +32,10 @@ class BadDatasetName(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
+class DatasetRecord(NamedTuple):
+    """Immutable. A NamedTuple, not a frozen dataclass, whose __init__ sets
+    each field through object.__setattr__ and costs about three times as much."""
+
     name: str
     size_bytes: int
     registered_at_ms: int
@@ -85,13 +86,13 @@ class DatasetCatalog:
         return sorted(self._records)
 
     def register_dataset(self, name: str, size_bytes: int, now_ms: int = 0) -> DatasetRecord:
-        if not name:
-            raise BadDatasetName("dataset name must be non-empty")
-        if size_bytes < 0:
-            raise CatalogError("size_bytes must be >= 0")
+        if not isinstance(name, str) or not name:
+            raise BadDatasetName("dataset name must be a non-empty string")
+        if type(size_bytes) is not int or size_bytes < 0:
+            raise CatalogError("size_bytes must be a non-negative integer")
         if name in self._records:
             raise DuplicateDataset(name)
-        record = DatasetRecord(name=name, size_bytes=size_bytes, registered_at_ms=now_ms)
+        record = DatasetRecord(name, size_bytes, now_ms)
         self._records[name] = record
         self._save()
         return record

@@ -188,11 +188,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_serve(args) -> int:
     try:
-        config = load_config(args.config)
+        serve(load_config(args.config))     # Service(config) checks the datasets
     except (OSError, ConfigError) as exc:
         print(f"hsctl: bad config {args.config}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    serve(config)
     return EXIT_OK
 
 

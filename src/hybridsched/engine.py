@@ -368,12 +368,15 @@ class Simulation:
             )
 
     def _process_one(self):
-        t_ms, _tick, tag, data = heapq.heappop(self._pending)
+        t_ms, _tick, tag, data = self._pending[0]
         if t_ms > self.config.horizon_ms and self.live_jobs():
+            # the event stays pending, so a caller that raises the horizon
+            # and steps again loses no timer
             raise NonTerminating(
                 f"virtual time {t_ms} exceeds horizon {self.config.horizon_ms} "
                 f"with live jobs: {', '.join(sorted(self.live_jobs())[:10])}"
             )
+        heapq.heappop(self._pending)
         self.clock = max(self.clock, t_ms)
         if tag == _ARRIVAL:
             job_id, spec = data

@@ -85,11 +85,27 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not model.is_integer(cfg.retry_budget) or cfg.retry_budget < 0:
         raise ConfigError("scheduler.retry_budget must be a non-negative integer")
+    if not model.is_integer(cfg.provision_delay_ms) or cfg.provision_delay_ms < 0:
+        raise ConfigError("scheduler.provision_delay_ms must be a non-negative integer")
+    user_ids = set()
     for entry in cfg.users:
         try:
             cloud_mod.Quota(**entry["quota"])
+            user_id = entry["user_id"]
+            display_name = entry.get("display_name", "")
         except (cloud_mod.BadQuota, KeyError, TypeError) as exc:
             raise ConfigError(f"bad user entry {entry!r}: {exc}") from exc
+        if not isinstance(user_id, str) or not user_id:
+            raise ConfigError(f"bad user entry {entry!r}: user_id must be a non-empty string")
+        if user_id in user_ids:
+            raise ConfigError(f"duplicate user_id {user_id!r}")
+        if not isinstance(display_name, str):
+            raise ConfigError(f"bad user entry {entry!r}: display_name must be a string")
+        user_ids.add(user_id)
+    bandwidth = cfg.bandwidth_bytes_per_s
+    if not isinstance(bandwidth, dict) or not all(
+            model.is_integer(v) and v >= 0 for v in bandwidth.values()):
+        raise ConfigError("bandwidth_bytes_per_s must map cluster ids to non-negative integers")
     return cfg
 
 
@@ -170,6 +186,26 @@ def result_manifest(record, rs) -> dict:
     return manifest
 
 
+# (method, path pattern, Service method name). Handlers are looked up by
+# name per request: bound methods stored on the instance would make every
+# Service a reference cycle that only the cyclic collector can free.
+_ROUTES = [
+    ("POST", re.compile(r"^/v1/jobs$"), "handle_submit"),
+    ("GET", re.compile(r"^/v1/jobs/([^/]+)$"), "handle_status"),
+    ("GET", re.compile(r"^/v1/jobs/([^/]+)/result$"), "handle_result"),
+    ("DELETE", re.compile(r"^/v1/jobs/([^/]+)$"), "handle_cancel"),
+    ("GET", re.compile(r"^/v1/clusters$"), "handle_clusters"),
+    ("GET", re.compile(r"^/v1/metrics$"), "handle_metrics"),
+    ("POST", re.compile(r"^/v1/users$"), "handle_create_user"),
+    ("GET", re.compile(r"^/v1/users$"), "handle_list_users"),
+    ("POST", re.compile(r"^/v1/vclusters$"), "handle_create_vcluster"),
+    ("GET", re.compile(r"^/v1/vclusters$"), "handle_list_vclusters"),
+    ("DELETE", re.compile(r"^/v1/vclusters/([^/]+)$"), "handle_release_vcluster"),
+    ("GET", re.compile(r"^/v1/clock$"), "handle_clock"),
+    ("POST", re.compile(r"^/v1/clock/advance$"), "handle_advance"),
+]
+
+
 class Service:
     """One platform instance: simulation, cloud layer, catalog, wire glue."""
 
@@ -188,24 +224,14 @@ class Service:
             quota = cloud_mod.Quota(**entry["quota"])
             self.cloud.create_user(entry["user_id"], quota,
                                    entry.get("display_name", ""))
-        for entry in config.datasets:
-            self.catalog.register_dataset(entry["name"], entry["size_bytes"])
+        try:
+            for entry in config.datasets:
+                self.catalog.register_dataset(entry["name"], entry["size_bytes"])
+        except KeyError as exc:
+            raise ConfigError(f"dataset entry is missing {exc}") from exc
+        except (catalog_mod.CatalogError, TypeError) as exc:
+            raise ConfigError(f"bad dataset entry: {exc}") from exc
         self._t0 = time.monotonic()
-        self._routes = [
-            ("POST", re.compile(r"^/v1/jobs$"), self.handle_submit),
-            ("GET", re.compile(r"^/v1/jobs/([^/]+)$"), self.handle_status),
-            ("GET", re.compile(r"^/v1/jobs/([^/]+)/result$"), self.handle_result),
-            ("DELETE", re.compile(r"^/v1/jobs/([^/]+)$"), self.handle_cancel),
-            ("GET", re.compile(r"^/v1/clusters$"), self.handle_clusters),
-            ("GET", re.compile(r"^/v1/metrics$"), self.handle_metrics),
-            ("POST", re.compile(r"^/v1/users$"), self.handle_create_user),
-            ("GET", re.compile(r"^/v1/users$"), self.handle_list_users),
-            ("POST", re.compile(r"^/v1/vclusters$"), self.handle_create_vcluster),
-            ("GET", re.compile(r"^/v1/vclusters$"), self.handle_list_vclusters),
-            ("DELETE", re.compile(r"^/v1/vclusters/([^/]+)$"), self.handle_release_vcluster),
-            ("GET", re.compile(r"^/v1/clock$"), self.handle_clock),
-            ("POST", re.compile(r"^/v1/clock/advance$"), self.handle_advance),
-        ]
 
     # -- handlers (each returns (status_int, body_obj)) -------------------
 
@@ -362,11 +388,11 @@ class Service:
         return [payload]
 
     def _dispatch(self, method: str, path: str, req) -> tuple[int, dict]:
-        for want_method, pattern, handler in self._routes:
+        for want_method, pattern, name in _ROUTES:
             match = pattern.match(path)
             if match and method == want_method:
                 try:
-                    return handler(req, *match.groups())
+                    return getattr(self, name)(req, *match.groups())
                 except ApiError as exc:
                     return exc.http_status, _error_body(exc)
                 except Exception as exc:     # noqa: BLE001 - mapped below
@@ -375,7 +401,7 @@ class Service:
                         mapped = ApiError("internal_error",
                                           f"{type(exc).__name__}: {exc}", 500)
                     return mapped.http_status, _error_body(mapped)
-        if any(p.match(path) for _m, p, _h in self._routes):
+        if any(p.match(path) for _m, p, _n in _ROUTES):
             return 405, {"error": {"code": "method_not_allowed", "message": method}}
         return 404, {"error": {"code": "no_such_route", "message": path}}
 

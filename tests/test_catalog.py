@@ -9,6 +9,7 @@ from hybridsched.catalog import (
     BadDatasetName,
     CatalogError,
     DatasetCatalog,
+    DatasetRecord,
     DuplicateDataset,
     MissingDataset,
 )
@@ -35,6 +36,29 @@ class TestRegisterResolve:
             cat.register_dataset("", 1)
         with pytest.raises(CatalogError):
             cat.register_dataset("x", -1)
+
+    @pytest.mark.parametrize("name", [5, None, b"d", ["d"]])
+    def test_non_string_name_rejected(self, name):
+        cat = DatasetCatalog()
+        with pytest.raises(BadDatasetName):
+            cat.register_dataset(name, 1)
+        assert len(cat) == 0
+
+    @pytest.mark.parametrize("size", [1.5, 10.0, "10", True, None])
+    def test_non_integer_size_rejected(self, size):
+        cat = DatasetCatalog()
+        with pytest.raises(CatalogError, match="integer"):
+            cat.register_dataset("d", size)
+        assert len(cat) == 0
+
+    def test_records_are_immutable_and_resolve_equal(self):
+        cat = DatasetCatalog()
+        rec = cat.register_dataset("d", 10, now_ms=3)
+        with pytest.raises(AttributeError):
+            rec.size_bytes = 20
+        assert (rec.name, rec.size_bytes, rec.registered_at_ms) == ("d", 10, 3)
+        assert cat.resolve(["d", "d"]) == [rec, rec]
+        assert cat.resolve(["d"])[0] == DatasetRecord("d", 10, 3)
 
     def test_zero_size_allowed(self):
         cat = DatasetCatalog()

@@ -16,6 +16,7 @@ from hybridsched.model import (
     cluster_spec_to_obj,
     job_spec_to_obj,
 )
+from hybridsched import service as service_mod
 from hybridsched.service import ServiceConfig, make_service_server
 from hybridsched.traces import (
     FaultDirective,
@@ -258,3 +259,26 @@ class TestSimulate:
         assert main(["simulate", "--trace", trace_path, "--clusters", clusters_path,
                      "--seed", "99", "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestServe:
+    @pytest.mark.parametrize("key, value, message", [
+        ("scheduler", {"provision_delay_ms": "5"}, "provision_delay_ms"),
+        ("datasets", [{"name": "d", "size_bytes": 1.5}], "size_bytes"),
+        ("datasets", [{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}],
+         "already registered"),
+        ("datasets", [{"size_bytes": 1}], "missing 'name'"),
+    ])
+    def test_bad_config_exits_2_before_binding(self, tmp_path, capsys, monkeypatch,
+                                              key, value, message):
+        def no_bind(*args, **kwargs):
+            raise AssertionError("a bad config must be refused before the socket is bound")
+
+        monkeypatch.setattr(service_mod, "make_server", no_bind)
+        config = {"clusters": [cluster_spec_to_obj(cluster("cpu0", CPU, 1))],
+                  "listen_addr": "127.0.0.1:0", key: value}
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps(config))
+        assert main(["serve", "--config", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "bad config" in err and message in err

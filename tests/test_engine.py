@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -376,6 +377,19 @@ class TestNonTermination:
         with pytest.raises(NonTerminating):
             sim.run_to_quiescence()
 
+    def test_refused_step_keeps_the_pending_event(self):
+        config = SimConfig(horizon_ms=5_000)
+        sim = Simulation([cluster("cpu0", CPU, 1)], config=config)
+        sim.submit_now(rigid("long", 1, 100, 500_000))   # finishes at 100 s
+        pending = list(sim._pending)
+        with pytest.raises(NonTerminating):
+            sim.step(200_000)
+        assert sim._pending == pending
+        config.horizon_ms = 1_000_000
+        sim.step(200_000)
+        record = sim.records["j000000"]
+        assert (record.state, record.end_ms) == (JobState.COMPLETED, 100_000)
+
     def test_release_hold_unblocks(self):
         sim = Simulation([cluster("cpu0", CPU, 1)])
         sim.hold_nodes("cpu0", (0,))
@@ -552,6 +566,22 @@ class TestPinnedLogBytes:
         path = tmp_path / "events.jsonl"
         EventLog().write(path)
         assert path.read_bytes() == EventLog().canonical_bytes() == b""
+
+
+class TestReferenceCounting:
+    def test_dropped_run_is_freed_without_the_collector(self):
+        clusters = [cluster("cloud0", CLOUD, 6, speed=2), cluster("cpu0", CPU, 3)]
+        trace = random_trace(8, clusters, n_jobs=40, elastic_fraction=0.6, n_faults=3)
+        gc.collect()
+        gc.disable()
+        try:
+            log, records = run_trace(trace, clusters)
+            kinds = set(kinds_of(log))
+            assert {SimEventKind.NODE_DOWN, SimEventKind.RESCALE_APPLIED} <= kinds
+            del log, records
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCompactEvents:

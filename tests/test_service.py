@@ -1,5 +1,6 @@
 """Service tests: handlers through the WSGI app, wire mappings, config."""
 
+import gc
 import io
 import json
 import threading
@@ -437,12 +438,11 @@ class TestWireTables:
     def test_unmapped_exception_stays_unmapped(self):
         assert map_exception(RuntimeError("boom")) is None
 
-    def test_internal_error_path(self, svc):
+    def test_internal_error_path(self, svc, monkeypatch):
         def boom(req):
             raise RuntimeError("wires crossed")
 
-        svc._routes = [(m, p, boom if p.pattern == r"^/v1/clock$" else h)
-                       for m, p, h in svc._routes]
+        monkeypatch.setattr(svc, "handle_clock", boom)
         status, err = call(svc, "GET", "/v1/clock")
         assert status == 500 and err["error"]["code"] == "internal_error"
         assert "wires crossed" in err["error"]["message"]
@@ -515,6 +515,96 @@ class TestConfigFile:
         obj["users"][0]["quota"]["max_concurrent_jobs"] = value
         with pytest.raises(ConfigError, match="max_concurrent_jobs"):
             load_config(self.write(tmp_path, obj), env={})
+
+    @pytest.mark.parametrize("value", ["5", -1, 1.5, True, None])
+    def test_rejects_bad_provision_delay(self, tmp_path, value):
+        obj = self.good_obj()
+        obj["scheduler"]["provision_delay_ms"] = value
+        with pytest.raises(ConfigError, match="provision_delay_ms"):
+            load_config(self.write(tmp_path, obj), env={})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"user_id": ""}, "user_id must be a non-empty string"),
+        ({"user_id": 5}, "user_id must be a non-empty string"),
+        ({"user_id": None}, "user_id must be a non-empty string"),
+        ({"user_id": "v", "display_name": 5}, "display_name must be a string"),
+        ({"user_id": "u"}, "duplicate user_id 'u'"),
+    ])
+    def test_rejects_bad_user_entry(self, tmp_path, change, message):
+        obj = self.good_obj()
+        obj["users"].append({**obj["users"][0], **change})
+        with pytest.raises(ConfigError, match=message):
+            load_config(self.write(tmp_path, obj), env={})
+
+    def test_rejects_a_user_without_an_id(self, tmp_path):
+        obj = self.good_obj()
+        del obj["users"][0]["user_id"]
+        with pytest.raises(ConfigError, match="'user_id'$"):
+            load_config(self.write(tmp_path, obj), env={})
+
+    @pytest.mark.parametrize("bandwidth", [
+        {"cpu0": "1000"}, {"cpu0": -1}, {"cpu0": 1.5}, {"cpu0": True}, {"cpu0": None}, [1000],
+    ])
+    def test_rejects_bad_bandwidth(self, tmp_path, bandwidth):
+        obj = self.good_obj()
+        obj["bandwidth_bytes_per_s"] = bandwidth
+        with pytest.raises(ConfigError, match="bandwidth_bytes_per_s"):
+            load_config(self.write(tmp_path, obj), env={})
+
+    @pytest.mark.parametrize("datasets, message", [
+        ([{"name": 5, "size_bytes": 1}], "non-empty string"),
+        ([{"name": "", "size_bytes": 1}], "non-empty string"),
+        ([{"name": "d", "size_bytes": 1.5}], "non-negative integer"),
+        ([{"name": "d", "size_bytes": True}], "non-negative integer"),
+        ([{"name": "d", "size_bytes": "10"}], "non-negative integer"),
+        ([{"name": "d", "size_bytes": -1}], "non-negative integer"),
+        ([{"name": "d"}], "missing 'size_bytes'"),
+        ([{"size_bytes": 1}], "missing 'name'"),
+        (["d"], "bad dataset entry"),
+        (5, "bad dataset entry"),
+        ([{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}],
+         "'d' already registered"),
+    ])
+    def test_service_rejects_bad_dataset_entry(self, tmp_path, datasets, message):
+        obj = self.good_obj()
+        obj["datasets"] = datasets
+        config = load_config(self.write(tmp_path, obj), env={})
+        with pytest.raises(ConfigError, match=message):
+            Service(config)
+
+
+class TestReferenceCounting:
+    """A Service holds no reference cycle, so dropping it frees it at once."""
+
+    def test_dropped_service_is_freed_without_the_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            svc = Service(base_config(datasets=[{"name": "d", "size_bytes": 10}],
+                                      bandwidth_bytes_per_s={"cloud0": 1_000}))
+            job = rigid_obj(work=40)
+            job["dataset_refs"] = ["d"]
+            assert call(svc, "POST", "/v1/jobs", job)[0] == 201
+            assert call(svc, "POST", "/v1/jobs", elastic_obj())[0] == 201
+            assert call(svc, "POST", "/v1/jobs", rigid_obj(nodes=4))[0] == 201
+            assert call(svc, "GET", "/v1/jobs/j000000")[0] == 200
+            assert call(svc, "GET", "/v1/jobs/j000000/result")[0] == 409
+            assert call(svc, "DELETE", "/v1/jobs/j000002")[0] == 202
+            status, vc = call(svc, "POST", "/v1/vclusters", {"node_count": 1, "image": "i"},
+                              headers={"X-User-Id": "u"})
+            assert status == 201
+            assert call(svc, "DELETE", f"/v1/vclusters/{vc['vcluster_id']}")[0] == 200
+            assert call(svc, "GET", "/v1/clusters")[0] == 200
+            assert call(svc, "GET", "/v1/metrics", query="window_ms=500")[0] == 200
+            assert call(svc, "POST", "/v1/clock/advance", {"by_ms": 60_000})[0] == 200
+            assert call(svc, "GET", "/v1/jobs/j000000/result")[0] == 200
+            assert call(svc, "GET", "/v1/nothing")[0] == 404
+            assert call(svc, "PUT", "/v1/jobs")[0] == 405
+            assert call(svc, "POST", "/v1/jobs", {"name": "x"})[0] == 422
+            del svc
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOverRealHttp:
