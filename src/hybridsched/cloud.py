@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .model import Elastic, JobSpec, ResourceKind, is_integer
+from .model import Elastic, JobSpec, ResourceKind, is_integer, projected_nodes
 from .engine import Simulation
 
 
@@ -124,17 +124,6 @@ class VirtualCluster:
     ready_at_ms: int
 
 
-def projected_nodes(spec: JobSpec) -> int:
-    """Worst-case node demand a job can ever hold at once.
-
-    Elastic jobs are charged at max_workers so quota soundness survives
-    later growth.
-    """
-    if isinstance(spec.shape, Elastic):
-        return spec.shape.max_workers
-    return spec.shape.node_count
-
-
 class CloudLayer:
     """User management and task allocation over one simulation instance."""
 
@@ -168,17 +157,12 @@ class CloudLayer:
 
     # -- admission and routing --------------------------------------------
 
-    def _live_jobs_of(self, user_id: str) -> list:
-        return [r for r in self.sim.records.values()
-                if r.spec.user_id == user_id and not r.state.terminal]
-
     def admit(self, spec: JobSpec) -> Verdict:
         """Quota check against the user's live jobs; admission-time only."""
         account = self.get_user(spec.user_id)
-        live = self._live_jobs_of(spec.user_id)
-        if len(live) + 1 > account.quota.max_concurrent_jobs:
+        live, committed = self.sim.user_load(spec.user_id)
+        if live + 1 > account.quota.max_concurrent_jobs:
             return Verdict(accepted=False, reason=RejectReason.CONCURRENCY_QUOTA)
-        committed = sum(projected_nodes(r.spec) for r in live)
         if committed + projected_nodes(spec) > account.quota.max_nodes_in_use:
             return Verdict(accepted=False, reason=RejectReason.NODE_QUOTA)
         return Verdict(accepted=True)

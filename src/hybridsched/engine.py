@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Optional
+from typing import Optional, Sequence
 
 from .model import (
     ClusterSpec,
@@ -30,6 +30,7 @@ from .model import (
     JobSpec,
     JobState,
     LifecycleEvent,
+    projected_nodes,
     transition,
     validate_cluster,
     validate_job,
@@ -188,7 +189,7 @@ class DuplicateCluster(SimulationError):
 
 @dataclass(slots=True)
 class _RunState:
-    """Engine-internal execution bookkeeping for one job."""
+    """Engine-internal execution bookkeeping for one live job."""
 
     epoch: int = 0
     retries_left: int = 1
@@ -199,7 +200,7 @@ class _RunState:
     credited_milli: int = 0
     credit_from_ms: int = 0       # crediting starts here (start + staging)
     kill_at_ms: int = 0
-    last_node_indices: tuple[int, ...] = ()
+    last_node_indices: Sequence[int] = ()   # the list in the last start/rescale event
     staging_ms: int = 0
 
 
@@ -244,7 +245,10 @@ class Simulation:
         self._pending: list[tuple[int, int, int, tuple]] = []
         self._tick = 0
         self._seq = 0
+        # per-job state of live jobs only: _retire drops a job's entries as
+        # it ends and leaves its result facts on its JobRecord
         self._run: dict[str, _RunState] = {}
+        self._user_load: dict[str, tuple[int, int]] = {}   # user -> (live jobs, projected nodes)
         self._job_idx = 0
         self._down_depth: dict[tuple[str, int], int] = {}   # faults open per node
         self._fault_starts: dict[int, list[tuple[str, int]]] = {}   # t_ms -> (cluster, node)
@@ -276,7 +280,11 @@ class Simulation:
         return job_id
 
     def live_jobs(self) -> list[str]:
-        return [j for j, r in self.records.items() if not r.state.terminal]
+        return list(self._run)
+
+    def user_load(self, user_id: str) -> tuple[int, int]:
+        """(live jobs, their projected nodes in total) of one user."""
+        return self._user_load.get(user_id, (0, 0))
 
     # -- submission and control -------------------------------------------
 
@@ -301,9 +309,7 @@ class Simulation:
         record = self.records[job_id]
         record.end_ms = self.clock
         record.allocation = None
-        rs = self._run.get(job_id)
-        if rs is not None:
-            rs.epoch += 1
+        self._retire(job_id)
         self._emit(SimEventKind.JOB_CANCELLED, job_id=job_id)
         self._plan_cycle()
         return state
@@ -385,12 +391,12 @@ class Simulation:
             job_id, epoch = data
             if not self._timer_valid(job_id, epoch):
                 return
-            self._handle_finish(job_id)
+            self._end_run(job_id, LifecycleEvent.FINISHED, SimEventKind.JOB_FINISHED)
         elif tag == _KILL:
             job_id, epoch = data
             if not self._timer_valid(job_id, epoch):
                 return
-            self._handle_kill(job_id)
+            self._end_run(job_id, LifecycleEvent.WALLTIME_EXCEEDED, SimEventKind.JOB_TIMED_OUT)
         elif tag == _NODE_DOWN:
             self._handle_node_down(*data)
         elif tag == _NODE_UP:
@@ -398,17 +404,39 @@ class Simulation:
         self._plan_cycle()
 
     def _timer_valid(self, job_id: str, epoch: int) -> bool:
-        rs = self._run.get(job_id)
+        rs = self._run.get(job_id)      # None once the job has ended
         return rs is not None and rs.epoch == epoch
+
+    def _retire(self, job_id: str):
+        """The one terminal hook: keep a job's result facts, drop its live state.
+
+        Every transition into a terminal state calls it, after the job has
+        released its nodes and before its terminal event is logged.
+        """
+        record = self.records[job_id]
+        rs = self._run.pop(job_id)
+        record.credited_milli = rs.credited_milli
+        record.last_cluster_id = rs.cluster_id
+        record.last_node_indices = rs.last_node_indices
+        self.scheduler.forget(job_id)
+        user = record.spec.user_id
+        jobs, nodes = self._user_load[user]
+        if jobs == 1:
+            del self._user_load[user]
+        else:
+            self._user_load[user] = (jobs - 1, nodes - projected_nodes(record.spec))
 
     # -- event handlers ---------------------------------------------------
 
     def _handle_arrival(self, job_id: str, spec: JobSpec):
         validate_job(spec, self._known_kinds)
         record = JobRecord(job_id=job_id, spec=spec, submit_ms=self.clock)
+        if isinstance(spec.shape, Elastic):
+            record.worker_history = []
         self.records[job_id] = record
-        rs = _RunState(retries_left=self.config.retry_budget)
-        self._run[job_id] = rs
+        self._run[job_id] = _RunState(retries_left=self.config.retry_budget)
+        jobs, nodes = self._user_load.get(spec.user_id, (0, 0))
+        self._user_load[spec.user_id] = (jobs + 1, nodes + projected_nodes(spec))
         self._emit(SimEventKind.JOB_SUBMITTED, job_id=job_id)
         try:
             self.scheduler.enqueue(record, self.clock)
@@ -418,30 +446,22 @@ class Simulation:
             # before it enters the queue.
             record.state = JobState.FAILED
             record.end_ms = self.clock
+            self._retire(job_id)
             self._emit(SimEventKind.JOB_FAILED, job_id=job_id)
             return
         record.state = transition(record.state, LifecycleEvent.VALIDATED)
         self._emit(SimEventKind.JOB_QUEUED, job_id=job_id)
 
-    def _handle_finish(self, job_id: str):
+    def _end_run(self, job_id: str, event: LifecycleEvent, kind: SimEventKind):
+        """A running job's timer fired: it finished or hit its walltime."""
         record = self.records[job_id]
         self._credit(job_id)
-        record.state = transition(record.state, LifecycleEvent.FINISHED)
+        record.state = transition(record.state, event)
         record.end_ms = self.clock
         self.scheduler.release(job_id)
         record.allocation = None
-        self._run[job_id].epoch += 1
-        self._emit(SimEventKind.JOB_FINISHED, job_id=job_id)
-
-    def _handle_kill(self, job_id: str):
-        record = self.records[job_id]
-        self._credit(job_id)
-        record.state = transition(record.state, LifecycleEvent.WALLTIME_EXCEEDED)
-        record.end_ms = self.clock
-        self.scheduler.release(job_id)
-        record.allocation = None
-        self._run[job_id].epoch += 1
-        self._emit(SimEventKind.JOB_TIMED_OUT, job_id=job_id)
+        self._retire(job_id)
+        self._emit(kind, job_id=job_id)
 
     def _handle_node_down(self, cluster_id: str, node_index: int):
         # Faults may overlap or touch on one node: only the first opens the
@@ -476,6 +496,7 @@ class Simulation:
             self._emit(SimEventKind.JOB_QUEUED, job_id=victim)
         else:
             record.end_ms = self.clock
+            self._retire(victim)
             self._emit(SimEventKind.JOB_FAILED, job_id=victim)
 
     def _handle_node_up(self, cluster_id: str, node_index: int):
@@ -517,7 +538,9 @@ class Simulation:
         record.allocation = alloc
         rs.cluster_id = alloc.cluster_id
         rs.workers = len(alloc.node_indices)
-        rs.last_node_indices = alloc.node_indices
+        # the logged list doubles as the job's last placement, so the
+        # result facts an ended job keeps cost no extra object
+        rs.last_node_indices = list(alloc.node_indices)
         rs.rate_per_ms = cs.spec.speed_factor * rs.workers
         rs.required_milli = record.spec.work_units * 1000
         rs.credited_milli = 0
@@ -527,7 +550,7 @@ class Simulation:
         payload = {
             "cluster_id": alloc.cluster_id,
             "job_id": job_id,
-            "node_indices": list(alloc.node_indices),
+            "node_indices": rs.last_node_indices,
         }
         if isinstance(record.spec.shape, Elastic):
             record.worker_history.append((self.clock, rs.workers))
@@ -584,17 +607,22 @@ class Simulation:
                 record = self.records[job_id]
                 record.allocation = cs.allocations[job_id]
                 rs.workers = len(new_nodes)
-                rs.last_node_indices = new_nodes
+                rs.last_node_indices = list(new_nodes)
                 rs.rate_per_ms = cs.spec.speed_factor * rs.workers
                 record.worker_history.append((self.clock, rs.workers))
                 self._emit(SimEventKind.RESCALE_APPLIED, cluster_id=cid,
-                           job_id=job_id, node_indices=list(new_nodes),
+                           job_id=job_id, node_indices=rs.last_node_indices,
                            workers=rs.workers)
                 self._schedule_finish(job_id)
 
     # -- introspection ----------------------------------------------------
 
     def run_info(self, job_id: str) -> _RunState:
+        """A live job's run state; KeyError once the job has ended.
+
+        An ended job's credited work and last placement are on its
+        JobRecord (credited_milli, last_cluster_id, last_node_indices).
+        """
         return self._run[job_id]
 
 

@@ -11,9 +11,9 @@ simulation runs reproducible byte-for-byte across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 
 class ResourceKind(str, Enum):
@@ -153,7 +153,11 @@ class JobRecord:
     """Mutable per-job record tracked by the platform.
 
     allocation is present exactly while the job is Dispatched or Running.
-    worker_history records (time_ms, worker_count) changes for elastic jobs.
+    worker_history records (time_ms, worker_count) changes of an elastic
+    job in a list of its own; rigid jobs keep the shared empty tuple.
+    The engine sets the last three fields once, when the job ends: the
+    work it was credited and the cluster and nodes of its last attempt
+    (None and () if it never started).
     """
 
     job_id: str
@@ -163,7 +167,10 @@ class JobRecord:
     start_ms: Optional[int] = None
     end_ms: Optional[int] = None
     allocation: Optional[Allocation] = None
-    worker_history: list[tuple[int, int]] = field(default_factory=list)
+    worker_history: Sequence[tuple[int, int]] = ()
+    credited_milli: int = 0
+    last_cluster_id: Optional[str] = None
+    last_node_indices: Sequence[int] = ()
 
 
 # --- errors ---------------------------------------------------------------
@@ -297,6 +304,17 @@ def transition(state: JobState, event: LifecycleEvent, *, retries_left: int = 1)
         return _TRANSITIONS[(state, event)]
     except KeyError:
         raise InvalidTransition(state, event) from None
+
+
+def projected_nodes(spec: JobSpec) -> int:
+    """Worst-case node demand a job can ever hold at once.
+
+    Elastic jobs are charged at max_workers so quota soundness survives
+    later growth.
+    """
+    if isinstance(spec.shape, Elastic):
+        return spec.shape.max_workers
+    return spec.shape.node_count
 
 
 def job_duration_ms(work_units: int, speed_factor: int, nodes: int) -> int:

@@ -68,11 +68,19 @@ class Unsatisfiable(SchedulerError):
 
 @dataclass(frozen=True, slots=True)
 class QueueEntry:
-    """One queued job. Queue order is (-priority, submit_seq, job_id)."""
+    """One queued job. Queue order is (-priority, submit_seq, job_id).
+
+    needed, wall_ms and accept are the plan cycle's per-job facts, fixed
+    at enqueue: nodes to start, walltime, and acceptable cluster ids in
+    preference scan order. They leave the scheduler with the entry.
+    """
 
     job_id: str
     priority: int
     submit_seq: int
+    needed: int
+    wall_ms: int
+    accept: tuple[str, ...]
 
     @property
     def sort_key(self) -> tuple:
@@ -177,12 +185,7 @@ class Scheduler:
         self._queue_keys: list[tuple] = []
         self._queue_entries: dict[str, QueueEntry] = {}
         self._submit_seq = 0
-        self._seq_of_job: dict[str, int] = {}
-        # per-job facts that never change while an instance lives; computed
-        # once at enqueue so plan cycles stay O(queue), not O(queue x prefs)
-        self._needed: dict[str, int] = {}
-        self._wall: dict[str, int] = {}
-        self._accept: dict[str, list[str]] = {}
+        self._seq_of_job: dict[str, int] = {}   # live jobs only; forget() drops one
         self._cluster_of: dict[str, str] = {}   # job -> cluster of its live allocation
         # cluster ids per kind, lexicographic, fixed at construction
         self._by_kind: dict[ResourceKind, list[str]] = {}
@@ -212,12 +215,10 @@ class Scheduler:
             seq = self._submit_seq
             self._submit_seq += 1
             self._seq_of_job[job_id] = seq
-        entry = QueueEntry(job_id=job_id, priority=job.spec.priority, submit_seq=seq)
+        entry = QueueEntry(job_id, job.spec.priority, seq, needed,
+                           job.spec.walltime_limit_ms, accept)
         bisect.insort(self._queue_keys, entry.sort_key)
         self._queue_entries[job_id] = entry
-        self._needed[job_id] = needed
-        self._wall[job_id] = job.spec.walltime_limit_ms
-        self._accept[job_id] = accept
         return entry
 
     def remove_queued(self, job_id: str) -> bool:
@@ -227,6 +228,10 @@ class Scheduler:
         idx = bisect.bisect_left(self._queue_keys, entry.sort_key)
         del self._queue_keys[idx]
         return True
+
+    def forget(self, job_id: str):
+        """Drop what the scheduler still keeps of a job that has ended."""
+        self._seq_of_job.pop(job_id, None)
 
     def queued_jobs(self) -> list[str]:
         """Job ids in queue order."""
@@ -254,11 +259,8 @@ class Scheduler:
             prefs = tuple(k for k in prefs if k is not ResourceKind.CLOUD)
         return prefs
 
-    def _acceptable_clusters(self, prefs: tuple[ResourceKind, ...]) -> list[str]:
-        out = []
-        for kind in prefs:
-            out.extend(self._by_kind.get(kind, []))
-        return out
+    def _acceptable_clusters(self, prefs: tuple[ResourceKind, ...]) -> tuple[str, ...]:
+        return tuple(cid for kind in prefs for cid in self._by_kind.get(kind, ()))
 
     # -- planning ---------------------------------------------------------
 
@@ -280,13 +282,15 @@ class Scheduler:
         free_len = {cid: cs.free_count() for cid, cs in self.clusters.items()}
         free_total = sum(free_len.values())
 
+        entries = self._queue_entries
         for _key in self._queue_keys:
             job_id = _key[2]
             if free_total == 0 and reservation is not None:
                 break   # no node anywhere, head already protected: nothing can start
-            needed = self._needed[job_id]
-            acceptable = self._accept[job_id]
-            wall = self._wall[job_id]
+            entry = entries[job_id]
+            needed = entry.needed
+            acceptable = entry.accept
+            wall = entry.wall_ms
             if reservation is not None:
                 # exact capacity screen; mirrors the per-cluster length
                 # tests _place_backfill would run, without the call

@@ -58,13 +58,17 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if "clusters" not in raw or not raw["clusters"]:
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    if not isinstance(raw.get("clusters"), list) or not raw["clusters"]:
         raise ConfigError("config must list at least one cluster")
     try:
         clusters = [cluster_spec_from_obj(entry) for entry in raw["clusters"]]
     except model.ValidationError as exc:
         raise ConfigError(f"bad cluster entry: {exc}") from exc
     sched = raw.get("scheduler", {})
+    if not isinstance(sched, dict):
+        raise ConfigError("scheduler must be a JSON object")
     cfg = ServiceConfig(
         clusters=clusters,
         listen_addr=raw.get("listen_addr", "127.0.0.1:8080"),
@@ -81,12 +85,21 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
     addr = env.get("HYBRIDSCHED_ADDR")
     if addr:
         cfg.listen_addr = addr
+    if not isinstance(cfg.listen_addr, str) or not cfg.listen_addr.rpartition(":")[2].isdecimal():
+        raise ConfigError(f"listen_addr must be a host:port string, got {cfg.listen_addr!r}")
+    if not isinstance(cfg.auth_header, str) or not cfg.auth_header:
+        raise ConfigError("auth_header must be a non-empty string")
     if cfg.mode not in ("sim", "realtime"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
+    for name in ("backfill", "hybrid_rigid_on_cloud"):
+        if not isinstance(getattr(cfg, name), bool):
+            raise ConfigError(f"scheduler.{name} must be true or false")
     if not model.is_integer(cfg.retry_budget) or cfg.retry_budget < 0:
         raise ConfigError("scheduler.retry_budget must be a non-negative integer")
     if not model.is_integer(cfg.provision_delay_ms) or cfg.provision_delay_ms < 0:
         raise ConfigError("scheduler.provision_delay_ms must be a non-negative integer")
+    if not isinstance(cfg.users, list):
+        raise ConfigError("users must be a list")
     user_ids = set()
     for entry in cfg.users:
         try:
@@ -150,7 +163,7 @@ def map_exception(exc: Exception) -> Optional[ApiError]:
     return None
 
 
-def job_view(record, rs=None) -> dict:
+def job_view(record) -> dict:
     view = {
         "job_id": record.job_id,
         "name": record.spec.name,
@@ -168,7 +181,7 @@ def job_view(record, rs=None) -> dict:
     return view
 
 
-def result_manifest(record, rs) -> dict:
+def result_manifest(record) -> dict:
     manifest = {
         "job_id": record.job_id,
         "terminal": record.state.value,
@@ -177,12 +190,12 @@ def result_manifest(record, rs) -> dict:
         "end_ms": record.end_ms,
         "duration_ms": (record.end_ms - record.start_ms
                         if record.start_ms is not None else None),
-        "credited_work_milliunits": rs.credited_milli if rs is not None else 0,
+        "credited_work_milliunits": record.credited_milli,
         "work_units": record.spec.work_units,
     }
-    if rs is not None and rs.cluster_id is not None:
-        manifest["cluster_id"] = rs.cluster_id
-        manifest["node_indices"] = list(rs.last_node_indices)
+    if record.last_cluster_id is not None:
+        manifest["cluster_id"] = record.last_cluster_id
+        manifest["node_indices"] = list(record.last_node_indices)
     return manifest
 
 
@@ -262,8 +275,7 @@ class Service:
         record = self.sim.records.get(job_id)
         if record is None:
             raise UnknownJob(job_id)
-        rs = self.sim.run_info(job_id)
-        return 200, job_view(record, rs)
+        return 200, job_view(record)
 
     def handle_result(self, req, job_id: str) -> tuple[int, dict]:
         record = self.sim.records.get(job_id)
@@ -272,7 +284,7 @@ class Service:
         if not record.state.terminal:
             raise ApiError("not_finished",
                            f"job {job_id} is {record.state.value}", 409)
-        return 200, result_manifest(record, self.sim.run_info(job_id))
+        return 200, result_manifest(record)
 
     def handle_cancel(self, req, job_id: str) -> tuple[int, dict]:
         state = self.sim.cancel_now(job_id)

@@ -320,3 +320,33 @@ def fair_share_oracle(pool, bounds):
         over -= give
         i -= 1
     return shares
+
+
+# --- admission -------------------------------------------------------------
+
+TERMINAL_STATES = frozenset({"Completed", "Failed", "Cancelled", "TimedOut"})
+
+
+def projected_nodes_oracle(spec_obj):
+    """Most nodes a job can ever hold: an elastic job's maximum, a rigid job's size."""
+    shape = spec_obj["shape"]
+    if "elastic" in shape:
+        return shape["elastic"]["max_workers"]
+    return shape["rigid"]["node_count"]
+
+
+def reference_admit(jobs, quota, spec_obj):
+    """The scan-based quota check: walk every job ever submitted.
+
+    jobs holds (user_id, state name, spec object) per submitted job,
+    quota the user's quota object, spec_obj the new job's spec object.
+    Returns None to admit, else the reject reason's name.
+    """
+    live = [spec for user_id, state, spec in jobs
+            if user_id == spec_obj["user_id"] and state not in TERMINAL_STATES]
+    if len(live) + 1 > quota["max_concurrent_jobs"]:
+        return "ConcurrencyQuota"
+    committed = sum(projected_nodes_oracle(spec) for spec in live)
+    if committed + projected_nodes_oracle(spec_obj) > quota["max_nodes_in_use"]:
+        return "NodeQuota"
+    return None

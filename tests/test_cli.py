@@ -268,6 +268,11 @@ class TestServe:
         ("datasets", [{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}],
          "already registered"),
         ("datasets", [{"size_bytes": 1}], "missing 'name'"),
+        ("users", 5, "users must be a list"),
+        ("scheduler", 5, "scheduler must be a JSON object"),
+        ("scheduler", {"backfill": "false"}, "scheduler.backfill must be true or false"),
+        ("listen_addr", 5, "listen_addr must be a host:port string"),
+        ("auth_header", 5, "auth_header must be a non-empty string"),
     ])
     def test_bad_config_exits_2_before_binding(self, tmp_path, capsys, monkeypatch,
                                               key, value, message):
@@ -282,3 +287,11 @@ class TestServe:
         assert main(["serve", "--config", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "bad config" in err and message in err
+
+    @pytest.mark.parametrize("config", [[], 5, {"clusters": 5}])
+    def test_malformed_top_level_exits_2(self, tmp_path, capsys, monkeypatch, config):
+        monkeypatch.setattr(service_mod, "make_server", None)   # never reached
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps(config))
+        assert main(["serve", "--config", str(path)]) == EXIT_INPUT
+        assert "bad config" in capsys.readouterr().err

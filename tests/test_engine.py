@@ -5,7 +5,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hybridsched.catalog import DatasetCatalog
@@ -141,7 +141,9 @@ class TestWalltime:
         sim = Simulation([cluster("cpu0", CPU, 1)])
         sim.schedule_arrival(0, rigid("slow", 1, 10, 4_000))
         sim.run_to_quiescence()
-        assert sim.run_info("j000000").credited_milli == 4_000   # 1 unit/ms x 4000
+        assert sim.records["j000000"].credited_milli == 4_000   # 1 unit/ms x 4000
+        with pytest.raises(KeyError):
+            sim.run_info("j000000")     # live jobs only
 
 
 class TestFailures:
@@ -436,7 +438,8 @@ class TestElasticRuns:
         rng = random.Random(3)
         for trial in range(20):
             n = rng.randint(2, 8)
-            sim = Simulation([cluster("cloud0", CLOUD, n, speed=rng.randint(1, 3))])
+            speed = rng.randint(1, 3)
+            sim = Simulation([cluster("cloud0", CLOUD, n, speed=speed)])
             jobs = rng.randint(1, 3)
             for i in range(jobs):
                 lo = rng.randint(1, max(1, n // 2))
@@ -446,10 +449,11 @@ class TestElasticRuns:
             sim.run_to_quiescence()
             for job_id, rec in sim.records.items():
                 assert rec.state is JobState.COMPLETED, (trial, job_id)
-                rs = sim.run_info(job_id)
-                assert rs.credited_milli >= rs.required_milli
+                required = rec.spec.work_units * 1000
+                final_rate = speed * rec.worker_history[-1][1]
+                assert rec.credited_milli >= required
                 # overshoot bounded by one ms of the final rate
-                assert rs.credited_milli - rs.required_milli < rs.rate_per_ms
+                assert rec.credited_milli - required < final_rate
 
     def test_rigid_dispatch_never_steals_elastic_nodes(self):
         # rigid work on a separate cpu cluster; elastic on the cloud pool
@@ -650,3 +654,80 @@ class TestAgainstFifoOracle:
     @pytest.mark.parametrize("seed", range(8, 12))
     def test_single_cluster(self, seed):
         self._compare(seed, [cluster("cpu0", CPU, 4)])
+
+
+# one operation on a live simulation: a submission (user, elastic?, two
+# sizes, work, walltime), a cancel (index into the known ids), a fault
+# (cluster, node, delay, length) or a step of the clock
+bounded_ops = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(["u", "v", "w"]), st.booleans(),
+              st.integers(1, 6), st.integers(1, 6), st.integers(1, 30),
+              st.integers(100, 20_000)),
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    st.tuples(st.just("fault"), st.sampled_from(["cpu0", "cloud0"]), st.integers(0, 5),
+              st.integers(0, 3_000), st.integers(1, 4_000)),
+    st.tuples(st.just("step"), st.integers(0, 5_000)),
+), max_size=40)
+
+
+class TestBoundedState:
+    """Per-job state in the engine and the scheduler covers live jobs only."""
+
+    @staticmethod
+    def check(sim):
+        live = {j for j, r in sim.records.items() if not r.state.terminal}
+        assert set(sim._run) == live
+        assert sorted(sim.live_jobs()) == sorted(live)
+        sched = sim.scheduler
+        assert set(sched._seq_of_job) == live
+        assert set(sched._queue_entries) == {
+            j for j in live if sim.records[j].state is JobState.QUEUED}
+        assert set(sched._cluster_of) == {
+            j for j in live if sim.records[j].state is JobState.RUNNING}
+        recount = {}
+        for record in sim.records.values():
+            if record.state.terminal:
+                continue
+            shape = record.spec.shape
+            nodes = shape.max_workers if isinstance(shape, Elastic) else shape.node_count
+            jobs, total = recount.get(record.spec.user_id, (0, 0))
+            recount[record.spec.user_id] = (jobs + 1, total + nodes)
+        assert sim._user_load == recount
+        for user in ("u", "v", "w"):
+            assert sim.user_load(user) == recount.get(user, (0, 0))
+
+    @given(cpu_nodes=st.integers(1, 4), cloud_nodes=st.integers(1, 5),
+           cloud_speed=st.integers(1, 3), budget=st.integers(0, 2),
+           rigid_on_cloud=st.booleans(), ops=bounded_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_state_tracks_the_live_jobs(self, cpu_nodes, cloud_nodes, cloud_speed,
+                                        budget, rigid_on_cloud, ops):
+        sim = Simulation([cluster("cpu0", CPU, cpu_nodes),
+                          cluster("cloud0", CLOUD, cloud_nodes, speed=cloud_speed)],
+                         config=SimConfig(retry_budget=budget,
+                                          hybrid_rigid_on_cloud=rigid_on_cloud))
+        sizes = {"cpu0": cpu_nodes, "cloud0": cloud_nodes}
+        for op in ops:
+            if op[0] == "submit":
+                _op, user, is_elastic, a, b, work, wall = op
+                if is_elastic:
+                    shape, prefs = Elastic(min_workers=a, max_workers=max(a, b)), (CLOUD,)
+                else:
+                    shape, prefs = Rigid(node_count=a), (CPU, CLOUD) if b % 2 else (CPU,)
+                sim.submit_now(JobSpec(name="j", user_id=user, kind_preferences=prefs,
+                                       shape=shape, work_units=work,
+                                       walltime_limit_ms=wall))
+            elif op[0] == "cancel":
+                if sim.records:
+                    job_id = sorted(sim.records)[op[1] % len(sim.records)]
+                    if not sim.records[job_id].state.terminal:
+                        sim.cancel_now(job_id)
+            elif op[0] == "fault":
+                _op, cid, node, delay, length = op
+                sim.inject_node_failure(cid, node % sizes[cid], sim.clock + delay, length)
+            else:
+                sim.step(sim.clock + op[1])
+            self.check(sim)
+        sim.run_to_quiescence()
+        self.check(sim)
+        assert sim._run == {} and sim._user_load == {} and sim.scheduler._seq_of_job == {}

@@ -264,7 +264,7 @@ class TestSlottedRecords:
         ClusterSpec(cluster_id="c", kind=ResourceKind.CPU, node_count=2, cores_per_node=8,
                     speed_factor=1),
         Allocation(job_id="j", cluster_id="c", node_indices=(1, 0), start_ms=0),
-        QueueEntry(job_id="j", priority=0, submit_seq=0),
+        QueueEntry(job_id="j", priority=0, submit_seq=0, needed=1, wall_ms=1, accept=("c",)),
         Reservation(job_id="j", cluster_id="c", node_indices=(0,), start_ms=0,
                     expected_end_ms=1),
         DispatchDecision(starts=(), reservation=None),

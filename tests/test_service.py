@@ -9,6 +9,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+
 from hybridsched import cloud as cloud_mod
 from hybridsched import model
 from hybridsched.catalog import DuplicateDataset, MissingDataset
@@ -216,6 +218,121 @@ class TestStatusCancel:
         assert status == 202 and out["state"] == "Cancelled"
         status, err = call(svc, "DELETE", "/v1/jobs/%s" % job_id)
         assert status == 409 and err["error"]["code"] == "already_terminal"
+
+
+class TestResultManifest:
+    """The result manifest's bytes for every terminal path, pinned."""
+
+    def result_bytes(self, svc, job_id):
+        status, payload = raw_call(svc, "GET", f"/v1/jobs/{job_id}/result", b"")
+        assert status == 200
+        return payload
+
+    def test_completed(self, svc):
+        call(svc, "POST", "/v1/jobs", rigid_obj(nodes=2, work=10))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 10_000})
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "Completed", "submit_ms": 0, "start_ms": 0, '
+            b'"end_ms": 5000, "duration_ms": 5000, "credited_work_milliunits": 10000, '
+            b'"work_units": 10, "cluster_id": "cpu0", "node_indices": [0, 1]}')
+
+    def test_timed_out(self, svc):
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 100})
+        call(svc, "POST", "/v1/jobs", rigid_obj(nodes=1, work=10, wall=4_000))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 10_000})
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "TimedOut", "submit_ms": 100, "start_ms": 100, '
+            b'"end_ms": 4100, "duration_ms": 4000, "credited_work_milliunits": 4000, '
+            b'"work_units": 10, "cluster_id": "cpu0", "node_indices": [0]}')
+
+    def test_failed_after_node_loss(self):
+        svc = Service(base_config(retry_budget=0))
+        call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=3, work=40))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
+        call(svc, "POST", "/v1/jobs", elastic_obj(name="e2", lo=1, hi=3, work=40))
+        svc.sim.inject_node_failure("cloud0", 1, 3_000, 500)
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 60_000})
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "Failed", "submit_ms": 0, "start_ms": 0, '
+            b'"end_ms": 3000, "duration_ms": 3000, "credited_work_milliunits": 3000, '
+            b'"work_units": 40, "cluster_id": "cloud0", "node_indices": [0, 1]}')
+
+    def test_unsatisfiable(self, svc):
+        assert call(svc, "POST", "/v1/jobs", rigid_obj(nodes=5))[0] == 201
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "Failed", "submit_ms": 0, "start_ms": null, '
+            b'"end_ms": 0, "duration_ms": null, "credited_work_milliunits": 0, '
+            b'"work_units": 5}')
+
+    def test_cancelled_while_queued(self, svc):
+        call(svc, "POST", "/v1/jobs", rigid_obj(nodes=4, work=40))
+        call(svc, "POST", "/v1/jobs", rigid_obj(name="k", nodes=1))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 700})
+        assert call(svc, "DELETE", "/v1/jobs/j000001")[0] == 202
+        assert self.result_bytes(svc, "j000001") == (
+            b'{"job_id": "j000001", "terminal": "Cancelled", "submit_ms": 0, "start_ms": null, '
+            b'"end_ms": 700, "duration_ms": null, "credited_work_milliunits": 0, '
+            b'"work_units": 5}')
+
+    def test_cancelled_while_queued_after_a_node_loss(self, svc):
+        # the manifest names the cluster and nodes of the lost attempt
+        call(svc, "POST", "/v1/jobs", rigid_obj(nodes=4, work=40))
+        svc.sim.inject_node_failure("cpu0", 2, 1_000, 5_000)
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 2_000})
+        assert call(svc, "DELETE", "/v1/jobs/j000000")[0] == 202
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "Cancelled", "submit_ms": 0, "start_ms": 0, '
+            b'"end_ms": 2000, "duration_ms": 2000, "credited_work_milliunits": 0, '
+            b'"work_units": 40, "cluster_id": "cpu0", "node_indices": [0, 1, 2, 3]}')
+
+    def test_cancelled_while_running(self, svc):
+        call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=3, work=40))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
+        call(svc, "POST", "/v1/jobs", elastic_obj(name="e2", lo=1, hi=3, work=40))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 2_500})
+        assert call(svc, "DELETE", "/v1/jobs/j000000")[0] == 202
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "Cancelled", "submit_ms": 0, "start_ms": 0, '
+            b'"end_ms": 2500, "duration_ms": 2500, "credited_work_milliunits": 3000, '
+            b'"work_units": 40, "cluster_id": "cloud0", "node_indices": [0, 1]}')
+
+
+ADMIT_QUOTAS = {"u": {"max_concurrent_jobs": 3, "max_nodes_in_use": 6, "max_vcluster_nodes": 0},
+                "v": {"max_concurrent_jobs": 5, "max_nodes_in_use": 4, "max_vcluster_nodes": 0}}
+admission_ops = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(sorted(ADMIT_QUOTAS)), st.booleans(),
+              st.integers(1, 4), st.integers(1, 4), st.integers(1, 20)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("advance"), st.integers(0, 8_000)),
+), max_size=30)
+
+
+class TestAdmissionAgainstReference:
+    """The indexed admission check agrees with the scan over every record."""
+
+    @given(ops=admission_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_agree(self, ops):
+        svc = Service(base_config(users=[{"user_id": u, "quota": q}
+                                         for u, q in ADMIT_QUOTAS.items()]))
+        for op in ops:
+            if op[0] == "submit":
+                _op, user, is_elastic, a, b, work = op
+                body = (elastic_obj(lo=min(a, b), hi=max(a, b), work=work, user=user)
+                        if is_elastic else rigid_obj(nodes=a, work=work, user=user))
+                jobs = [(r.spec.user_id, r.state.value, job_spec_to_obj(r.spec))
+                        for r in svc.sim.records.values()]
+                expected = oracles.reference_admit(jobs, ADMIT_QUOTAS[user], body)
+                verdict = svc.cloud.admit(model.job_spec_from_obj(body))
+                assert (verdict.reason.value if verdict.reason else None) == expected
+                status, out = call(svc, "POST", "/v1/jobs", body)
+                assert status == (201 if expected is None else 403), out
+            elif op[0] == "cancel":
+                if svc.sim.records:
+                    job_id = sorted(svc.sim.records)[op[1] % len(svc.sim.records)]
+                    assert call(svc, "DELETE", f"/v1/jobs/{job_id}")[0] in (202, 409)
+            else:
+                assert call(svc, "POST", "/v1/clock/advance", {"by_ms": op[1]})[0] == 200
 
 
 class TestIntrospection:
@@ -501,6 +618,45 @@ class TestConfigFile:
         bad.write_text("{")
         with pytest.raises(ConfigError):
             load_config(str(bad), env={})
+
+    @pytest.mark.parametrize("config", [[], 5, "cpu0", None])
+    def test_rejects_a_config_that_is_not_an_object(self, tmp_path, config):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(self.write(tmp_path, config), env={})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("clusters", 5, "at least one cluster"),
+        ("clusters", {"cpu0": {}}, "at least one cluster"),
+        ("clusters", "cpu0", "at least one cluster"),
+        ("users", 5, "users must be a list"),
+        ("users", {"u": {}}, "users must be a list"),
+        ("scheduler", 5, "scheduler must be a JSON object"),
+        ("scheduler", ["backfill"], "scheduler must be a JSON object"),
+        ("listen_addr", 5, "listen_addr must be a host:port string"),
+        ("listen_addr", None, "listen_addr must be a host:port string"),
+        ("listen_addr", "127.0.0.1", "listen_addr must be a host:port string"),
+        ("listen_addr", "127.0.0.1:http", "listen_addr must be a host:port string"),
+        ("auth_header", 5, "auth_header must be a non-empty string"),
+        ("auth_header", "", "auth_header must be a non-empty string"),
+        ("mode", 5, "unknown mode 5"),
+    ])
+    def test_rejects_wrongly_typed_top_level_fields(self, tmp_path, key, value, message):
+        obj = self.good_obj()
+        obj[key] = value
+        with pytest.raises(ConfigError, match=message):
+            load_config(self.write(tmp_path, obj), env={})
+
+    @pytest.mark.parametrize("name", ["backfill", "hybrid_rigid_on_cloud"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_rejects_a_scheduler_flag_that_is_not_a_boolean(self, tmp_path, name, value):
+        obj = self.good_obj()
+        obj["scheduler"][name] = value
+        with pytest.raises(ConfigError, match=f"scheduler.{name} must be true or false"):
+            load_config(self.write(tmp_path, obj), env={})
+
+    def test_env_listen_addr_is_checked_too(self, tmp_path):
+        with pytest.raises(ConfigError, match="listen_addr"):
+            load_config(self.write(tmp_path, self.good_obj()), env={"HYBRIDSCHED_ADDR": "nohost"})
 
     @pytest.mark.parametrize("value", [-1, "1", 1.5, True, None])
     def test_rejects_bad_retry_budget(self, tmp_path, value):
