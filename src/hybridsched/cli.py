@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import requests
-
 from .engine import NonTerminating, SimConfig, UnknownNode, run_trace
 from .metrics import compare, format_table, utilization, utilization_rows, wait_stats
 from .model import ValidationError, cluster_spec_from_obj
@@ -39,6 +37,10 @@ def _server(args) -> str:
 
 
 def _request(args, method: str, path: str, body=None, headers=None):
+    # imported here: requests (urllib3, ssl, ...) is for the remote
+    # commands only, and simulate and serve never load it
+    import requests
+
     url = _server(args).rstrip("/") + path
     try:
         resp = requests.request(method, url, json=body, headers=headers, timeout=10)

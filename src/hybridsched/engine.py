@@ -251,7 +251,8 @@ class Simulation:
         self._user_load: dict[str, tuple[int, int]] = {}   # user -> (live jobs, projected nodes)
         self._job_idx = 0
         self._down_depth: dict[tuple[str, int], int] = {}   # faults open per node
-        self._fault_starts: dict[int, list[tuple[str, int]]] = {}   # t_ms -> (cluster, node)
+        # t_ms -> (cluster, node) of faults due then; kept while t_ms >= clock
+        self._fault_starts: dict[int, list[tuple[str, int]]] = {}
         self._known_kinds = {s.kind for s in clusters}
 
     # -- plumbing ---------------------------------------------------------
@@ -305,6 +306,8 @@ class Simulation:
 
     def cancel_now(self, job_id: str) -> JobState:
         """Cancel a job at the current clock (AlreadyTerminal if done)."""
+        if job_id in self._run:
+            self._credit(job_id)    # a running job keeps the work done up to now
         state, _freed = self.scheduler.cancel(job_id, self.clock)
         record = self.records[job_id]
         record.end_ms = self.clock
@@ -359,7 +362,7 @@ class Simulation:
         mark = len(self.log.events)
         while self._pending and self._pending[0][0] <= until_ms:
             self._process_one()
-        self.clock = max(self.clock, until_ms)
+        self._advance_clock(until_ms)
         return self.log.events[mark:]
 
     def run_to_quiescence(self) -> None:
@@ -383,7 +386,7 @@ class Simulation:
                 f"with live jobs: {', '.join(sorted(self.live_jobs())[:10])}"
             )
         heapq.heappop(self._pending)
-        self.clock = max(self.clock, t_ms)
+        self._advance_clock(t_ms)
         if tag == _ARRIVAL:
             job_id, spec = data
             self._handle_arrival(job_id, spec)
@@ -402,6 +405,13 @@ class Simulation:
         elif tag == _NODE_UP:
             self._handle_node_up(*data)
         self._plan_cycle()
+
+    def _advance_clock(self, t_ms: int):
+        if t_ms > self.clock:
+            # only the current millisecond's fault starts are ever read,
+            # and the clock visits every millisecond that has some
+            self._fault_starts.pop(self.clock, None)
+            self.clock = t_ms
 
     def _timer_valid(self, job_id: str, epoch: int) -> bool:
         rs = self._run.get(job_id)      # None once the job has ended
@@ -484,6 +494,7 @@ class Simulation:
             return
         record = self.records[victim]
         rs = self._run[victim]
+        self._credit(victim)    # a failed job keeps its work; a requeued one restarts
         self.scheduler.release(victim)
         record.allocation = None
         rs.epoch += 1

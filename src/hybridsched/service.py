@@ -14,12 +14,12 @@ same engine into a crude live executor.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional
-from wsgiref.simple_server import WSGIServer, WSGIRequestHandler, make_server
 
 from . import catalog as catalog_mod
 from . import cloud as cloud_mod
@@ -223,7 +223,6 @@ class Service:
     """One platform instance: simulation, cloud layer, catalog, wire glue."""
 
     def __init__(self, config: ServiceConfig):
-        self.config = config
         self.catalog = catalog_mod.DatasetCatalog(
             bandwidth_bytes_per_s=config.bandwidth_bytes_per_s)
         sim_config = SimConfig(
@@ -244,6 +243,9 @@ class Service:
             raise ConfigError(f"dataset entry is missing {exc}") from exc
         except (catalog_mod.CatalogError, TypeError) as exc:
             raise ConfigError(f"bad dataset entry: {exc}") from exc
+        # the catalog is the one resident copy of the datasets; the
+        # caller's config object is left as it was
+        self.config = dataclasses.replace(config, datasets=[])
         self._t0 = time.monotonic()
 
     # -- handlers (each returns (status_int, body_obj)) -------------------
@@ -479,17 +481,26 @@ class _Request:
             raise ApiError("validation_failed", f"{name} must be an integer", 422)
 
 
-class _QuietHandler(WSGIRequestHandler):
-    def log_message(self, *args):   # keep test output clean
-        pass
+def make_server(host: str, port: int, app):
+    """A bound single-threaded WSGI server for app.
+
+    The stdlib HTTP server (http.server, socketserver, email) is imported
+    here, so the in-process app and the offline simulator never load it.
+    """
+    from wsgiref import simple_server
+
+    class _QuietHandler(simple_server.WSGIRequestHandler):
+        def log_message(self, *args):   # keep test output clean
+            pass
+
+    return simple_server.make_server(host, port, app, handler_class=_QuietHandler)
 
 
 def make_service_server(config: ServiceConfig) -> tuple:
     """Build (server, service); caller owns serve_forever/shutdown."""
     host, _, port = config.listen_addr.rpartition(":")
     service = Service(config)
-    server = make_server(host or "127.0.0.1", int(port), service.wsgi_app,
-                         server_class=WSGIServer, handler_class=_QuietHandler)
+    server = make_server(host or "127.0.0.1", int(port), service.wsgi_app)
     return server, service
 
 

@@ -292,6 +292,77 @@ class FifoOracle:
         return self
 
 
+# --- one plan pass ---------------------------------------------------------
+
+def reference_plan(clusters, queue, now_ms, backfill=True):
+    """One conservative-backfill plan pass, as a straight walk of the queue.
+
+    clusters: {cid: (node_count, busy, down, held)}; busy maps each node
+              of a live allocation to that allocation's walltime-bounded
+              end, down and held are sets of node indices (a node may be
+              both busy and down).
+    queue:    [(job_id, needed, wall_ms, accept)] in queue order; accept
+              lists the acceptable cluster ids in scan order.
+
+    Every entry is tried: while no reservation exists the entry starts on
+    the first acceptable cluster with enough free nodes (lowest indices),
+    else it becomes the head and reserves the earliest start any
+    acceptable cluster can guarantee (ties to scan order). After that an
+    entry starts only if it fits beside the reservation: ending by its
+    start on the reserved cluster, or avoiding its nodes. A head that
+    cannot be reserved, or any head without backfill, ends the pass.
+    Returns (starts, reservation): starts is [(job_id, cid, nodes)], the
+    reservation (job_id, cid, nodes, start_ms, end_ms) or None.
+    """
+    free = {}
+    ends = {}
+    for cid, (count, busy, down, held) in clusters.items():
+        free[cid] = [n for n in range(count)
+                     if n not in busy and n not in down and n not in held]
+        ends[cid] = dict(busy)
+    starts = []
+    reservation = None
+    for job_id, needed, wall_ms, accept in queue:
+        if reservation is None:
+            cid = next((c for c in accept if len(free[c]) >= needed), None)
+            if cid is not None:
+                nodes = tuple(free[cid][:needed])
+                free[cid] = free[cid][needed:]
+                for n in nodes:
+                    ends[cid][n] = now_ms + wall_ms
+                starts.append((job_id, cid, nodes))
+                continue
+            best = None
+            for cid in accept:
+                # a busy node is never free, and a down or held one that is
+                # not busy has no bounded time at which it frees
+                avail = sorted([(now_ms, n) for n in free[cid]]
+                               + [(t, n) for n, t in ends[cid].items()])
+                if len(avail) < needed:
+                    continue
+                start = max(now_ms, avail[needed - 1][0])
+                nodes = tuple(sorted(n for t, n in avail if t <= start)[:needed])
+                if best is None or start < best[3]:
+                    best = (job_id, cid, nodes, start, start + wall_ms)
+            if best is None:
+                break
+            reservation = best
+            if not backfill:
+                break
+            continue
+        _head, res_cid, res_nodes, res_start, _end = reservation
+        for cid in accept:
+            usable = free[cid]
+            if cid == res_cid and now_ms + wall_ms > res_start:
+                usable = [n for n in usable if n not in res_nodes]
+            if len(usable) >= needed:
+                nodes = tuple(usable[:needed])
+                free[cid] = [n for n in free[cid] if n not in nodes]
+                starts.append((job_id, cid, nodes))
+                break
+    return starts, reservation
+
+
 # --- fair share ------------------------------------------------------------
 
 def fair_share_oracle(pool, bounds):

@@ -1,12 +1,16 @@
 """CLI tests: exit codes, rendering, --json passthrough, offline simulate."""
 
 import json
+import pathlib
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 import requests
 
+import hybridsched
 from hybridsched.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_REMOTE, main
 from hybridsched.model import (
     ClusterSpec,
@@ -295,3 +299,24 @@ class TestServe:
         path.write_text(json.dumps(config))
         assert main(["serve", "--config", str(path)]) == EXIT_INPUT
         assert "bad config" in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    """The HTTP server and client libraries load only where they are used."""
+
+    def test_cli_and_service_load_no_http_library(self):
+        src = str(pathlib.Path(hybridsched.__file__).parent.parent)
+        code = f"""
+import json, sys
+sys.path.insert(0, {src!r})
+import hybridsched.cli
+from hybridsched.model import ClusterSpec, ResourceKind
+from hybridsched.service import Service, ServiceConfig
+Service(ServiceConfig(clusters=[ClusterSpec("cpu0", ResourceKind.CPU, 2, 8, 1)],
+                      datasets=[{{"name": "d", "size_bytes": 1}}]))
+http = ("requests", "urllib3", "http.server", "socketserver", "wsgiref.simple_server")
+print(json.dumps([name for name in http if name in sys.modules]))
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+        assert json.loads(out) == []

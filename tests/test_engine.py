@@ -695,6 +695,22 @@ class TestBoundedState:
         assert sim._user_load == recount
         for user in ("u", "v", "w"):
             assert sim.user_load(user) == recount.get(user, (0, 0))
+        assert all(t_ms >= sim.clock for t_ms in sim._fault_starts)
+
+    def test_passed_fault_starts_are_dropped(self):
+        clusters = random_clusters(9)
+        trace = random_trace(9, clusters, 300, n_faults=6)
+        sim = Simulation(clusters)
+        for t_ms, spec in trace.jobs:
+            sim.schedule_arrival(t_ms, spec)
+        for fault in trace.faults:
+            sim.inject_node_failure(fault.cluster_id, fault.node_index,
+                                    fault.t_ms, fault.down_duration_ms)
+        assert len(sim._fault_starts) == 6
+        sim.run_to_quiescence()
+        assert [t_ms for t_ms in sim._fault_starts if t_ms < sim.clock] == []
+        assert hashlib.sha256(sim.log.canonical_bytes()).hexdigest() == (
+            "e655e2b4f64b2b2a85b0f29cde4014252e63706ae6e96f962b63e16cd7799bdb")
 
     @given(cpu_nodes=st.integers(1, 4), cloud_nodes=st.integers(1, 5),
            cloud_speed=st.integers(1, 3), budget=st.integers(0, 2),

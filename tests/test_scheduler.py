@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hybridsched.model import (
@@ -359,3 +361,125 @@ class TestFairShare:
             assert lo <= target <= hi
         if bounds and sum(lo for lo, _ in bounds) <= pool:
             assert sum(got) <= pool
+
+
+
+# node states drawn for the differential test, free and busy the most
+# often: free, busy until a deadline, down, held, or busy on a node whose
+# fault starts this instant
+NODE_STATES = ("free", "free", "free", "busy", "busy", "busy", "down", "held", "busy_down")
+KIND_NAMES = {CPU: "cpu", GPU: "gpu", CLOUD: "cloud"}
+
+
+@st.composite
+def plan_inputs(draw):
+    now = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from((CPU, GPU, CLOUD)), min_size=1, max_size=3))
+    per_kind = {}
+    clusters = []
+    for kind in kinds:
+        cid = f"{KIND_NAMES[kind]}{per_kind.setdefault(kind, 0)}"
+        per_kind[kind] += 1
+        nodes = [(draw(st.sampled_from(NODE_STATES)), now + draw(st.integers(2, 14)))
+                 for _ in range(draw(st.integers(2, 8)))]
+        clusters.append((cid, kind, nodes))
+    # a reservation starts at a busy node's deadline: walls that end
+    # there, or 1 ms later, from the check's three clock readings probe the
+    # backfill boundary
+    ends = sorted({deadline - now for _cid, _kind, nodes in clusters
+                   for state, deadline in nodes if state.startswith("busy")})
+    jobs = []
+    for i in range(draw(st.integers(1, 12))):
+        if ends and draw(st.booleans()):
+            wall = max(1, draw(st.sampled_from(ends)) - draw(st.integers(0, 2)))
+        else:
+            wall = draw(st.integers(1, 16))
+        if draw(st.integers(0, 2)) == 0:
+            lo = draw(st.integers(1, 3))
+            shape, prefs = Elastic(min_workers=lo, max_workers=lo + draw(st.integers(0, 2))), (CLOUD,)
+        else:
+            shape = Rigid(node_count=draw(st.integers(1, 4)))
+            prefs = tuple(draw(st.permutations((CPU, GPU, CLOUD)))[:draw(st.integers(1, 3))])
+        spec = JobSpec(name=f"q{i}", user_id="u", kind_preferences=prefs, shape=shape,
+                       work_units=10, walltime_limit_ms=wall,
+                       priority=draw(st.integers(0, 2)))
+        jobs.append((f"q{i:02d}", spec, draw(st.booleans())))
+    return now, clusters, jobs
+
+
+class TestPlanAgainstReference:
+    """plan() returns what the straight queue walk in oracles returns."""
+
+    @given(plan_inputs())
+    @settings(max_examples=250, deadline=None)
+    def test_same_decision_as_reference_plan(self, drawn):
+        # one drawn site at three clock readings, before every node's
+        # deadline, under every combination of the scheduler flags
+        now, clusters, jobs = drawn
+        for shift, backfill, rigid_on_cloud, first_only in itertools.product(
+                (0, 1, 2), (True, False), (True, False), (True, False)):
+            self.check(now + shift, clusters, jobs,
+                       dict(backfill=backfill, hybrid_rigid_on_cloud=rigid_on_cloud,
+                            first_preference_only=first_only))
+
+    @staticmethod
+    def check(now, clusters, jobs, flags):
+        sched, records = mk([cluster(cid, kind, len(nodes)) for cid, kind, nodes in clusters],
+                            **flags)
+        ref_clusters = {}
+        for cid, _kind, nodes in clusters:
+            cs = sched.clusters[cid]
+            busy = {}
+            for n, (state, deadline) in enumerate(nodes):
+                if state in ("busy", "busy_down"):
+                    cs.allocate(f"r-{cid}-{n}", (n,), 0, deadline)
+                    busy[n] = deadline
+                if state in ("down", "busy_down"):
+                    cs.down.add(n)
+                if state == "held":
+                    cs.held.add(n)
+            ref_clusters[cid] = (len(nodes), busy, set(cs.down), set(cs.held))
+
+        # the acceptance sets, worked out here from the documented policy
+        by_kind = {}
+        for cid, kind, _nodes in sorted(clusters):
+            by_kind.setdefault(kind, []).append(cid)
+        queued = []
+        for seq, (job_id, spec, _requeued) in enumerate(jobs):
+            if isinstance(spec.shape, Elastic):
+                prefs, needed = (CLOUD,), spec.shape.min_workers
+            else:
+                prefs, needed = spec.kind_preferences, spec.shape.node_count
+                if flags["first_preference_only"]:
+                    prefs = prefs[:1]
+                if not flags["hybrid_rigid_on_cloud"]:
+                    prefs = tuple(k for k in prefs if k is not CLOUD)
+            accept = tuple(cid for kind in prefs for cid in by_kind.get(kind, ()))
+            record = JobRecord(job_id=job_id, state=JobState.QUEUED, spec=spec)
+            records[job_id] = record
+            if all(ref_clusters[cid][0] < needed for cid in accept):
+                with pytest.raises(Unsatisfiable):
+                    sched.enqueue(record, now)
+                continue
+            sched.enqueue(record, now)
+            queued.append(((-spec.priority, seq, job_id),
+                           (job_id, needed, spec.walltime_limit_ms, accept)))
+        # a requeued job goes back to the position of its first submission
+        for job_id, spec, requeued in jobs:
+            if requeued and sched.remove_queued(job_id):
+                sched.enqueue(records[job_id], now)
+        queue = [entry for _key, entry in sorted(queued)]
+        assert sched.queued_jobs() == [job_id for job_id, *_rest in queue]
+
+        decision = sched.plan(now)
+        want_starts, want_reservation = oracles.reference_plan(
+            ref_clusters, queue, now, backfill=flags["backfill"])
+        assert [(job_id, a.cluster_id, a.node_indices)
+                for job_id, a in decision.starts] == want_starts
+        r = decision.reservation
+        assert (None if r is None else
+                (r.job_id, r.cluster_id, r.node_indices, r.start_ms, r.expected_end_ms)
+                ) == want_reservation
+        started = {job_id for job_id, *_rest in want_starts}
+        assert sched.queued_jobs() == [job_id for job_id, *_rest in queue
+                                       if job_id not in started]

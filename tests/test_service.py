@@ -254,7 +254,7 @@ class TestResultManifest:
         call(svc, "POST", "/v1/clock/advance", {"until_ms": 60_000})
         assert self.result_bytes(svc, "j000000") == (
             b'{"job_id": "j000000", "terminal": "Failed", "submit_ms": 0, "start_ms": 0, '
-            b'"end_ms": 3000, "duration_ms": 3000, "credited_work_milliunits": 3000, '
+            b'"end_ms": 3000, "duration_ms": 3000, "credited_work_milliunits": 7000, '
             b'"work_units": 40, "cluster_id": "cloud0", "node_indices": [0, 1]}')
 
     def test_unsatisfiable(self, svc):
@@ -293,7 +293,7 @@ class TestResultManifest:
         assert call(svc, "DELETE", "/v1/jobs/j000000")[0] == 202
         assert self.result_bytes(svc, "j000000") == (
             b'{"job_id": "j000000", "terminal": "Cancelled", "submit_ms": 0, "start_ms": 0, '
-            b'"end_ms": 2500, "duration_ms": 2500, "credited_work_milliunits": 3000, '
+            b'"end_ms": 2500, "duration_ms": 2500, "credited_work_milliunits": 6000, '
             b'"work_units": 40, "cluster_id": "cloud0", "node_indices": [0, 1]}')
 
 
@@ -597,6 +597,9 @@ class TestConfigFile:
         svc = Service(cfg)
         assert svc.catalog.names() == ["d"]
         assert [u.user_id for u in svc.cloud.list_users()] == ["u"]
+        # the catalog is the one copy of the datasets; the caller's config is kept
+        assert svc.config.datasets == [] and svc.config.backfill is False
+        assert cfg.datasets == [{"name": "d", "size_bytes": 10}]
 
     def test_env_overrides_listen_addr(self, tmp_path):
         path = self.write(tmp_path, self.good_obj())
