@@ -199,9 +199,7 @@ class _RunState:
     required_milli: int = 0
     credited_milli: int = 0
     credit_from_ms: int = 0       # crediting starts here (start + staging)
-    kill_at_ms: int = 0
     last_node_indices: Sequence[int] = ()   # the list in the last start/rescale event
-    staging_ms: int = 0
 
 
 # pending-entry tags
@@ -555,9 +553,7 @@ class Simulation:
         rs.rate_per_ms = cs.spec.speed_factor * rs.workers
         rs.required_milli = record.spec.work_units * 1000
         rs.credited_milli = 0
-        rs.staging_ms = self._staging_delay(record.spec, cs.spec)
-        rs.credit_from_ms = self.clock + rs.staging_ms
-        rs.kill_at_ms = self.clock + record.spec.walltime_limit_ms
+        rs.credit_from_ms = self.clock + self._staging_delay(record.spec, cs.spec)
         payload = {
             "cluster_id": alloc.cluster_id,
             "job_id": job_id,
@@ -588,16 +584,18 @@ class Simulation:
     def _schedule_finish(self, job_id: str):
         """(Re)arm the one live timer for a running job: finish or kill."""
         rs = self._run[job_id]
+        record = self.records[job_id]
+        kill_at = record.start_ms + record.spec.walltime_limit_ms   # its alloc_deadline
         rs.epoch += 1
         remaining = rs.required_milli - rs.credited_milli
         if remaining <= 0:
             finish_at = max(self.clock, rs.credit_from_ms)
         else:
             finish_at = max(self.clock, rs.credit_from_ms) + -(-remaining // rs.rate_per_ms)
-        if finish_at <= rs.kill_at_ms:
+        if finish_at <= kill_at:
             self._push(finish_at, _FINISH, (job_id, rs.epoch))
         else:
-            self._push(rs.kill_at_ms, _KILL, (job_id, rs.epoch))
+            self._push(kill_at, _KILL, (job_id, rs.epoch))
 
     def _rescale_pass(self, decision: DispatchDecision):
         """Refit every running elastic job to its fair share, shrinks first."""

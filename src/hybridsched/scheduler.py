@@ -267,58 +267,55 @@ class Scheduler:
     def plan(self, now_ms: int) -> DispatchDecision:
         """One scheduling pass over the queue at virtual time now_ms.
 
-        Starts the head of the queue (and successive heads) while capacity
-        lasts; when a head cannot start, computes its reservation and
-        backfills later entries that provably do not delay it.
+        Every entry, in queue order, starts on the first acceptable
+        cluster with enough usable free nodes and takes the lowest of
+        them. Until a reservation exists every free node is usable. The
+        first entry that cannot start is the head: it gets a reservation
+        and, if backfill is on, the walk goes on past it. From then on the
+        reserved nodes are off limits to a job on the reserved cluster
+        that would still run at the reservation start; any other job may
+        use them. No reservation, or backfill off, ends the pass.
         """
         starts: list[tuple[str, Allocation]] = []
         reservation: Optional[Reservation] = None
         reserved_set: frozenset[int] = frozenset()
         res_cid: Optional[str] = None
         res_start = 0
-        res_usable = 0
+        res_usable = 0   # free nodes of res_cid outside reserved_set
         free: dict[str, list[int]] = {}
-        cycle_deadline: dict[str, dict[int, int]] = {}
         free_len = {cid: cs.free_count() for cid, cs in self.clusters.items()}
         free_total = sum(free_len.values())
 
         entries = self._queue_entries
-        for _key in self._queue_keys:
-            job_id = _key[2]
+        for key in self._queue_keys:
             if free_total == 0 and reservation is not None:
                 break   # no node anywhere, head already protected: nothing can start
-            entry = entries[job_id]
+            entry = entries[key[2]]
             needed = entry.needed
-            acceptable = entry.accept
             wall = entry.wall_ms
-            if reservation is not None:
-                # exact capacity screen; mirrors the per-cluster length
-                # tests _place_backfill would run, without the call
-                for cid in acceptable:
-                    if cid == res_cid and now_ms + wall > res_start:
-                        if res_usable >= needed:
-                            break
-                    elif free_len[cid] >= needed:
+            for cid in entry.accept:
+                if cid == res_cid and now_ms + wall > res_start:
+                    if res_usable >= needed:
+                        nodes = self._free(cid, free)
+                        chosen = tuple([n for n in nodes if n not in reserved_set][:needed])
+                        for n in chosen:
+                            nodes.remove(n)
+                        res_usable -= needed
                         break
-                else:
-                    continue
-            job = self.records[job_id]
-            if reservation is None:
-                placed = self._place_now(acceptable, needed, free)
-                if placed is not None:
-                    cid, nodes = placed
-                    alloc = self.clusters[cid].allocate(job_id, nodes, now_ms, now_ms + wall)
-                    cycle_deadline.setdefault(cid, {}).update({n: now_ms + wall for n in nodes})
-                    starts.append((job_id, alloc))
-                    free_total -= needed
-                    free_len[cid] -= needed
-                    continue
-                reservation = self._reserve(job, acceptable, needed, now_ms, free, cycle_deadline)
-                if reservation is None:
-                    # Head cannot be placed at any future time we can bound
-                    # (nodes down or held); do not backfill past it.
+                elif free_len[cid] >= needed:
+                    nodes = self._free(cid, free)
+                    chosen = tuple(nodes[:needed])
+                    del nodes[:needed]
+                    if cid == res_cid:
+                        res_usable -= sum(1 for n in chosen if n not in reserved_set)
                     break
-                if not self.backfill:
+            else:
+                if reservation is not None:
+                    continue
+                reservation = self._reserve(entry, now_ms, free)
+                if reservation is None or not self.backfill:
+                    # no bounded start for the head (nodes down or held),
+                    # or no backfill: nothing may pass it
                     break
                 reserved_set = frozenset(reservation.node_indices)
                 res_cid = reservation.cluster_id
@@ -326,17 +323,10 @@ class Scheduler:
                 res_usable = sum(1 for n in self._free(res_cid, free)
                                  if n not in reserved_set)
                 continue
-            placed = self._place_backfill(acceptable, needed, free, reservation,
-                                          reserved_set, now_ms, wall)
-            if placed is not None:
-                cid, nodes = placed
-                alloc = self.clusters[cid].allocate(job_id, nodes, now_ms, now_ms + wall)
-                cycle_deadline.setdefault(cid, {}).update({n: now_ms + wall for n in nodes})
-                starts.append((job_id, alloc))
-                free_total -= needed
-                free_len[cid] -= needed
-                if cid == res_cid:
-                    res_usable -= sum(1 for n in nodes if n not in reserved_set)
+            alloc = self.clusters[cid].allocate(entry.job_id, chosen, now_ms, now_ms + wall)
+            starts.append((entry.job_id, alloc))
+            free_total -= needed
+            free_len[cid] -= needed
 
         for job_id, alloc in starts:
             self.remove_queued(job_id)
@@ -348,42 +338,7 @@ class Scheduler:
             cache[cid] = self.clusters[cid].free_nodes()
         return cache[cid]
 
-    def _place_now(self, acceptable, needed: int, free_cache) -> Optional[tuple[str, tuple[int, ...]]]:
-        """First acceptable cluster with capacity; nodes first-fit ascending."""
-        for cid in acceptable:
-            nodes = self._free(cid, free_cache)
-            if len(nodes) >= needed:
-                chosen = tuple(nodes[:needed])
-                del nodes[:needed]
-                return cid, chosen
-        return None
-
-    def _place_backfill(self, acceptable, needed: int, free_cache, reservation: Reservation,
-                        reserved: frozenset[int], now_ms: int,
-                        wall_ms: int) -> Optional[tuple[str, tuple[int, ...]]]:
-        """Placement that cannot delay the reserved head.
-
-        On the reserved cluster the candidate must either end by the
-        reservation start or avoid the reserved node set entirely; other
-        clusters are unconstrained.
-        """
-        for cid in acceptable:
-            nodes = self._free(cid, free_cache)
-            if len(nodes) < needed:
-                continue
-            if cid == reservation.cluster_id and now_ms + wall_ms > reservation.start_ms:
-                usable = [n for n in nodes if n not in reserved]
-            else:
-                usable = nodes
-            if len(usable) >= needed:
-                chosen = tuple(usable[:needed])
-                for n in chosen:
-                    nodes.remove(n)
-                return cid, chosen
-        return None
-
-    def _reserve(self, job: JobRecord, acceptable, needed: int, now_ms: int,
-                 free_cache, cycle_deadline) -> Optional[Reservation]:
+    def _reserve(self, entry: QueueEntry, now_ms: int, free_cache) -> Optional[Reservation]:
         """Earliest time enough nodes free up on any acceptable cluster.
 
         Availability of a busy node is the walltime-bounded end of its
@@ -391,14 +346,14 @@ class Scheduler:
         time. Ties between clusters go to preference scan order.
         """
         best: Optional[tuple[int, str, tuple[int, ...]]] = None
-        for cid in acceptable:
+        needed = entry.needed
+        for cid in entry.accept:
             cs = self.clusters[cid]
             if cs.spec.node_count < needed:
                 continue
             avail: list[tuple[int, int]] = []  # (avail_time, node)
             free_now = set(self._free(cid, free_cache))
-            deadlines = cs.deadline_by_node()
-            deadlines.update(cycle_deadline.get(cid, {}))
+            deadlines = cs.deadline_by_node()   # this cycle's starts included
             for n in range(cs.spec.node_count):
                 if n in free_now:
                     avail.append((now_ms, n))
@@ -415,9 +370,8 @@ class Scheduler:
         if best is None:
             return None
         start, cid, chosen = best
-        return Reservation(job_id=job.job_id, cluster_id=cid, node_indices=chosen,
-                           start_ms=start,
-                           expected_end_ms=start + job.spec.walltime_limit_ms)
+        return Reservation(job_id=entry.job_id, cluster_id=cid, node_indices=chosen,
+                           start_ms=start, expected_end_ms=start + entry.wall_ms)
 
     # -- releases and cancellation ---------------------------------------
 

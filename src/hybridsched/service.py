@@ -243,9 +243,9 @@ class Service:
             raise ConfigError(f"dataset entry is missing {exc}") from exc
         except (catalog_mod.CatalogError, TypeError) as exc:
             raise ConfigError(f"bad dataset entry: {exc}") from exc
-        # the catalog is the one resident copy of the datasets; the
-        # caller's config object is left as it was
-        self.config = dataclasses.replace(config, datasets=[])
+        # the catalog and the cloud layer are the one resident copy of the
+        # datasets and users; the caller's config object is left as it was
+        self.config = dataclasses.replace(config, datasets=[], users=[])
         self._t0 = time.monotonic()
 
     # -- handlers (each returns (status_int, body_obj)) -------------------

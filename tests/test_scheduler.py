@@ -240,6 +240,23 @@ class TestReservationAndBackfill:
         assert decision.reservation.job_id == "b"
         assert decision.reservation.start_ms == 7_000
 
+    def test_early_backfill_on_a_reserved_node_keeps_the_unreserved_count(self):
+        # c ends by the reservation start and takes reserved node 2, which
+        # leaves unreserved node 4 free for d, whose run overlaps the start
+        sched, records = mk([cluster("cpu0", CPU, 5)])
+        add(sched, records, rigid("a", 2, wall=10_000))
+        sched.plan(0)
+        add(sched, records, rigid("b", 4, wall=5_000))
+        add(sched, records, rigid("c", 1, wall=10_000))
+        add(sched, records, rigid("d", 1, wall=999_999))
+        decision = sched.plan(0)
+        assert decision.reservation.node_indices == (0, 1, 2, 3)
+        assert decision.reservation.start_ms == 10_000
+        starts = dict(decision.starts)
+        assert list(starts) == ["c", "d"]
+        assert starts["c"].node_indices == (2,)
+        assert starts["d"].node_indices == (4,)
+
     def test_held_nodes_invisible(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
         sched.clusters["cpu0"].held.add(0)

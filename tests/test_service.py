@@ -597,9 +597,14 @@ class TestConfigFile:
         svc = Service(cfg)
         assert svc.catalog.names() == ["d"]
         assert [u.user_id for u in svc.cloud.list_users()] == ["u"]
-        # the catalog is the one copy of the datasets; the caller's config is kept
+        # the catalog and the cloud layer are the one copy of the datasets
+        # and users; the caller's config is kept
         assert svc.config.datasets == [] and svc.config.backfill is False
+        assert svc.config.users == []
         assert cfg.datasets == [{"name": "d", "size_bytes": 10}]
+        assert cfg.users == self.good_obj()["users"]
+        _status, listing = call(svc, "GET", "/v1/users")
+        assert [u["user_id"] for u in listing["users"]] == ["u"]
 
     def test_env_overrides_listen_addr(self, tmp_path):
         path = self.write(tmp_path, self.good_obj())
