@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional
 
 from .model import (
     ClusterSpec,
@@ -30,6 +31,7 @@ from .model import (
     JobSpec,
     JobState,
     LifecycleEvent,
+    ResourceKind,
     projected_nodes,
     transition,
     validate_cluster,
@@ -70,13 +72,32 @@ def _flat_payload(items) -> tuple:
     return tuple(chain.from_iterable(sorted(items)))
 
 
+def payload_get(payload: tuple, key: str):
+    """The value of `key` in a flat payload, or None when it is absent."""
+    i, n = 0, len(payload)
+    while i < n:            # a while loop: a range object per call costs more
+        if payload[i] == key:
+            return payload[i + 1]
+        i += 2
+    return None
+
+
+def canonical_line(t_ms: int, seq: int, kind: SimEventKind, payload: tuple) -> str:
+    """Fixed serialization: t, seq, kind, then payload keys alphabetical."""
+    obj = {"t": t_ms, "seq": seq, "kind": kind.value}
+    for i in range(0, len(payload), 2):
+        obj[payload[i]] = payload[i + 1]
+    return _ENCODER.encode(obj)
+
+
 @dataclass(frozen=True, slots=True)
 class SimEvent:
     """One log entry, totally ordered by (t_ms, seq).
 
-    payload is flat, (k1, v1, k2, v2, ...), with its keys sorted once when
-    the event is built (see _flat_payload): a run holds tens of thousands
-    of events, and a flat tuple is one object where pairs would be n + 1.
+    The log stores no SimEvent: it builds one when an entry is read
+    through `EventLog.events` or by iterating the log. payload is flat,
+    (k1, v1, k2, v2, ...), with its keys sorted once when the event is
+    emitted (see _flat_payload).
     """
 
     t_ms: int
@@ -85,40 +106,73 @@ class SimEvent:
     payload: tuple
 
     def canonical(self) -> str:
-        """Fixed serialization: t, seq, kind, then payload keys alphabetical."""
-        obj = {"t": self.t_ms, "seq": self.seq, "kind": self.kind.value}
-        p = self.payload
-        for i in range(0, len(p), 2):
-            obj[p[i]] = p[i + 1]
-        return _ENCODER.encode(obj)
+        return canonical_line(self.t_ms, self.seq, self.kind, self.payload)
 
     def get(self, key: str):
-        p = self.payload
-        i, n = 0, len(p)
-        while i < n:            # a while loop: a range object per call costs more
-            if p[i] == key:
-                return p[i + 1]
-            i += 2
-        return None
+        return payload_get(self.payload, key)
+
+
+class EventView(Sequence):
+    """Read-only sequence of a log's events, each SimEvent built on read.
+
+    It holds the log's columns, not the log, so it makes no reference
+    cycle.
+    """
+
+    __slots__ = ("_t_ms", "_kind", "_payload")
+
+    def __init__(self, t_ms: list, kind: list, payload: list):
+        self._t_ms, self._kind, self._payload = t_ms, kind, payload
+
+    def __len__(self):
+        return len(self._t_ms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._t_ms)))]
+        seq = index + len(self._t_ms) if index < 0 else index
+        if not 0 <= seq < len(self._t_ms):
+            raise IndexError("event index out of range")
+        return SimEvent(self._t_ms[seq], seq, self._kind[seq], self._payload[seq])
+
+    def __iter__(self):
+        for seq, (t_ms, kind, payload) in enumerate(zip(self._t_ms, self._kind, self._payload)):
+            yield SimEvent(t_ms, seq, kind, payload)
 
 
 class EventLog:
-    """Append-only event record with a byte-stable canonical form."""
+    """Append-only event record with a byte-stable canonical form.
+
+    Events are kept as three parallel columns (t_ms, kind, flat payload
+    tuple); an event's seq is its position, so an entry costs three list
+    slots and no object of its own.
+    """
 
     def __init__(self):
-        self.events: list[SimEvent] = []
+        self.t_ms: list[int] = []
+        self.kind: list[SimEventKind] = []
+        self.payload: list[tuple] = []
+        self.events = EventView(self.t_ms, self.kind, self.payload)
 
-    def append(self, event: SimEvent):
-        self.events.append(event)
+    def append(self, t_ms: int, kind: SimEventKind, payload: tuple):
+        """Add one event; its seq is the log's length before the call."""
+        self.t_ms.append(t_ms)
+        self.kind.append(kind)
+        self.payload.append(payload)
 
     def __len__(self):
-        return len(self.events)
+        return len(self.t_ms)
 
     def __iter__(self):
         return iter(self.events)
 
+    def rows(self):
+        """(t_ms, kind, payload) of every event in seq order, no SimEvent built."""
+        return zip(self.t_ms, self.kind, self.payload)
+
     def canonical_lines(self) -> list[str]:
-        return [e.canonical() for e in self.events]
+        return [canonical_line(t_ms, seq, kind, payload)
+                for seq, (t_ms, kind, payload) in enumerate(self.rows())]
 
     def canonical_bytes(self) -> bytes:
         return ("".join(line + "\n" for line in self.canonical_lines())).encode("utf-8")
@@ -126,22 +180,27 @@ class EventLog:
     def write(self, path):
         """Write the canonical bytes one line at a time, never the whole log at once."""
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for event in self.events:
-                fh.write(event.canonical())
+            for seq, (t_ms, kind, payload) in enumerate(self.rows()):
+                fh.write(canonical_line(t_ms, seq, kind, payload))
                 fh.write("\n")
 
     @classmethod
     def parse_lines(cls, lines) -> "EventLog":
+        """Rebuild a log from canonical lines.
+
+        Raises ValueError on a line whose seq is not its position.
+        """
         log = cls()
         for line in lines:
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
+            if obj["seq"] != len(log):
+                raise ValueError(f"event seq {obj['seq']} at position {len(log)}")
             payload = _flat_payload((k, v) for k, v in obj.items()
                                     if k not in ("t", "seq", "kind"))
-            log.append(SimEvent(t_ms=obj["t"], seq=obj["seq"],
-                                kind=SimEventKind(obj["kind"]), payload=payload))
+            log.append(obj["t"], SimEventKind(obj["kind"]), payload)
         return log
 
     @classmethod
@@ -237,12 +296,14 @@ class Simulation:
             hybrid_rigid_on_cloud=self.config.hybrid_rigid_on_cloud,
             first_preference_only=self.config.first_preference_only,
         )
+        # elastic jobs run only on cloud pools, so only these can rescale
+        self._cloud_ids = [cid for cid, cs in states.items()
+                           if cs.spec.kind is ResourceKind.CLOUD]
         self.log = EventLog()
         self.clock = 0
         self.first_reserved_job: Optional[str] = None
         self._pending: list[tuple[int, int, int, tuple]] = []
         self._tick = 0
-        self._seq = 0
         # per-job state of live jobs only: _retire drops a job's entries as
         # it ends and leaves its result facts on its JobRecord
         self._run: dict[str, _RunState] = {}
@@ -262,12 +323,8 @@ class Simulation:
     def clusters(self) -> dict[str, ClusterState]:
         return self.scheduler.clusters
 
-    def _emit(self, kind: SimEventKind, **payload) -> SimEvent:
-        event = SimEvent(t_ms=self.clock, seq=self._seq, kind=kind,
-                         payload=_flat_payload(payload.items()))
-        self._seq += 1
-        self.log.append(event)
-        return event
+    def _emit(self, kind: SimEventKind, **payload):
+        self.log.append(self.clock, kind, _flat_payload(payload.items()))
 
     def _push(self, t_ms: int, tag: int, data: tuple):
         heapq.heappush(self._pending, (t_ms, self._tick, tag, data))
@@ -357,7 +414,7 @@ class Simulation:
         """
         if until_ms < self.clock:
             return []
-        mark = len(self.log.events)
+        mark = len(self.log)
         while self._pending and self._pending[0][0] <= until_ms:
             self._process_one()
         self._advance_clock(until_ms)
@@ -600,7 +657,7 @@ class Simulation:
     def _rescale_pass(self, decision: DispatchDecision):
         """Refit every running elastic job to its fair share, shrinks first."""
         reservation = decision.reservation
-        for cid in sorted(self.scheduler.clusters):
+        for cid in self._cloud_ids:
             cs = self.scheduler.clusters[cid]
             targets = self.scheduler.elastic_targets(cid, reservation)
             changes = [(job_id, t) for job_id, t in targets

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import EventLog, SimConfig, SimEventKind, TERMINAL_EVENT_KINDS, run_trace
+from .engine import EventLog, SimConfig, SimEventKind, TERMINAL_EVENT_KINDS, payload_get, run_trace
 from .model import ClusterSpec
 
 
@@ -151,11 +151,11 @@ _CLOSES = {SimEventKind.NODE_UP: SimEventKind.NODE_DOWN,
 _OPENERS = frozenset(_CLOSES.values())
 
 
-def _span_keys(event, opener: SimEventKind) -> list[tuple[SimEventKind, str, int]]:
-    nodes = event.get("node_indices")
+def _span_keys(payload: tuple, opener: SimEventKind) -> list[tuple[SimEventKind, str, int]]:
+    nodes = payload_get(payload, "node_indices")
     if nodes is None:
-        nodes = (event.get("node_index"),)
-    return [(opener, event.get("cluster_id"), n) for n in nodes]
+        nodes = (payload_get(payload, "node_index"),)
+    return [(opener, payload_get(payload, "cluster_id"), n) for n in nodes]
 
 
 def utilization(log: EventLog, clusters: list[ClusterSpec], window: tuple[int, int]
@@ -181,30 +181,29 @@ def utilization(log: EventLog, clusters: list[ClusterSpec], window: tuple[int, i
         cid, nnodes, t0 = open_seg.pop(job_id)
         busy[cid] += nnodes * _clip(t0, t, from_ms, to_ms)
 
-    for event in log:
-        kind = event.kind
+    for t_ms, kind, payload in log.rows():
         if kind is SimEventKind.JOB_STARTED:
-            job_id = event.get("job_id")
-            nodes = event.get("node_indices")
-            open_seg[job_id] = (event.get("cluster_id"), len(nodes), event.t_ms)
+            job_id = payload_get(payload, "job_id")
+            nodes = payload_get(payload, "node_indices")
+            open_seg[job_id] = (payload_get(payload, "cluster_id"), len(nodes), t_ms)
         elif kind is SimEventKind.RESCALE_APPLIED:
-            job_id = event.get("job_id")
+            job_id = payload_get(payload, "job_id")
             if job_id in open_seg:
-                close_seg(job_id, event.t_ms)
-                nodes = event.get("node_indices")
-                open_seg[job_id] = (event.get("cluster_id"), len(nodes), event.t_ms)
+                close_seg(job_id, t_ms)
+                nodes = payload_get(payload, "node_indices")
+                open_seg[job_id] = (payload_get(payload, "cluster_id"), len(nodes), t_ms)
         elif kind in TERMINAL_EVENT_KINDS or kind is SimEventKind.JOB_QUEUED:
-            job_id = event.get("job_id")
+            job_id = payload_get(payload, "job_id")
             if job_id in open_seg:
-                close_seg(job_id, event.t_ms)
+                close_seg(job_id, t_ms)
         elif kind in _OPENERS:
-            for key in _span_keys(event, kind):
-                open_span[key] = event.t_ms
+            for key in _span_keys(payload, kind):
+                open_span[key] = t_ms
         elif kind in _CLOSES:
-            for key in _span_keys(event, _CLOSES[kind]):
+            for key in _span_keys(payload, _CLOSES[kind]):
                 t0 = open_span.pop(key, None)
                 if t0 is not None:
-                    spans.setdefault(key, []).append((t0, event.t_ms))
+                    spans.setdefault(key, []).append((t0, t_ms))
     for job_id in list(open_seg):
         close_seg(job_id, to_ms)
     for key, t0 in open_span.items():
@@ -275,14 +274,13 @@ def wait_stats(log: EventLog) -> WaitStats:
     submit: dict[str, int] = {}
     first_start: dict[str, int] = {}
     end: dict[str, int] = {}
-    for event in log:
-        job_id = event.get("job_id")
-        if event.kind is SimEventKind.JOB_SUBMITTED:
-            submit[job_id] = event.t_ms
-        elif event.kind is SimEventKind.JOB_STARTED:
-            first_start.setdefault(job_id, event.t_ms)
-        elif event.kind in TERMINAL_EVENT_KINDS:
-            end[job_id] = event.t_ms
+    for t_ms, kind, payload in log.rows():
+        if kind is SimEventKind.JOB_SUBMITTED:
+            submit[payload_get(payload, "job_id")] = t_ms
+        elif kind is SimEventKind.JOB_STARTED:
+            first_start.setdefault(payload_get(payload, "job_id"), t_ms)
+        elif kind in TERMINAL_EVENT_KINDS:
+            end[payload_get(payload, "job_id")] = t_ms
     waits = sorted(first_start[j] - submit[j] for j in first_start)
     turnarounds = [end[j] - submit[j] for j in first_start if j in end]
     never = [j for j in end if j not in first_start]

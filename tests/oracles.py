@@ -173,6 +173,38 @@ def scan_utilization(lines, clusters, window, holds=()):
     return busy, avail
 
 
+def scan_wait_stats(lines):
+    """Wait and turnaround figures of a canonical log, as WaitStats.to_obj() names them.
+
+    Wait is first JobStarted minus JobSubmitted; turnaround runs from
+    submit to the terminal event; a job that ends without starting counts
+    as never started and stays out of both.
+    """
+    submitted = {}
+    starts = {}
+    ended = {}
+    for ev in parse_log(lines):
+        kind = ev["kind"]
+        if kind == "JobSubmitted":
+            submitted[ev["job_id"]] = ev["t"]
+        elif kind == "JobStarted":
+            starts.setdefault(ev["job_id"], []).append(ev["t"])
+        elif kind in TERMINAL_KINDS:
+            ended[ev["job_id"]] = ev["t"]
+    waits = [min(ts) - submitted[j] for j, ts in starts.items()]
+    turnarounds = [ended[j] - submitted[j] for j in starts if j in ended]
+    return {
+        "n_jobs": len(submitted),
+        "n_started": len(starts),
+        "n_never_started": len([j for j in ended if j not in starts]),
+        "mean_wait_ms": mean_half_up_oracle(waits),
+        "median_wait_ms": percentile_oracle(waits, 50),
+        "p95_wait_ms": percentile_oracle(waits, 95),
+        "mean_turnaround_ms": mean_half_up_oracle(turnarounds),
+        "makespan_ms": (max(ended.values()) - min(submitted.values())) if ended else 0,
+    }
+
+
 def replay_occupancy(lines, clusters, job_kinds):
     """Walk a canonical log and report every occupancy/kind violation.
 

@@ -15,6 +15,7 @@ from hybridsched.engine import (
     NonTerminating,
     PastTime,
     SimConfig,
+    SimEvent,
     SimEventKind,
     Simulation,
     UnknownNode,
@@ -620,6 +621,54 @@ class TestCompactEvents:
             assert (theirs.t_ms, theirs.seq, theirs.kind) == (ours.t_ms, ours.seq, ours.kind)
             for key in json.loads(ours.canonical()):
                 assert theirs.get(key) == ours.get(key), (ours, key)
+
+
+class TestColumnarLog:
+    """The log keeps columns; SimEvents are built only when they are read."""
+
+    def test_the_log_keeps_no_event_object(self):
+        gc.collect()
+        log = _pinned_cloud_elastic()
+        assert len(log) == 168
+        assert not [o for o in gc.get_objects() if isinstance(o, SimEvent)]
+
+    @pytest.mark.parametrize("seqs", [(0, 2), (0, 0), (1,), (0, 1, 1)])
+    def test_parse_rejects_a_seq_that_is_not_its_position(self, seqs):
+        lines = ['{"t":0,"seq":%d,"kind":"JobSubmitted","job_id":"j%d"}' % (s, i)
+                 for i, s in enumerate(seqs)]
+        with pytest.raises(ValueError, match="seq"):
+            EventLog.parse_lines(lines)
+
+    def test_every_read_path_agrees(self):
+        log = _pinned_cloud_elastic()
+        events = log.events
+        n = len(events)
+        rows = [(t_ms, seq, kind, payload)
+                for seq, (t_ms, kind, payload) in enumerate(log.rows())]
+        assert len(rows) == n == len(log)
+
+        def fields(event):
+            return (event.t_ms, event.seq, event.kind, event.payload)
+
+        assert [fields(e) for e in log] == rows
+        assert [fields(e) for e in events] == rows
+        assert [fields(events[i]) for i in range(n)] == rows
+        assert [fields(events[i - n]) for i in range(n)] == rows
+        assert fields(events[-1]) == rows[-1]
+        for a, b in [(0, n), (5, 17), (n - 3, n + 10), (-4, -1), (7, 7)]:
+            assert [fields(e) for e in events[a:b]] == rows[a:b]
+        assert [fields(e) for e in events[::3]] == rows[::3]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                events[index]
+
+    def test_step_returns_the_events_of_its_window(self):
+        clusters = [cluster("cloud0", CLOUD, 6, speed=2), cluster("cpu0", CPU, 3)]
+        sim = Simulation(clusters)
+        for t_ms, spec in random_trace(8, clusters, n_jobs=40, elastic_fraction=0.6).jobs:
+            sim.schedule_arrival(t_ms, spec)
+        stepped = sim.step(5_000) + sim.step(10**9)
+        assert [e.canonical() for e in stepped] == sim.log.canonical_lines()
 
 
 class TestAgainstFifoOracle:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hybridsched.engine import EventLog, SimConfig, Simulation, run_trace
@@ -286,6 +286,28 @@ class TestWaitStats:
             finished(3_000, 5, "a"),
         )
         assert wait_stats(log).mean_wait_ms == 500
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n_jobs=st.integers(1, 30),
+           cancel_at=st.integers(0, 6_000), pick=st.integers(0, 29))
+    def test_matches_the_line_scan_on_random_runs(self, seed, n_jobs, cancel_at, pick):
+        # elastic jobs on a cloud pool, rigid ones on a CPU cluster, node
+        # faults on both, and one live job cancelled part way through
+        clusters = [cluster("cloud0", CLOUD, 6, speed=2), cluster("cpu0", CPU, 3)]
+        trace = random_trace(seed, clusters, n_jobs, arrival_span_ms=4_000,
+                             elastic_fraction=0.5, n_faults=3)
+        sim = Simulation(clusters)
+        for t_ms, spec in trace.jobs:
+            sim.schedule_arrival(t_ms, spec)
+        for f in trace.faults:
+            sim.inject_node_failure(f.cluster_id, f.node_index, f.t_ms, f.down_duration_ms)
+        sim.step(cancel_at)
+        live = sorted(sim.live_jobs())
+        if live:
+            sim.cancel_now(live[pick % len(live)])
+        sim.run_to_quiescence()
+        assert wait_stats(sim.log).to_obj() == oracles.scan_wait_stats(
+            sim.log.canonical_lines())
 
 
 class TestCompare:
