@@ -17,6 +17,7 @@ requirement, with an exact ceiling-division solve between rescales.
 from __future__ import annotations
 
 import heapq
+import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -175,14 +176,20 @@ class EventLog:
                 for seq, (t_ms, kind, payload) in enumerate(self.rows())]
 
     def canonical_bytes(self) -> bytes:
-        return ("".join(line + "\n" for line in self.canonical_lines())).encode("utf-8")
+        """The canonical form, serialized into one buffer: no list of lines, no joined copy."""
+        buf = io.BytesIO()
+        self._serialize(buf)
+        return buf.getvalue()
 
     def write(self, path):
         """Write the canonical bytes one line at a time, never the whole log at once."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for seq, (t_ms, kind, payload) in enumerate(self.rows()):
-                fh.write(canonical_line(t_ms, seq, kind, payload))
-                fh.write("\n")
+        with open(path, "wb") as fh:
+            self._serialize(fh)
+
+    def _serialize(self, fh):
+        """The one line loop behind write and canonical_bytes."""
+        for seq, (t_ms, kind, payload) in enumerate(self.rows()):
+            fh.write((canonical_line(t_ms, seq, kind, payload) + "\n").encode("utf-8"))
 
     @classmethod
     def parse_lines(cls, lines) -> "EventLog":
@@ -248,17 +255,12 @@ class DuplicateCluster(SimulationError):
 
 @dataclass(slots=True)
 class _RunState:
-    """Engine-internal execution bookkeeping for one live job."""
+    """Timer and crediting state of one live job; its placement and work are on its JobRecord."""
 
     epoch: int = 0
     retries_left: int = 1
-    cluster_id: Optional[str] = None
     rate_per_ms: int = 0          # speed_factor x workers, in milli-units/ms
-    workers: int = 0
-    required_milli: int = 0
-    credited_milli: int = 0
     credit_from_ms: int = 0       # crediting starts here (start + staging)
-    last_node_indices: Sequence[int] = ()   # the list in the last start/rescale event
 
 
 # pending-entry tags
@@ -364,9 +366,7 @@ class Simulation:
         if job_id in self._run:
             self._credit(job_id)    # a running job keeps the work done up to now
         state, _freed = self.scheduler.cancel(job_id, self.clock)
-        record = self.records[job_id]
-        record.end_ms = self.clock
-        record.allocation = None
+        self.records[job_id].end_ms = self.clock
         self._retire(job_id)
         self._emit(SimEventKind.JOB_CANCELLED, job_id=job_id)
         self._plan_cycle()
@@ -407,18 +407,20 @@ class Simulation:
     # -- time -------------------------------------------------------------
 
     def step(self, until_ms: int) -> list[SimEvent]:
+        """advance_to(until_ms), then return the events emitted in the window."""
+        mark = len(self.log)
+        self.advance_to(until_ms)
+        return self.log.events[mark:]
+
+    def advance_to(self, until_ms: int) -> None:
         """Advance the clock to until_ms, processing everything due.
 
-        Returns the events emitted in the window. The clock never moves
-        backward: a stale until_ms is a no-op.
+        Builds no SimEvent. The clock never moves backward: a stale
+        until_ms is a no-op.
         """
-        if until_ms < self.clock:
-            return []
-        mark = len(self.log)
         while self._pending and self._pending[0][0] <= until_ms:
             self._process_one()
         self._advance_clock(until_ms)
-        return self.log.events[mark:]
 
     def run_to_quiescence(self) -> None:
         """Process every pending event; all jobs must end terminal."""
@@ -473,16 +475,13 @@ class Simulation:
         return rs is not None and rs.epoch == epoch
 
     def _retire(self, job_id: str):
-        """The one terminal hook: keep a job's result facts, drop its live state.
+        """The one terminal hook: drop a job's live state; its JobRecord keeps the results.
 
         Every transition into a terminal state calls it, after the job has
         released its nodes and before its terminal event is logged.
         """
         record = self.records[job_id]
-        rs = self._run.pop(job_id)
-        record.credited_milli = rs.credited_milli
-        record.last_cluster_id = rs.cluster_id
-        record.last_node_indices = rs.last_node_indices
+        del self._run[job_id]
         self.scheduler.forget(job_id)
         user = record.spec.user_id
         jobs, nodes = self._user_load[user]
@@ -524,7 +523,6 @@ class Simulation:
         record.state = transition(record.state, event)
         record.end_ms = self.clock
         self.scheduler.release(job_id)
-        record.allocation = None
         self._retire(job_id)
         self._emit(kind, job_id=job_id)
 
@@ -551,13 +549,12 @@ class Simulation:
         rs = self._run[victim]
         self._credit(victim)    # a failed job keeps its work; a requeued one restarts
         self.scheduler.release(victim)
-        record.allocation = None
         rs.epoch += 1
         record.state = transition(record.state, LifecycleEvent.NODE_LOST,
                                   retries_left=rs.retries_left)
         if record.state is JobState.QUEUED:
             rs.retries_left -= 1
-            rs.credited_milli = 0   # restart from scratch on the next attempt
+            record.credited_milli = 0   # restart from scratch on the next attempt
             self.scheduler.enqueue(record, self.clock)
             self._emit(SimEventKind.JOB_QUEUED, job_id=victim)
         else:
@@ -601,24 +598,21 @@ class Simulation:
         record.state = transition(record.state, LifecycleEvent.SCHEDULED)
         record.state = transition(record.state, LifecycleEvent.STARTED)
         record.start_ms = self.clock
-        record.allocation = alloc
-        rs.cluster_id = alloc.cluster_id
-        rs.workers = len(alloc.node_indices)
+        record.last_cluster_id = alloc.cluster_id
         # the logged list doubles as the job's last placement, so the
         # result facts an ended job keeps cost no extra object
-        rs.last_node_indices = list(alloc.node_indices)
-        rs.rate_per_ms = cs.spec.speed_factor * rs.workers
-        rs.required_milli = record.spec.work_units * 1000
-        rs.credited_milli = 0
+        record.last_node_indices = list(alloc.node_indices)
+        workers = len(alloc.node_indices)
+        rs.rate_per_ms = cs.spec.speed_factor * workers
         rs.credit_from_ms = self.clock + self._staging_delay(record.spec, cs.spec)
         payload = {
             "cluster_id": alloc.cluster_id,
             "job_id": job_id,
-            "node_indices": rs.last_node_indices,
+            "node_indices": record.last_node_indices,
         }
         if isinstance(record.spec.shape, Elastic):
-            record.worker_history.append((self.clock, rs.workers))
-            payload["workers"] = rs.workers
+            record.worker_history.append((self.clock, workers))
+            payload["workers"] = workers
         self._emit(SimEventKind.JOB_STARTED, **payload)
         self._schedule_finish(job_id)
 
@@ -635,7 +629,7 @@ class Simulation:
         if record.state is not JobState.RUNNING:
             return
         if self.clock > rs.credit_from_ms:
-            rs.credited_milli += rs.rate_per_ms * (self.clock - rs.credit_from_ms)
+            record.credited_milli += rs.rate_per_ms * (self.clock - rs.credit_from_ms)
             rs.credit_from_ms = self.clock
 
     def _schedule_finish(self, job_id: str):
@@ -644,7 +638,7 @@ class Simulation:
         record = self.records[job_id]
         kill_at = record.start_ms + record.spec.walltime_limit_ms   # its alloc_deadline
         rs.epoch += 1
-        remaining = rs.required_milli - rs.credited_milli
+        remaining = record.spec.work_units * 1000 - record.credited_milli
         if remaining <= 0:
             finish_at = max(self.clock, rs.credit_from_ms)
         else:
@@ -657,37 +651,32 @@ class Simulation:
     def _rescale_pass(self, decision: DispatchDecision):
         """Refit every running elastic job to its fair share, shrinks first."""
         reservation = decision.reservation
+        records = self.records
         for cid in self._cloud_ids:
-            cs = self.scheduler.clusters[cid]
             targets = self.scheduler.elastic_targets(cid, reservation)
-            changes = [(job_id, t) for job_id, t in targets
-                       if t != self._run[job_id].workers]
-            if not changes:
-                continue
-            shrinks = [(j, t) for j, t in changes if t < self._run[j].workers]
-            grows = [(j, t) for j, t in changes if t > self._run[j].workers]
+            shrinks = [(j, t) for j, t in targets if t < len(records[j].allocation.node_indices)]
+            grows = [(j, t) for j, t in targets if t > len(records[j].allocation.node_indices)]
+            speed = self.scheduler.clusters[cid].spec.speed_factor
             for job_id, target in shrinks + grows:
-                rs = self._run[job_id]
                 self._credit(job_id)
                 new_nodes = self.scheduler.apply_worker_count(job_id, target)
-                record = self.records[job_id]
-                record.allocation = cs.allocations[job_id]
-                rs.workers = len(new_nodes)
-                rs.last_node_indices = list(new_nodes)
-                rs.rate_per_ms = cs.spec.speed_factor * rs.workers
-                record.worker_history.append((self.clock, rs.workers))
+                record = records[job_id]
+                workers = len(new_nodes)
+                record.last_node_indices = list(new_nodes)
+                self._run[job_id].rate_per_ms = speed * workers
+                record.worker_history.append((self.clock, workers))
                 self._emit(SimEventKind.RESCALE_APPLIED, cluster_id=cid,
-                           job_id=job_id, node_indices=rs.last_node_indices,
-                           workers=rs.workers)
+                           job_id=job_id, node_indices=record.last_node_indices,
+                           workers=workers)
                 self._schedule_finish(job_id)
 
     # -- introspection ----------------------------------------------------
 
     def run_info(self, job_id: str) -> _RunState:
-        """A live job's run state; KeyError once the job has ended.
+        """A live job's timer epoch, retry budget, rate and credit start.
 
-        An ended job's credited work and last placement are on its
-        JobRecord (credited_milli, last_cluster_id, last_node_indices).
+        KeyError once the job has ended. Its placement and credited work,
+        live or ended, are on its JobRecord.
         """
         return self._run[job_id]
 

@@ -152,12 +152,14 @@ class Allocation:
 class JobRecord:
     """Mutable per-job record tracked by the platform.
 
-    allocation is present exactly while the job is Dispatched or Running.
-    worker_history records (time_ms, worker_count) changes of an elastic
-    job in a list of its own; rigid jobs keep the shared empty tuple.
-    The engine sets the last three fields once, when the job ends: the
-    work it was credited and the cluster and nodes of its last attempt
-    (None and () if it never started).
+    The one per-job home of a job's placement and credited work.
+    allocation is set while the job holds nodes (in the engine, exactly
+    while it is Running), and only the scheduler writes it. worker_history
+    records (time_ms, worker_count) changes of an elastic job in a list of
+    its own; rigid jobs keep the shared empty tuple. The engine keeps the
+    last three fields current: the credited work (reset by a requeue) and
+    the cluster and nodes of the latest start or rescale (None and ()
+    before the first start); they stay once the job ends.
     """
 
     job_id: str

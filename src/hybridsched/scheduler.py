@@ -169,9 +169,10 @@ class ClusterState:
 class Scheduler:
     """Single-writer scheduler over a set of cluster states.
 
-    Owns the queue and all placement decisions; the simulation engine (or
-    the live service) drives it through one serialized command stream and
-    turns its decisions into lifecycle events.
+    Owns the queue and all placement decisions, and is the one writer of
+    JobRecord.allocation; the simulation engine (or the live service)
+    drives it through one serialized command stream and turns its
+    decisions into lifecycle events.
     """
 
     def __init__(self, clusters: dict[str, ClusterState], records: dict[str, JobRecord],
@@ -186,7 +187,6 @@ class Scheduler:
         self._queue_entries: dict[str, QueueEntry] = {}
         self._submit_seq = 0
         self._seq_of_job: dict[str, int] = {}   # live jobs only; forget() drops one
-        self._cluster_of: dict[str, str] = {}   # job -> cluster of its live allocation
         # cluster ids per kind, lexicographic, fixed at construction
         self._by_kind: dict[ResourceKind, list[str]] = {}
         for cid in sorted(clusters):
@@ -203,7 +203,7 @@ class Scheduler:
         enough nodes.
         """
         job_id = job.job_id
-        if job_id in self._queue_entries or job_id in self._cluster_of:
+        if job_id in self._queue_entries or job.allocation is not None:
             raise DuplicateJob(job_id)
         needed = job.spec.needed_nodes()
         accept = self._acceptable_clusters(self.effective_preferences(job))
@@ -330,7 +330,7 @@ class Scheduler:
 
         for job_id, alloc in starts:
             self.remove_queued(job_id)
-            self._cluster_of[job_id] = alloc.cluster_id
+            self.records[job_id].allocation = alloc
         return DispatchDecision(starts=tuple(starts), reservation=reservation)
 
     def _free(self, cid: str, cache: dict[str, list[int]]) -> list[int]:
@@ -375,11 +375,17 @@ class Scheduler:
 
     # -- releases and cancellation ---------------------------------------
 
+    def _placed_record(self, job_id: str) -> JobRecord:
+        record = self.records.get(job_id)
+        if record is None or record.allocation is None:
+            raise NoAllocation(job_id)
+        return record
+
     def release(self, job_id: str) -> tuple[str, tuple[int, ...]]:
         """Free all nodes of a live allocation; returns (cluster_id, nodes)."""
-        cid = self._cluster_of.pop(job_id, None)
-        if cid is None:
-            raise NoAllocation(job_id)
+        record = self._placed_record(job_id)
+        cid = record.allocation.cluster_id
+        record.allocation = None
         return cid, self.clusters[cid].release(job_id)
 
     def cancel(self, job_id: str, now_ms: int) -> tuple[JobState, tuple[int, ...]]:
@@ -441,11 +447,9 @@ class Scheduler:
         Shrinks drop the highest node indices; growth takes the lowest
         free indices. Growth is clamped by what is actually free.
         """
-        cid = self._cluster_of.get(job_id)
-        if cid is None:
-            raise NoAllocation(job_id)
-        cs = self.clusters[cid]
-        alloc = cs.allocations[job_id]
+        record = self._placed_record(job_id)
+        alloc = record.allocation
+        cs = self.clusters[alloc.cluster_id]
         current = list(alloc.node_indices)
         if target < len(current):
             new_nodes = tuple(current[: target])
@@ -454,7 +458,7 @@ class Scheduler:
             new_nodes = tuple(sorted(current + grab))
         else:
             return alloc.node_indices
-        cs.resize(job_id, new_nodes)
+        record.allocation = cs.resize(job_id, new_nodes)
         return new_nodes
 
 

@@ -370,8 +370,9 @@ class Service:
             raise ApiError("validation_failed",
                            f"advance target is past the horizon ({self.sim.config.horizon_ms} ms)",
                            422)
-        events = self.sim.step(base + target)
-        return 200, {"now_ms": self.sim.now_ms, "events_fired": len(events)}
+        mark = len(self.sim.log)
+        self.sim.advance_to(base + target)
+        return 200, {"now_ms": self.sim.now_ms, "events_fired": len(self.sim.log) - mark}
 
     def _vc_view(self, vc) -> dict:
         return {
@@ -389,7 +390,7 @@ class Service:
     def wsgi_app(self, environ, start_response):
         if self.config.mode == "realtime":
             elapsed = int((time.monotonic() - self._t0) * 1000)
-            self.sim.step(elapsed)
+            self.sim.advance_to(elapsed)
         method = environ["REQUEST_METHOD"]
         path = environ.get("PATH_INFO", "/")
         req = _Request(environ)

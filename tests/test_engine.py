@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -527,6 +528,24 @@ class TestDeterminismAndLog:
         log.write(path)
         assert EventLog.read(path).canonical_bytes() == log.canonical_bytes()
 
+    def test_write_and_bytes_match_the_lines(self, tmp_path):
+        clusters = random_clusters(9)
+        log, _ = run_trace(random_trace(9, clusters, n_jobs=60, n_faults=2), clusters)
+        text = "".join(line + "\n" for line in log.canonical_lines()).encode("utf-8")
+        log.write(tmp_path / "events.jsonl")
+        assert (tmp_path / "events.jsonl").read_bytes() == log.canonical_bytes() == text
+
+    def test_canonical_bytes_peak_stays_under_twice_its_output(self):
+        clusters = random_clusters(9)
+        log, _ = run_trace(random_trace(9, clusters, 300, n_faults=6), clusters)
+        tracemalloc.start()
+        try:
+            data = log.canonical_bytes()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(data), (peak, len(data))
+
     def test_seq_strictly_increasing(self):
         clusters = random_clusters(9)
         trace = random_trace(9, clusters, n_jobs=50, n_faults=2)
@@ -731,8 +750,17 @@ class TestBoundedState:
         assert set(sched._seq_of_job) == live
         assert set(sched._queue_entries) == {
             j for j in live if sim.records[j].state is JobState.QUEUED}
-        assert set(sched._cluster_of) == {
-            j for j in live if sim.records[j].state is JobState.RUNNING}
+        # the record is the one home of a running job's placement
+        for job_id, record in sim.records.items():
+            alloc = record.allocation
+            assert (alloc is not None) == (record.state is JobState.RUNNING), job_id
+            if alloc is not None:
+                assert alloc is sched.clusters[alloc.cluster_id].allocations[job_id]
+                assert record.last_cluster_id == alloc.cluster_id
+                assert tuple(record.last_node_indices) == alloc.node_indices
+        for cs in sched.clusters.values():
+            for job_id in cs.allocations:
+                assert sim.records[job_id].state is JobState.RUNNING
         recount = {}
         for record in sim.records.values():
             if record.state.terminal:

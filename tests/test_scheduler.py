@@ -17,6 +17,7 @@ from hybridsched.scheduler import (
     AlreadyTerminal,
     ClusterState,
     DuplicateJob,
+    NoAllocation,
     Reservation,
     Scheduler,
     UnknownJob,
@@ -296,6 +297,60 @@ class TestCancel:
         sched, _records = mk([cluster("cpu0", CPU, 1)])
         with pytest.raises(UnknownJob):
             sched.cancel("ghost", 0)
+
+
+class TestRecordAllocation:
+    """The scheduler is the one writer of a record's allocation."""
+
+    def test_plan_resize_and_release_keep_the_record_in_step(self):
+        sched, records = mk([cluster("cloud0", CLOUD, 5)])
+        rec = add(sched, records, elastic("e", 2, 5))
+        cs = sched.clusters["cloud0"]
+        assert rec.allocation is None
+        decision = sched.plan(0)
+        rec.state = JobState.RUNNING
+        assert rec.allocation is dict(decision.starts)["e"] is cs.allocations["e"]
+        assert rec.allocation.node_indices == (0, 1)
+        assert sched.apply_worker_count("e", 1) == (0,)            # shrink
+        assert rec.allocation is cs.allocations["e"]
+        assert rec.allocation.node_indices == (0,)
+        assert sched.apply_worker_count("e", 4) == (0, 1, 2, 3)    # grow
+        assert rec.allocation is cs.allocations["e"]
+        assert rec.allocation.node_indices == (0, 1, 2, 3)
+        assert rec.allocation.start_ms == 0
+        assert sched.release("e") == ("cloud0", (0, 1, 2, 3))
+        assert rec.allocation is None and cs.allocations == {}
+        with pytest.raises(NoAllocation):
+            sched.release("e")
+        with pytest.raises(NoAllocation):
+            sched.apply_worker_count("e", 2)
+
+    def test_cancel_of_a_running_job_clears_its_allocation(self):
+        sched, records = mk([cluster("cpu0", CPU, 2)])
+        rec = add(sched, records, rigid("a", 2))
+        sched.plan(0)
+        rec.state = JobState.RUNNING
+        assert rec.allocation.node_indices == (0, 1)
+        sched.cancel("a", 100)
+        assert rec.allocation is None
+        assert sched.clusters["cpu0"].allocations == {}
+        with pytest.raises(NoAllocation):
+            sched.release("a")
+
+    def test_a_running_job_cannot_be_enqueued(self):
+        sched, records = mk([cluster("cpu0", CPU, 2)])
+        rec = add(sched, records, rigid("a", 1))
+        sched.plan(0)
+        rec.state = JobState.RUNNING
+        with pytest.raises(DuplicateJob):
+            sched.enqueue(rec, 10)
+        assert sched.queued_jobs() == []
+        assert rec.allocation is sched.clusters["cpu0"].allocations["a"]
+
+    def test_release_of_an_unknown_job_raises(self):
+        sched, _records = mk([cluster("cpu0", CPU, 1)])
+        with pytest.raises(NoAllocation):
+            sched.release("ghost")
 
 
 class TestElastic:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 
 from hybridsched import cloud as cloud_mod
+from hybridsched import engine
 from hybridsched import model
 from hybridsched.catalog import DuplicateDataset, MissingDataset
 from hybridsched.cloud import RejectReason
@@ -511,6 +512,19 @@ class TestClock:
         call(svc, "POST", "/v1/jobs", rigid_obj(work=10))
         _status, body = call(svc, "POST", "/v1/clock/advance", {"until_ms": 60_000})
         assert body["events_fired"] == 1    # the JobFinished
+
+    def test_advance_counts_events_without_building_them(self, svc, monkeypatch):
+        call(svc, "POST", "/v1/jobs", rigid_obj(work=10))
+        call(svc, "POST", "/v1/jobs", elastic_obj(work=10))
+
+        def no_event(view, index):
+            raise AssertionError("the advance built a SimEvent")
+
+        monkeypatch.setattr(engine.EventView, "__getitem__", no_event)
+        mark = len(svc.sim.log)
+        status, body = call(svc, "POST", "/v1/clock/advance", {"until_ms": 60_000})
+        assert status == 200
+        assert body["events_fired"] == len(svc.sim.log) - mark > 0
 
 
 class TestRoutingErrors:
