@@ -251,23 +251,14 @@ class CloudLayer:
     # -- invariants --------------------------------------------------------
 
     def verify_partition(self, cluster_id: str):
-        """free / batch-allocated / vcluster-held must partition the pool.
+        """No node may be both batch-allocated and vcluster-held.
 
-        Down nodes are excluded from all three sets, so the union check
-        allows for them.
+        Free is the complement of owned, held and down, and each busy node
+        has one owner, so overlap with the held set is the one way the
+        pool can fail to partition.
         """
         cs = self.sim.clusters()[cluster_id]
-        free = set(cs.free_nodes())
-        allocated = set()
-        for alloc in cs.allocations.values():
-            allocated.update(alloc.node_indices)
-        held = set(cs.held)
-        if free & allocated or free & held or (allocated & held):
+        both = cs.held & cs.owner.keys()
+        if both:
             raise PartitionViolation(
-                f"overlapping node sets on {cluster_id}: "
-                f"free={sorted(free)} allocated={sorted(allocated)} held={sorted(held)}")
-        universe = set(range(cs.spec.node_count))
-        covered = free | allocated | held | cs.down
-        if covered != universe:
-            raise PartitionViolation(
-                f"nodes unaccounted for on {cluster_id}: missing {sorted(universe - covered)}")
+                f"overlapping node sets on {cluster_id}: held and allocated {sorted(both)}")

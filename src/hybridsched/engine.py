@@ -303,7 +303,6 @@ class Simulation:
                            if cs.spec.kind is ResourceKind.CLOUD]
         self.log = EventLog()
         self.clock = 0
-        self.first_reserved_job: Optional[str] = None
         self._pending: list[tuple[int, int, int, tuple]] = []
         self._tick = 0
         # per-job state of live jobs only: _retire drops a job's entries as
@@ -538,11 +537,7 @@ class Simulation:
         cs = self.scheduler.clusters[cluster_id]
         cs.down.add(node_index)
         self._emit(SimEventKind.NODE_DOWN, cluster_id=cluster_id, node_index=node_index)
-        victim = None
-        for job_id, alloc in cs.allocations.items():
-            if node_index in alloc.node_indices:
-                victim = job_id
-                break
+        victim = cs.owner.get(node_index)
         if victim is None:
             return
         record = self.records[victim]
@@ -585,8 +580,6 @@ class Simulation:
         for cluster_id, node_index in self._fault_starts.get(self.clock, ()):
             self.scheduler.clusters[cluster_id].down.add(node_index)
         decision = self.scheduler.plan(self.clock)
-        if decision.reservation is not None and self.first_reserved_job is None:
-            self.first_reserved_job = decision.reservation.job_id
         for job_id, alloc in decision.starts:
             self._start_job(job_id, alloc)
         self._rescale_pass(decision)
@@ -636,7 +629,7 @@ class Simulation:
         """(Re)arm the one live timer for a running job: finish or kill."""
         rs = self._run[job_id]
         record = self.records[job_id]
-        kill_at = record.start_ms + record.spec.walltime_limit_ms   # its alloc_deadline
+        kill_at = record.start_ms + record.spec.walltime_limit_ms   # as _reserve reads it
         rs.epoch += 1
         remaining = record.spec.work_units * 1000 - record.credited_milli
         if remaining <= 0:
@@ -669,16 +662,6 @@ class Simulation:
                            job_id=job_id, node_indices=record.last_node_indices,
                            workers=workers)
                 self._schedule_finish(job_id)
-
-    # -- introspection ----------------------------------------------------
-
-    def run_info(self, job_id: str) -> _RunState:
-        """A live job's timer epoch, retry budget, rate and credit start.
-
-        KeyError once the job has ended. Its placement and credited work,
-        live or ended, are on its JobRecord.
-        """
-        return self._run[job_id]
 
 
 def run_trace(trace, clusters: list[ClusterSpec], config: Optional[SimConfig] = None,

@@ -109,70 +109,36 @@ class DispatchDecision:
 class ClusterState:
     """Node bookkeeping for one cluster.
 
-    A node is free iff it is not covered by a live allocation, not down,
-    and not held by a virtual cluster.
+    owner maps each busy node to the job holding it; the job's placement
+    itself is its JobRecord.allocation, and the scheduler writes both. A
+    node is free iff it has no owner, is not down, and is not held by a
+    virtual cluster.
     """
 
     def __init__(self, spec: ClusterSpec):
         self.spec = spec
-        self.allocations: dict[str, Allocation] = {}
-        self.alloc_deadline: dict[str, int] = {}
+        self.owner: dict[int, str] = {}
         self.down: set[int] = set()
         self.held: set[int] = set()
-        self._occupied: set[int] = set()
 
     def free_nodes(self) -> list[int]:
-        blocked = self._occupied | self.down | self.held
+        blocked = self.owner.keys() | self.down | self.held
         return [i for i in range(self.spec.node_count) if i not in blocked]
 
     def free_count(self) -> int:
-        return self.spec.node_count - len(self._occupied | self.down | self.held)
+        return self.spec.node_count - len(self.owner.keys() | self.down | self.held)
 
     def busy_count(self) -> int:
-        return len(self._occupied)
-
-    def allocate(self, job_id: str, nodes: tuple[int, ...], start_ms: int, deadline_ms: int) -> Allocation:
-        alloc = Allocation(job_id=job_id, cluster_id=self.spec.cluster_id,
-                           node_indices=nodes, start_ms=start_ms)
-        self.allocations[job_id] = alloc
-        self.alloc_deadline[job_id] = deadline_ms
-        self._occupied.update(alloc.node_indices)
-        return alloc
-
-    def release(self, job_id: str) -> tuple[int, ...]:
-        alloc = self.allocations.pop(job_id, None)
-        if alloc is None:
-            raise NoAllocation(job_id)
-        del self.alloc_deadline[job_id]
-        self._occupied.difference_update(alloc.node_indices)
-        return alloc.node_indices
-
-    def resize(self, job_id: str, nodes: tuple[int, ...]) -> Allocation:
-        old = self.allocations[job_id]
-        self._occupied.difference_update(old.node_indices)
-        new = Allocation(job_id=job_id, cluster_id=self.spec.cluster_id,
-                         node_indices=nodes, start_ms=old.start_ms)
-        self.allocations[job_id] = new
-        self._occupied.update(nodes)
-        return new
-
-    def deadline_by_node(self) -> dict[int, int]:
-        """Map busy node index -> expected end (start + walltime) of its job."""
-        out: dict[int, int] = {}
-        for job_id, alloc in self.allocations.items():
-            end = self.alloc_deadline[job_id]
-            for n in alloc.node_indices:
-                out[n] = end
-        return out
+        return len(self.owner)
 
 
 class Scheduler:
     """Single-writer scheduler over a set of cluster states.
 
     Owns the queue and all placement decisions, and is the one writer of
-    JobRecord.allocation; the simulation engine (or the live service)
-    drives it through one serialized command stream and turns its
-    decisions into lifecycle events.
+    JobRecord.allocation and ClusterState.owner; the simulation engine
+    (or the live service) drives it through one serialized command
+    stream and turns its decisions into lifecycle events.
     """
 
     def __init__(self, clusters: dict[str, ClusterState], records: dict[str, JobRecord],
@@ -323,14 +289,19 @@ class Scheduler:
                 res_usable = sum(1 for n in self._free(res_cid, free)
                                  if n not in reserved_set)
                 continue
-            alloc = self.clusters[cid].allocate(entry.job_id, chosen, now_ms, now_ms + wall)
-            starts.append((entry.job_id, alloc))
+            job_id = entry.job_id
+            alloc = Allocation(job_id=job_id, cluster_id=cid, node_indices=chosen,
+                               start_ms=now_ms)
+            owner = self.clusters[cid].owner
+            for n in chosen:
+                owner[n] = job_id
+            self.records[job_id].allocation = alloc   # _reserve reads it this cycle
+            starts.append((job_id, alloc))
             free_total -= needed
             free_len[cid] -= needed
 
-        for job_id, alloc in starts:
+        for job_id, _alloc in starts:
             self.remove_queued(job_id)
-            self.records[job_id].allocation = alloc
         return DispatchDecision(starts=tuple(starts), reservation=reservation)
 
     def _free(self, cid: str, cache: dict[str, list[int]]) -> list[int]:
@@ -347,19 +318,16 @@ class Scheduler:
         """
         best: Optional[tuple[int, str, tuple[int, ...]]] = None
         needed = entry.needed
+        records = self.records
         for cid in entry.accept:
             cs = self.clusters[cid]
             if cs.spec.node_count < needed:
                 continue
-            avail: list[tuple[int, int]] = []  # (avail_time, node)
-            free_now = set(self._free(cid, free_cache))
-            deadlines = cs.deadline_by_node()   # this cycle's starts included
-            for n in range(cs.spec.node_count):
-                if n in free_now:
-                    avail.append((now_ms, n))
-                elif n in deadlines:
-                    avail.append((deadlines[n], n))
-                # down or held: unavailable
+            # (avail_time, node); down and held nodes are never available
+            avail = [(now_ms, n) for n in self._free(cid, free_cache)]
+            for n, job_id in cs.owner.items():   # this cycle's starts included
+                record = records[job_id]
+                avail.append((record.allocation.start_ms + record.spec.walltime_limit_ms, n))
             if len(avail) < needed:
                 continue
             avail.sort()
@@ -384,9 +352,12 @@ class Scheduler:
     def release(self, job_id: str) -> tuple[str, tuple[int, ...]]:
         """Free all nodes of a live allocation; returns (cluster_id, nodes)."""
         record = self._placed_record(job_id)
-        cid = record.allocation.cluster_id
+        alloc = record.allocation
         record.allocation = None
-        return cid, self.clusters[cid].release(job_id)
+        owner = self.clusters[alloc.cluster_id].owner
+        for n in alloc.node_indices:
+            del owner[n]
+        return alloc.cluster_id, alloc.node_indices
 
     def cancel(self, job_id: str, now_ms: int) -> tuple[JobState, tuple[int, ...]]:
         """Cancel wherever the job currently is; returns (new state, freed nodes)."""
@@ -407,9 +378,8 @@ class Scheduler:
 
     def running_elastic_on(self, cid: str) -> list[str]:
         """Running elastic job ids on a cloud cluster, by submission order."""
-        cs = self.clusters[cid]
         out = []
-        for job_id in cs.allocations:
+        for job_id in set(self.clusters[cid].owner.values()):
             job = self.records[job_id]
             if isinstance(job.spec.shape, Elastic) and job.state is JobState.RUNNING:
                 out.append(job_id)
@@ -432,7 +402,7 @@ class Scheduler:
         if reservation is not None and reservation.cluster_id == cid:
             reserved = set(reservation.node_indices)
             free = [n for n in free if n not in reserved]
-        held_by_elastic = sum(len(cs.allocations[j].node_indices) for j in jobs)
+        held_by_elastic = sum(len(self.records[j].allocation.node_indices) for j in jobs)
         pool = len(free) + held_by_elastic
         bounds = []
         for job_id in jobs:
@@ -453,12 +423,17 @@ class Scheduler:
         current = list(alloc.node_indices)
         if target < len(current):
             new_nodes = tuple(current[: target])
+            for n in current[target:]:
+                del cs.owner[n]
         elif target > len(current):
             grab = cs.free_nodes()[: target - len(current)]
+            for n in grab:
+                cs.owner[n] = job_id
             new_nodes = tuple(sorted(current + grab))
         else:
             return alloc.node_indices
-        record.allocation = cs.resize(job_id, new_nodes)
+        record.allocation = Allocation(job_id=job_id, cluster_id=alloc.cluster_id,
+                                       node_indices=new_nodes, start_ms=alloc.start_ms)
         return new_nodes
 
 

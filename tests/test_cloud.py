@@ -284,14 +284,11 @@ class TestPartitionInvariant:
         layer.verify_partition("cloud0")
 
     def test_detects_overlap(self):
-        from hybridsched.model import Allocation
-
         layer = make_layer()
         layer.create_user("u", WIDE)
         cs = layer.sim.clusters()["cloud0"]
         cs.held.add(0)
-        # forge an allocation on the held node: two owners for one node
-        cs.allocations["fake"] = Allocation(job_id="fake", cluster_id="cloud0",
-                                            node_indices=(0,), start_ms=0)
+        # forge a job on the held node: two owners for one node
+        cs.owner[0] = "fake"
         with pytest.raises(PartitionViolation):
             layer.verify_partition("cloud0")

@@ -144,8 +144,6 @@ class TestWalltime:
         sim.schedule_arrival(0, rigid("slow", 1, 10, 4_000))
         sim.run_to_quiescence()
         assert sim.records["j000000"].credited_milli == 4_000   # 1 unit/ms x 4000
-        with pytest.raises(KeyError):
-            sim.run_info("j000000")     # live jobs only
 
 
 class TestFailures:
@@ -297,8 +295,7 @@ class TestOverlappingFaults:
         for now in range(0, end + 1):
             sim.step(now)
             assert cs.down == {n for n, t, d in faults if t <= now < t + d}, now
-            for alloc in cs.allocations.values():
-                assert not cs.down & set(alloc.node_indices), now
+            assert not cs.down & cs.owner.keys(), now
         # no start or rescale puts a job on a node inside an injected window,
         # not even for the instant between two events of one millisecond
         for event in sim.log:
@@ -750,17 +747,21 @@ class TestBoundedState:
         assert set(sched._seq_of_job) == live
         assert set(sched._queue_entries) == {
             j for j in live if sim.records[j].state is JobState.QUEUED}
-        # the record is the one home of a running job's placement
+        # the record is the one home of a running job's placement, and each
+        # cluster's owner map is exactly its inverse
+        owners = {cid: {} for cid in sched.clusters}
         for job_id, record in sim.records.items():
             alloc = record.allocation
             assert (alloc is not None) == (record.state is JobState.RUNNING), job_id
             if alloc is not None:
-                assert alloc is sched.clusters[alloc.cluster_id].allocations[job_id]
                 assert record.last_cluster_id == alloc.cluster_id
                 assert tuple(record.last_node_indices) == alloc.node_indices
-        for cs in sched.clusters.values():
-            for job_id in cs.allocations:
-                assert sim.records[job_id].state is JobState.RUNNING
+                for n in alloc.node_indices:
+                    assert n not in owners[alloc.cluster_id], (job_id, n)
+                    owners[alloc.cluster_id][n] = job_id
+        for cid, cs in sched.clusters.items():
+            assert cs.owner == owners[cid], cid
+            assert not cs.held & cs.owner.keys(), cid
         recount = {}
         for record in sim.records.values():
             if record.state.terminal:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hybridsched.model import (
+    Allocation,
     ClusterSpec,
     Elastic,
     JobRecord,
@@ -309,17 +310,18 @@ class TestRecordAllocation:
         assert rec.allocation is None
         decision = sched.plan(0)
         rec.state = JobState.RUNNING
-        assert rec.allocation is dict(decision.starts)["e"] is cs.allocations["e"]
+        assert rec.allocation is dict(decision.starts)["e"]
         assert rec.allocation.node_indices == (0, 1)
+        assert cs.owner == {0: "e", 1: "e"}
         assert sched.apply_worker_count("e", 1) == (0,)            # shrink
-        assert rec.allocation is cs.allocations["e"]
         assert rec.allocation.node_indices == (0,)
+        assert cs.owner == {0: "e"}
         assert sched.apply_worker_count("e", 4) == (0, 1, 2, 3)    # grow
-        assert rec.allocation is cs.allocations["e"]
         assert rec.allocation.node_indices == (0, 1, 2, 3)
+        assert cs.owner == {0: "e", 1: "e", 2: "e", 3: "e"}
         assert rec.allocation.start_ms == 0
         assert sched.release("e") == ("cloud0", (0, 1, 2, 3))
-        assert rec.allocation is None and cs.allocations == {}
+        assert rec.allocation is None and cs.owner == {}
         with pytest.raises(NoAllocation):
             sched.release("e")
         with pytest.raises(NoAllocation):
@@ -331,9 +333,10 @@ class TestRecordAllocation:
         sched.plan(0)
         rec.state = JobState.RUNNING
         assert rec.allocation.node_indices == (0, 1)
+        assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
         sched.cancel("a", 100)
         assert rec.allocation is None
-        assert sched.clusters["cpu0"].allocations == {}
+        assert sched.clusters["cpu0"].owner == {}
         with pytest.raises(NoAllocation):
             sched.release("a")
 
@@ -345,7 +348,8 @@ class TestRecordAllocation:
         with pytest.raises(DuplicateJob):
             sched.enqueue(rec, 10)
         assert sched.queued_jobs() == []
-        assert rec.allocation is sched.clusters["cpu0"].allocations["a"]
+        assert rec.allocation.node_indices == (0,)
+        assert sched.clusters["cpu0"].owner == {0: "a"}
 
     def test_release_of_an_unknown_job_raises(self):
         sched, _records = mk([cluster("cpu0", CPU, 1)])
@@ -499,12 +503,18 @@ class TestPlanAgainstReference:
         sched, records = mk([cluster(cid, kind, len(nodes)) for cid, kind, nodes in clusters],
                             **flags)
         ref_clusters = {}
-        for cid, _kind, nodes in clusters:
+        for cid, kind, nodes in clusters:
             cs = sched.clusters[cid]
             busy = {}
             for n, (state, deadline) in enumerate(nodes):
                 if state in ("busy", "busy_down"):
-                    cs.allocate(f"r-{cid}-{n}", (n,), 0, deadline)
+                    # a job started at t=0 whose walltime ends at the deadline
+                    rec = rigid(f"r-{cid}-{n}", 1, wall=deadline, prefs=(kind,))
+                    rec.state = JobState.RUNNING
+                    rec.allocation = Allocation(job_id=rec.job_id, cluster_id=cid,
+                                                node_indices=(n,), start_ms=0)
+                    records[rec.job_id] = rec
+                    cs.owner[n] = rec.job_id
                     busy[n] = deadline
                 if state in ("down", "busy_down"):
                     cs.down.add(n)
