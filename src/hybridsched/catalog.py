@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 
@@ -33,8 +34,10 @@ class BadDatasetName(CatalogError):
 
 
 class DatasetRecord(NamedTuple):
-    """Immutable. A NamedTuple, not a frozen dataclass, whose __init__ sets
-    each field through object.__setattr__ and costs about three times as much."""
+    """Immutable view of one dataset, built when it is read: the catalog
+    stores sizes and registration times by name, not records. A NamedTuple,
+    not a frozen dataclass, whose __init__ sets each field through
+    object.__setattr__ and costs about three times as much."""
 
     name: str
     size_bytes: int
@@ -42,17 +45,19 @@ class DatasetRecord(NamedTuple):
 
 
 class DatasetCatalog:
-    """Name -> record store, optionally persisted to one JSON file.
+    """Name -> size and name -> registration time, optionally persisted to
+    one JSON file.
 
     The file maps name -> {size_bytes, registered_at_ms} and is rewritten
-    atomically (write-then-rename) on every registration.
+    atomically (write-then-rename) on every registration call.
     """
 
     def __init__(self, path: Optional[str] = None,
                  bandwidth_bytes_per_s: Optional[dict[str, int]] = None):
         self.path = path
         self.bandwidth_bytes_per_s = dict(bandwidth_bytes_per_s or {})
-        self._records: dict[str, DatasetRecord] = {}
+        self._size: dict[str, int] = {}
+        self._registered_at: dict[str, int] = {}
         if path is not None and os.path.exists(path):
             self._load()
 
@@ -60,18 +65,15 @@ class DatasetCatalog:
         with open(self.path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         for name, entry in raw.items():
-            self._records[name] = DatasetRecord(
-                name=name,
-                size_bytes=entry["size_bytes"],
-                registered_at_ms=entry["registered_at_ms"],
-            )
+            self._size[name] = entry["size_bytes"]
+            self._registered_at[name] = entry["registered_at_ms"]
 
     def _save(self):
         if self.path is None:
             return
         obj = {
-            rec.name: {"size_bytes": rec.size_bytes, "registered_at_ms": rec.registered_at_ms}
-            for rec in self._records.values()
+            name: {"size_bytes": size, "registered_at_ms": self._registered_at[name]}
+            for name, size in self._size.items()
         }
         tmp = f"{self.path}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -80,31 +82,58 @@ class DatasetCatalog:
         os.replace(tmp, self.path)
 
     def __len__(self):
-        return len(self._records)
+        return len(self._size)
 
     def names(self) -> list[str]:
-        return sorted(self._records)
+        return sorted(self._size)
 
     def register_dataset(self, name: str, size_bytes: int, now_ms: int = 0) -> DatasetRecord:
         if not isinstance(name, str) or not name:
             raise BadDatasetName("dataset name must be a non-empty string")
         if type(size_bytes) is not int or size_bytes < 0:
             raise CatalogError("size_bytes must be a non-negative integer")
-        if name in self._records:
+        if name in self._size:
             raise DuplicateDataset(name)
-        record = DatasetRecord(name, size_bytes, now_ms)
-        self._records[name] = record
+        self._size[name] = size_bytes
+        self._registered_at[name] = now_ms
         self._save()
-        return record
+        return DatasetRecord(name, size_bytes, now_ms)
+
+    def register_datasets(self, entries: list[dict], now_ms: int = 0) -> None:
+        """Register each {"name", "size_bytes"} entry, as register_dataset
+        would one by one, with one save.
+
+        The whole list is screened in one pass. If any check fails, the
+        entries go through register_dataset in order instead, so the first
+        bad entry raises its own error and the ones before it stay
+        registered, exactly as with the one-by-one loop.
+        """
+        try:
+            pairs = list(map(itemgetter("name", "size_bytes"), entries))
+            sizes = dict(pairs)
+            clean = (len(sizes) == len(pairs)
+                     and sizes.keys().isdisjoint(self._size)
+                     and set(map(type, sizes)) <= {str} and "" not in sizes
+                     and set(map(type, sizes.values())) <= {int}
+                     and min(sizes.values(), default=0) >= 0)
+        except (KeyError, TypeError):
+            clean = False
+        if not clean:
+            for entry in entries:
+                self.register_dataset(entry["name"], entry["size_bytes"], now_ms)
+        elif sizes:
+            self._size.update(sizes)
+            self._registered_at.update(dict.fromkeys(sizes, now_ms))
+            self._save()
 
     def resolve(self, refs) -> list[DatasetRecord]:
         """All records or none: the first unknown name fails the whole call."""
         out = []
         for name in refs:
-            record = self._records.get(name)
-            if record is None:
+            size = self._size.get(name)
+            if size is None:
                 raise MissingDataset(name)
-            out.append(record)
+            out.append(DatasetRecord(name, size, self._registered_at[name]))
         return out
 
     def staging_delay_ms(self, name: str, cluster_id: str) -> int:
@@ -113,10 +142,10 @@ class DatasetCatalog:
         Zero unless the cluster has a configured bandwidth, in which case
         the delay is ceil(1000 x size / bandwidth).
         """
-        record = self._records.get(name)
-        if record is None:
+        size = self._size.get(name)
+        if size is None:
             raise MissingDataset(name)
         bandwidth = self.bandwidth_bytes_per_s.get(cluster_id)
         if not bandwidth:
             return 0
-        return -(-1000 * record.size_bytes // bandwidth)
+        return -(-1000 * size // bandwidth)

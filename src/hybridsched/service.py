@@ -237,8 +237,7 @@ class Service:
             self.cloud.create_user(entry["user_id"], quota,
                                    entry.get("display_name", ""))
         try:
-            for entry in config.datasets:
-                self.catalog.register_dataset(entry["name"], entry["size_bytes"])
+            self.catalog.register_datasets(config.datasets)
         except KeyError as exc:
             raise ConfigError(f"dataset entry is missing {exc}") from exc
         except (catalog_mod.CatalogError, TypeError) as exc:
@@ -246,6 +245,7 @@ class Service:
         # the catalog and the cloud layer are the one resident copy of the
         # datasets and users; the caller's config object is left as it was
         self.config = dataclasses.replace(config, datasets=[], users=[])
+        self._kinds = {c.kind for c in config.clusters}
         self._t0 = time.monotonic()
 
     # -- handlers (each returns (status_int, body_obj)) -------------------
@@ -253,7 +253,7 @@ class Service:
     def handle_submit(self, req) -> tuple[int, dict]:
         try:
             spec = job_spec_from_obj(req.json())
-            model.validate_job(spec, {c.kind for c in self.config.clusters})
+            model.validate_job(spec, self._kinds)
         except model.ValidationError as exc:
             raise ApiError("validation_failed", str(exc), 422) from exc
         caller = req.header(self.config.auth_header)

@@ -1,10 +1,14 @@
 """Dataset catalog tests: one namespace, atomic persistence, staging math."""
 
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hybridsched import catalog as catalog_mod
 from hybridsched.catalog import (
     BadDatasetName,
     CatalogError,
@@ -156,3 +160,112 @@ class TestPersistence:
         cat = DatasetCatalog()
         cat.register_dataset("d", 1)
         assert list(tmp_path.iterdir()) == []
+
+
+class _Name(str):
+    """A str subclass: register_dataset accepts it, the bulk screen does not."""
+
+
+# a small alphabet, so drawn lists repeat names and hit registered ones
+NAMES = st.text(alphabet="abc", min_size=1, max_size=2)
+GOOD_ENTRY = st.fixed_dictionaries({"name": NAMES,
+                                    "size_bytes": st.integers(0, 10**12)})
+GOOD_ENTRIES = st.lists(GOOD_ENTRY, max_size=8, unique_by=lambda e: e["name"])
+BAD_ENTRY = st.one_of(
+    st.integers(), st.none(), st.text(max_size=2), st.lists(st.integers(), max_size=2),
+    st.fixed_dictionaries({"name": NAMES}),
+    st.fixed_dictionaries({"size_bytes": st.integers(0, 9)}),
+    st.fixed_dictionaries({"name": NAMES, "size_bytes": st.one_of(
+        st.booleans(), st.floats(), st.text(max_size=2),
+        st.integers(max_value=-1), st.none())}),
+    st.fixed_dictionaries({"name": st.one_of(
+        st.just(""), st.integers(), st.none(), st.just(["a"]), st.just(b"a"),
+        NAMES.map(_Name)), "size_bytes": st.integers(0, 9)}),
+)
+# one of each way an entry can be turned away ("x" is registered
+# beforehand), plus a str-subclass name that only the screen turns away
+MALFORMED = [
+    5, None, "ab", ["a"], {}, {"name": "z"}, {"size_bytes": 1},
+    {"name": "z", "size_bytes": True}, {"name": "z", "size_bytes": 1.0},
+    {"name": "z", "size_bytes": "1"}, {"name": "z", "size_bytes": -1},
+    {"name": "z", "size_bytes": None},
+    {"name": "", "size_bytes": 1}, {"name": 5, "size_bytes": 1},
+    {"name": None, "size_bytes": 1}, {"name": ["z"], "size_bytes": 1},
+    {"name": b"z", "size_bytes": 1}, {"name": "x", "size_bytes": 1},
+    {"name": _Name("z"), "size_bytes": 1},
+]
+
+
+def _register_one_by_one(cat, entries, now_ms):
+    for entry in entries:
+        cat.register_dataset(entry["name"], entry["size_bytes"], now_ms)
+
+
+def _outcome(cat, register):
+    """What a registration call leaves: the error, names, records, file."""
+    try:
+        register()
+        error = None
+    except Exception as exc:   # noqa: BLE001 - compared, not handled
+        error = (type(exc), str(exc))
+    path = Path(cat.path)
+    saved = path.read_bytes() if path.exists() else None
+    return error, cat.names(), cat.resolve(cat.names()), saved
+
+
+def check_bulk_matches_one_by_one(registered, entries, now_ms):
+    with tempfile.TemporaryDirectory() as tmp:
+        one = DatasetCatalog(os.path.join(tmp, "one.json"))
+        bulk = DatasetCatalog(os.path.join(tmp, "bulk.json"))
+        for cat in (one, bulk):
+            _register_one_by_one(cat, registered, 7)
+        expected = _outcome(one, lambda: _register_one_by_one(one, entries, now_ms))
+        got = _outcome(bulk, lambda: bulk.register_datasets(entries, now_ms))
+    assert got == expected
+
+
+class TestBulkRegistration:
+    """register_datasets leaves what register_dataset one entry at a time does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(registered=st.lists(GOOD_ENTRY, max_size=3, unique_by=lambda e: e["name"]),
+           entries=st.one_of(GOOD_ENTRIES, st.lists(st.one_of(GOOD_ENTRY, BAD_ENTRY),
+                                                    max_size=8),
+                             st.integers(), st.none()),
+           now_ms=st.integers(0, 10**6))
+    def test_matches_registering_one_by_one(self, registered, entries, now_ms):
+        check_bulk_matches_one_by_one(registered, entries, now_ms)
+
+    @pytest.mark.parametrize("bad", MALFORMED)
+    @settings(max_examples=20, deadline=None)
+    @given(good=GOOD_ENTRIES, at=st.integers(0, 8))
+    def test_one_malformed_entry_among_good_ones(self, bad, good, at):
+        entries = good[:at] + [bad] + good[at:]
+        check_bulk_matches_one_by_one([{"name": "x", "size_bytes": 1}], entries, 3)
+
+    def test_bulk_load_saves_once(self, tmp_path, monkeypatch):
+        entries = [{"name": f"d{i:03}", "size_bytes": i * 10} for i in range(200)]
+        one = DatasetCatalog(str(tmp_path / "one.json"))
+        _register_one_by_one(one, entries, 5)
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(catalog_mod.os, "replace",
+                            lambda src, dst: (replaced.append(dst), real_replace(src, dst)))
+        bulk = DatasetCatalog(str(tmp_path / "bulk.json"))
+        bulk.register_datasets(entries, now_ms=5)
+        assert replaced == [bulk.path]
+        assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+        assert DatasetCatalog(bulk.path).resolve(["d007"]) == [DatasetRecord("d007", 70, 5)]
+
+    def test_empty_list_registers_and_saves_nothing(self, tmp_path):
+        cat = DatasetCatalog(str(tmp_path / "catalog.json"))
+        cat.register_datasets([])
+        assert len(cat) == 0 and list(tmp_path.iterdir()) == []
+
+    def test_failed_screen_keeps_the_entries_before_the_bad_one(self):
+        cat = DatasetCatalog()
+        with pytest.raises(CatalogError, match="non-negative integer"):
+            cat.register_datasets([{"name": "a", "size_bytes": 1},
+                                   {"name": "b", "size_bytes": -1},
+                                   {"name": "c", "size_bytes": 3}])
+        assert cat.names() == ["a"]

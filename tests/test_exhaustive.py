@@ -4,9 +4,10 @@ Hypothesis samples, so a backfill boundary bug can hide from it for a
 whole run. Here every site of a small scope is checked instead: one
 3-node cpu cluster whose nodes are each free, busy to t=5, busy to t=10,
 down or held, and every queue of one or two rigid jobs that need 1-3
-nodes with walltime 4, 5, 6 or 10, planned at t=0 with backfill on.
-The walltimes end before, at, just after and well after the t=5
-deadline, so both sides of the reservation boundary are covered.
+nodes with walltime 4, 5, 6 or 10, planned at t=0, once with backfill on
+and once with it off. The walltimes end before, at, just after and well
+after the t=5 deadline, so both sides of the reservation boundary are
+covered.
 """
 
 import itertools
@@ -20,7 +21,8 @@ JOB_SHAPES = tuple(itertools.product((1, 2, 3), (4, 5, 6, 10)))   # (needed, wal
 # the spec of queue position i with a given shape, built once
 SPECS = {(i, shape): test_scheduler.rigid(f"q{i}", shape[0], wall=shape[1]).spec
          for i in (0, 1) for shape in JOB_SHAPES}
-FLAGS = dict(backfill=True, hybrid_rigid_on_cloud=False, first_preference_only=False)
+FLAGS = dict(hybrid_rigid_on_cloud=False, first_preference_only=False)
+SITES = 125 * (12 + 12 * 12)
 
 
 def sites():
@@ -33,17 +35,30 @@ def sites():
             yield clusters, jobs
 
 
-def test_every_small_site_plans_as_the_reference():
+def plan_every_site(backfill):
+    """Check every site with the given backfill flag; return (checked, failures)."""
     check = test_scheduler.TestPlanAgainstReference.check
+    flags = dict(FLAGS, backfill=backfill)
     checked = 0
     failures = []
     for clusters, jobs in sites():
         checked += 1
         try:
-            check(0, clusters, jobs, FLAGS)
+            check(0, clusters, jobs, flags)
         except AssertionError:
             failures.append((clusters[0][2],
                              [(spec.shape.node_count, spec.walltime_limit_ms)
                               for _job_id, spec, _requeued in jobs]))
-    assert checked == 125 * (12 + 12 * 12)
+    return checked, failures
+
+
+def test_every_small_site_plans_as_the_reference():
+    checked, failures = plan_every_site(backfill=True)
+    assert checked == SITES
+    assert not failures, f"{len(failures)} of {checked} sites differ; first: {failures[:3]}"
+
+
+def test_every_small_site_plans_as_the_reference_without_backfill():
+    checked, failures = plan_every_site(backfill=False)
+    assert checked == SITES
     assert not failures, f"{len(failures)} of {checked} sites differ; first: {failures[:3]}"

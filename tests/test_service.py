@@ -742,6 +742,17 @@ class TestConfigFile:
         (5, "bad dataset entry"),
         ([{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}],
          "'d' already registered"),
+        # more than one bad entry: the first in file order is reported
+        ([{"name": "", "size_bytes": 1}, {"name": "e"}], "non-empty string"),
+        ([{"name": "d"}, {"name": "e", "size_bytes": 1}, {"name": "e", "size_bytes": 2}],
+         "missing 'size_bytes'"),
+        ([{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}, {"size_bytes": 3}],
+         "'d' already registered"),
+        ([{"name": "d", "size_bytes": -1}, "e", {"name": 5, "size_bytes": 1}],
+         "non-negative integer"),
+        (["e", {"name": "", "size_bytes": 1}], "string indices must be integers"),
+        ([{"name": "d", "size_bytes": 1}, {"name": ["d"], "size_bytes": 1}, {"name": "d"}],
+         "non-empty string"),
     ])
     def test_service_rejects_bad_dataset_entry(self, tmp_path, datasets, message):
         obj = self.good_obj()
