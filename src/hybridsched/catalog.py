@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 
@@ -87,44 +86,37 @@ class DatasetCatalog:
     def names(self) -> list[str]:
         return sorted(self._size)
 
-    def register_dataset(self, name: str, size_bytes: int, now_ms: int = 0) -> DatasetRecord:
+    def _check(self, name, size_bytes) -> None:
+        """The rules every registration obeys, in the order they are checked."""
         if not isinstance(name, str) or not name:
             raise BadDatasetName("dataset name must be a non-empty string")
         if type(size_bytes) is not int or size_bytes < 0:
             raise CatalogError("size_bytes must be a non-negative integer")
         if name in self._size:
             raise DuplicateDataset(name)
+
+    def register_dataset(self, name: str, size_bytes: int, now_ms: int = 0) -> DatasetRecord:
+        self._check(name, size_bytes)
         self._size[name] = size_bytes
         self._registered_at[name] = now_ms
         self._save()
         return DatasetRecord(name, size_bytes, now_ms)
 
-    def register_datasets(self, entries: list[dict], now_ms: int = 0) -> None:
-        """Register each {"name", "size_bytes"} entry, as register_dataset
-        would one by one, with one save.
-
-        The whole list is screened in one pass. If any check fails, the
-        entries go through register_dataset in order instead, so the first
-        bad entry raises its own error and the ones before it stay
-        registered, exactly as with the one-by-one loop.
-        """
+    def register_datasets(self, entries) -> None:
+        """Register each {"name", "size_bytes"} entry in order at time 0, as
+        register_dataset would one by one, but save once and build no
+        record: a bad entry raises its own error, and the entries before it
+        stay registered and saved."""
+        before = len(self._size)
         try:
-            pairs = list(map(itemgetter("name", "size_bytes"), entries))
-            sizes = dict(pairs)
-            clean = (len(sizes) == len(pairs)
-                     and sizes.keys().isdisjoint(self._size)
-                     and set(map(type, sizes)) <= {str} and "" not in sizes
-                     and set(map(type, sizes.values())) <= {int}
-                     and min(sizes.values(), default=0) >= 0)
-        except (KeyError, TypeError):
-            clean = False
-        if not clean:
             for entry in entries:
-                self.register_dataset(entry["name"], entry["size_bytes"], now_ms)
-        elif sizes:
-            self._size.update(sizes)
-            self._registered_at.update(dict.fromkeys(sizes, now_ms))
-            self._save()
+                name, size_bytes = entry["name"], entry["size_bytes"]
+                self._check(name, size_bytes)
+                self._size[name] = size_bytes
+                self._registered_at[name] = 0
+        finally:
+            if len(self._size) > before:
+                self._save()
 
     def resolve(self, refs) -> list[DatasetRecord]:
         """All records or none: the first unknown name fails the whole call."""

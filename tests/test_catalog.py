@@ -163,7 +163,7 @@ class TestPersistence:
 
 
 class _Name(str):
-    """A str subclass: register_dataset accepts it, the bulk screen does not."""
+    """A str subclass, which register_dataset accepts as a name."""
 
 
 # a small alphabet, so drawn lists repeat names and hit registered ones
@@ -183,7 +183,7 @@ BAD_ENTRY = st.one_of(
         NAMES.map(_Name)), "size_bytes": st.integers(0, 9)}),
 )
 # one of each way an entry can be turned away ("x" is registered
-# beforehand), plus a str-subclass name that only the screen turns away
+# beforehand), plus a str-subclass name, which is accepted
 MALFORMED = [
     5, None, "ab", ["a"], {}, {"name": "z"}, {"size_bytes": 1},
     {"name": "z", "size_bytes": True}, {"name": "z", "size_bytes": 1.0},
@@ -196,9 +196,9 @@ MALFORMED = [
 ]
 
 
-def _register_one_by_one(cat, entries, now_ms):
+def _register_one_by_one(cat, entries):
     for entry in entries:
-        cat.register_dataset(entry["name"], entry["size_bytes"], now_ms)
+        cat.register_dataset(entry["name"], entry["size_bytes"])
 
 
 def _outcome(cat, register):
@@ -213,14 +213,15 @@ def _outcome(cat, register):
     return error, cat.names(), cat.resolve(cat.names()), saved
 
 
-def check_bulk_matches_one_by_one(registered, entries, now_ms):
+def check_bulk_matches_one_by_one(registered, entries, as_iterator=False):
     with tempfile.TemporaryDirectory() as tmp:
         one = DatasetCatalog(os.path.join(tmp, "one.json"))
         bulk = DatasetCatalog(os.path.join(tmp, "bulk.json"))
         for cat in (one, bulk):
-            _register_one_by_one(cat, registered, 7)
-        expected = _outcome(one, lambda: _register_one_by_one(one, entries, now_ms))
-        got = _outcome(bulk, lambda: bulk.register_datasets(entries, now_ms))
+            _register_one_by_one(cat, registered)
+        expected = _outcome(one, lambda: _register_one_by_one(one, entries))
+        bulk_entries = iter(entries) if as_iterator else entries
+        got = _outcome(bulk, lambda: bulk.register_datasets(bulk_entries))
     assert got == expected
 
 
@@ -231,38 +232,43 @@ class TestBulkRegistration:
     @given(registered=st.lists(GOOD_ENTRY, max_size=3, unique_by=lambda e: e["name"]),
            entries=st.one_of(GOOD_ENTRIES, st.lists(st.one_of(GOOD_ENTRY, BAD_ENTRY),
                                                     max_size=8),
-                             st.integers(), st.none()),
-           now_ms=st.integers(0, 10**6))
-    def test_matches_registering_one_by_one(self, registered, entries, now_ms):
-        check_bulk_matches_one_by_one(registered, entries, now_ms)
+                             st.integers(), st.none()))
+    def test_matches_registering_one_by_one(self, registered, entries):
+        check_bulk_matches_one_by_one(registered, entries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.lists(st.one_of(GOOD_ENTRY, BAD_ENTRY), max_size=8))
+    def test_an_iterator_matches_registering_one_by_one(self, entries):
+        check_bulk_matches_one_by_one([{"name": "x", "size_bytes": 1}], entries,
+                                      as_iterator=True)
 
     @pytest.mark.parametrize("bad", MALFORMED)
     @settings(max_examples=20, deadline=None)
     @given(good=GOOD_ENTRIES, at=st.integers(0, 8))
     def test_one_malformed_entry_among_good_ones(self, bad, good, at):
         entries = good[:at] + [bad] + good[at:]
-        check_bulk_matches_one_by_one([{"name": "x", "size_bytes": 1}], entries, 3)
+        check_bulk_matches_one_by_one([{"name": "x", "size_bytes": 1}], entries)
 
     def test_bulk_load_saves_once(self, tmp_path, monkeypatch):
         entries = [{"name": f"d{i:03}", "size_bytes": i * 10} for i in range(200)]
         one = DatasetCatalog(str(tmp_path / "one.json"))
-        _register_one_by_one(one, entries, 5)
+        _register_one_by_one(one, entries)
         replaced = []
         real_replace = os.replace
         monkeypatch.setattr(catalog_mod.os, "replace",
                             lambda src, dst: (replaced.append(dst), real_replace(src, dst)))
         bulk = DatasetCatalog(str(tmp_path / "bulk.json"))
-        bulk.register_datasets(entries, now_ms=5)
+        bulk.register_datasets(entries)
         assert replaced == [bulk.path]
         assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "one.json").read_bytes()
-        assert DatasetCatalog(bulk.path).resolve(["d007"]) == [DatasetRecord("d007", 70, 5)]
+        assert DatasetCatalog(bulk.path).resolve(["d007"]) == [DatasetRecord("d007", 70, 0)]
 
     def test_empty_list_registers_and_saves_nothing(self, tmp_path):
         cat = DatasetCatalog(str(tmp_path / "catalog.json"))
         cat.register_datasets([])
         assert len(cat) == 0 and list(tmp_path.iterdir()) == []
 
-    def test_failed_screen_keeps_the_entries_before_the_bad_one(self):
+    def test_a_bad_entry_keeps_the_entries_before_it(self):
         cat = DatasetCatalog()
         with pytest.raises(CatalogError, match="non-negative integer"):
             cat.register_datasets([{"name": "a", "size_bytes": 1},
