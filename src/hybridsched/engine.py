@@ -275,9 +275,10 @@ class Simulation:
     """Single-threaded deterministic engine over one set of clusters.
 
     Drive it either in batch (schedule_arrival + run_to_quiescence, as
-    run_trace does) or incrementally (submit_now / cancel_now / step, as
-    the live service does). Instances share nothing; run as many in
-    parallel as you like.
+    run_trace does) or incrementally (submit_now / cancel_now /
+    advance_to, as the live service does; step is advance_to that also
+    returns the events of the window). Instances share nothing; run as
+    many in parallel as you like.
     """
 
     def __init__(self, clusters: list[ClusterSpec], config: Optional[SimConfig] = None,
@@ -348,8 +349,12 @@ class Simulation:
     def schedule_arrival(self, t_ms: int, spec: JobSpec, job_id: Optional[str] = None) -> str:
         if t_ms < self.clock:
             raise PastTime(t_ms, self.clock)
-        job_id = job_id or self.new_job_id()
-        self._push(t_ms, _ARRIVAL, (job_id, spec))
+        # new_job_id and _push written inline: a trace schedules every job here
+        if not job_id:
+            job_id = f"j{self._job_idx:06d}"
+            self._job_idx += 1
+        heapq.heappush(self._pending, (t_ms, self._tick, _ARRIVAL, (job_id, spec)))
+        self._tick += 1
         return job_id
 
     def submit_now(self, spec: JobSpec, job_id: Optional[str] = None) -> str:

@@ -95,12 +95,19 @@ class Elastic:
 JobShape = Union[Rigid, Elastic]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JobSpec:
     """A user's computing task as submitted.
 
     kind_preferences is an ordered list: the scheduler tries the first
     kind with a feasible cluster before falling through to later ones.
+
+    __init__ is written out, not generated: a frozen dataclass's own sets
+    each field with object.__setattr__, which makes it about 4x slower
+    than an unfrozen one, and a trace builds one spec per job. This one
+    stores each argument through its field's slot descriptor, so every
+    way of building a spec (positional, keyword, dataclasses.replace)
+    takes the same path and the instance stays frozen afterwards.
     """
 
     name: str
@@ -112,11 +119,30 @@ class JobSpec:
     dataset_refs: tuple[str, ...] = ()
     priority: int = 0
 
+    def __init__(self, name: str, user_id: str, kind_preferences: tuple[ResourceKind, ...],
+                 shape: JobShape, work_units: int, walltime_limit_ms: int,
+                 dataset_refs: tuple[str, ...] = (), priority: int = 0) -> None:
+        _set_name(self, name)
+        _set_user_id(self, user_id)
+        _set_kind_preferences(self, kind_preferences)
+        _set_shape(self, shape)
+        _set_work_units(self, work_units)
+        _set_walltime_limit_ms(self, walltime_limit_ms)
+        _set_dataset_refs(self, dataset_refs)
+        _set_priority(self, priority)
+
     def needed_nodes(self) -> int:
         """Node count required to start: full size for rigid, min for elastic."""
         if isinstance(self.shape, Rigid):
             return self.shape.node_count
         return self.shape.min_workers
+
+
+# the slot descriptors JobSpec.__init__ stores through; __slots__ lists
+# the fields in declaration order
+(_set_name, _set_user_id, _set_kind_preferences, _set_shape, _set_work_units,
+ _set_walltime_limit_ms, _set_dataset_refs, _set_priority) = [
+    getattr(JobSpec, name).__set__ for name in JobSpec.__slots__]
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,15 +272,20 @@ def validate_job(spec: JobSpec, known_kinds: set[ResourceKind]) -> JobSpec:
     known_kinds is the set of kinds offered by at least one configured
     cluster; a preference outside it is rejected as UnknownKind.
     """
-    if not spec.kind_preferences:
+    kinds = spec.kind_preferences
+    if not kinds:
         raise EmptyPreferences()
-    seen = set()
-    for kind in spec.kind_preferences:
-        if kind in seen:
-            raise DuplicateKind(kind)
-        seen.add(kind)
-        if kind not in known_kinds:
-            raise UnknownKind(kind.value)
+    if len(kinds) == 1:         # one kind cannot repeat: skip the seen set
+        if kinds[0] not in known_kinds:
+            raise UnknownKind(kinds[0].value)
+    else:
+        seen = set()
+        for kind in kinds:
+            if kind in seen:
+                raise DuplicateKind(kind)
+            seen.add(kind)
+            if kind not in known_kinds:
+                raise UnknownKind(kind.value)
     if spec.work_units < 1:
         raise NonPositive("work_units")
     if spec.walltime_limit_ms < 1:
@@ -389,60 +420,21 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _require_str_list(value, fieldname: str) -> list:
-    if not isinstance(value, list):
-        raise MalformedSpec(f"{fieldname} must be a list of strings")
-    for item in value:
-        if not isinstance(item, str):
-            raise MalformedSpec(f"{fieldname} must be a list of strings")
-    return value
-
-
-def _parse_shape(obj) -> JobShape:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise MalformedSpec('shape must be {"rigid": {...}} or {"elastic": {...}}')
-    [(tag, body)] = obj.items()
-    if not isinstance(body, dict):
-        raise MalformedSpec(f"shape.{tag} must be an object")
-    if tag == "rigid":
-        if not body.keys() <= _RIGID_FIELDS:
-            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _RIGID_FIELDS)}")
-        return _shared_shape(Rigid, _require_int(body, "node_count", "shape.rigid"))
-    if tag == "elastic":
-        if not body.keys() <= _ELASTIC_FIELDS:
-            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _ELASTIC_FIELDS)}")
-        return _shared_shape(Elastic, _require_int(body, "min_workers", "shape.elastic"),
-                             _require_int(body, "max_workers", "shape.elastic"))
-    raise MalformedSpec(f"unknown shape tag: {tag}")
-
-
-def _shared_shape(cls, *fields: int) -> JobShape:
-    key = (cls, *fields)
-    shape = _SHAPES.get(key)
-    if shape is None:
-        if len(_SHAPES) >= _SHARED_SHAPES_MAX:
-            _SHAPES.clear()
-        shape = _SHAPES[key] = cls(*fields)
-    return shape
-
-
-def _parse_preferences(kinds: list[str]) -> tuple[ResourceKind, ...]:
-    key = tuple(kinds)
-    prefs = _PREFERENCES.get(key)
-    if prefs is None:
-        prefs = tuple([ResourceKind.parse(k) for k in key])
-        if len(key) <= len(ResourceKind):
-            _PREFERENCES[key] = prefs
-    return prefs
-
-
 def job_spec_from_obj(obj: dict) -> JobSpec:
-    """Parse the canonical JSON object form; unknown fields are rejected."""
+    """Parse the canonical JSON object form; unknown fields are rejected.
+
+    One pass with every check written inline, since a trace decodes one
+    spec per job. The checks run in a fixed order and the first to fail
+    names the error: the key set; name and user_id; kind_preferences and
+    dataset_refs as lists of strings; priority; the kinds themselves; the
+    shape; work_units; walltime_limit_ms. An integer field is tested with
+    `type(value) is int` first and is_integer only when that fails.
+    """
     if not isinstance(obj, dict):
         raise MalformedSpec("job spec must be a JSON object")
-    fields = obj.keys()
-    if not fields <= _SPEC_FIELDS:
-        raise MalformedSpec(f"unknown field: {min(fields - _SPEC_FIELDS)}")
+    # issuperset walks the dict's keys; `keys() <= ...` is slower
+    if not _SPEC_FIELDS.issuperset(obj):
+        raise MalformedSpec(f"unknown field: {min(obj.keys() - _SPEC_FIELDS)}")
     has_refs = "dataset_refs" in obj
     # every key is known, so a required one is missing iff too few remain
     if len(obj) - has_refs - ("priority" in obj) < len(_SPEC_REQUIRED):
@@ -454,23 +446,73 @@ def job_spec_from_obj(obj: dict) -> JobSpec:
     user_id = obj["user_id"]
     if not isinstance(user_id, str):
         raise MalformedSpec("user_id must be a string")
-    kinds = _require_str_list(obj["kind_preferences"], "kind_preferences")
-    refs = tuple(_require_str_list(obj["dataset_refs"], "dataset_refs")) if has_refs else ()
+    kinds = obj["kind_preferences"]
+    if not isinstance(kinds, list):
+        raise MalformedSpec("kind_preferences must be a list of strings")
+    for kind in kinds:
+        if not isinstance(kind, str):
+            raise MalformedSpec("kind_preferences must be a list of strings")
+    refs = ()
+    if has_refs:
+        refs = obj["dataset_refs"]
+        if not isinstance(refs, list):
+            raise MalformedSpec("dataset_refs must be a list of strings")
+        for ref in refs:
+            if not isinstance(ref, str):
+                raise MalformedSpec("dataset_refs must be a list of strings")
+        refs = tuple(refs)
     priority = obj.get("priority", 0)
-    if not is_integer(priority):
+    if type(priority) is not int and not is_integer(priority):
         raise MalformedSpec("priority must be an integer")
-    # positional, in field order: keyword arguments make the frozen
-    # dataclass's __init__ about 30% slower, and this runs once per job
-    return JobSpec(
-        name,
-        user_id,
-        _parse_preferences(kinds),
-        _parse_shape(obj["shape"]),
-        _require_int(obj, "work_units", "spec"),
-        _require_int(obj, "walltime_limit_ms", "spec"),
-        refs,
-        priority,
-    )
+
+    kinds = tuple(kinds)
+    preferences = _PREFERENCES.get(kinds)
+    if preferences is None:
+        preferences = tuple([ResourceKind.parse(k) for k in kinds])
+        if len(kinds) <= len(ResourceKind):
+            _PREFERENCES[kinds] = preferences
+
+    shape = obj["shape"]
+    if not isinstance(shape, dict) or len(shape) != 1:
+        raise MalformedSpec('shape must be {"rigid": {...}} or {"elastic": {...}}')
+    [tag] = shape
+    body = shape[tag]
+    if not isinstance(body, dict):
+        raise MalformedSpec(f"shape.{tag} must be an object")
+    if tag == "rigid":
+        if not _RIGID_FIELDS.issuperset(body):
+            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _RIGID_FIELDS)}")
+        count = body.get("node_count")
+        if type(count) is not int and not is_integer(count):
+            raise MalformedSpec("shape.rigid.node_count must be an integer")
+        key = (Rigid, count)      # (shape class, *its fields)
+    elif tag == "elastic":
+        if not _ELASTIC_FIELDS.issuperset(body):
+            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _ELASTIC_FIELDS)}")
+        low = body.get("min_workers")
+        if type(low) is not int and not is_integer(low):
+            raise MalformedSpec("shape.elastic.min_workers must be an integer")
+        high = body.get("max_workers")
+        if type(high) is not int and not is_integer(high):
+            raise MalformedSpec("shape.elastic.max_workers must be an integer")
+        key = (Elastic, low, high)
+    else:
+        raise MalformedSpec(f"unknown shape tag: {tag}")
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= _SHARED_SHAPES_MAX:
+            _SHAPES.clear()
+        shape = _SHAPES[key] = key[0](*key[1:])
+
+    work_units = obj["work_units"]
+    if type(work_units) is not int and not is_integer(work_units):
+        raise MalformedSpec("spec.work_units must be an integer")
+    walltime_limit_ms = obj["walltime_limit_ms"]
+    if type(walltime_limit_ms) is not int and not is_integer(walltime_limit_ms):
+        raise MalformedSpec("spec.walltime_limit_ms must be an integer")
+    # positional, in field order: keyword arguments cost more per call
+    return JobSpec(name, user_id, preferences, shape, work_units, walltime_limit_ms,
+                   refs, priority)
 
 
 _CLUSTER_FIELDS = ("cluster_id", "kind", "node_count", "cores_per_node", "speed_factor")

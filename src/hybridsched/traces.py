@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from .model import (
     ClusterSpec,
@@ -61,8 +62,8 @@ class SubmissionTrace:
                 raise MalformedTrace(f"negative fault time {f.t_ms}")
             if f.down_duration_ms < 1:
                 raise MalformedTrace("down_duration_ms must be >= 1")
-        self.jobs.sort(key=lambda j: j[0])
-        self.faults.sort(key=lambda f: f.t_ms)
+        self.jobs.sort(key=itemgetter(0))
+        self.faults.sort(key=attrgetter("t_ms"))
 
 
 def trace_to_obj(trace: SubmissionTrace) -> dict:
@@ -103,7 +104,7 @@ def trace_from_obj(obj) -> SubmissionTrace:
         except MalformedSpec as exc:
             raise MalformedTrace(str(exc)) from exc
         t_ms = entry["t_ms"]
-        if not is_integer(t_ms):
+        if type(t_ms) is not int and not is_integer(t_ms):
             raise MalformedTrace("job t_ms must be an integer")
         jobs.append((t_ms, spec))
     faults = []
@@ -115,7 +116,8 @@ def trace_from_obj(obj) -> SubmissionTrace:
                 raise MalformedTrace(f"fault {key} must be an integer")
         if not isinstance(entry["cluster_id"], str):
             raise MalformedTrace("fault cluster_id must be a string")
-        faults.append(FaultDirective(**entry))
+        faults.append(FaultDirective(entry["t_ms"], entry["cluster_id"], entry["node_index"],
+                                     entry["down_duration_ms"]))
     return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=rng_seed)
 
 

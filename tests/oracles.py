@@ -2,15 +2,19 @@
 
 Everything here is written from scratch in the dumbest way that could
 work: literal tables, per-millisecond scans, a time-stepped FIFO loop.
-Nothing imports from the package under test; oracles consume primitives
-(parsed JSON lines, tuples, ints) so a bug in the package cannot leak
-into its own check.
+Oracles consume primitives (parsed JSON lines, tuples, ints) so a bug in
+the package cannot leak into its own check. The wire decoders at the
+end are the one exception: they are the package's earlier decoders,
+kept to check the current ones against, and build its value types.
 """
 
 import heapq
 import json
 import math
 from fractions import Fraction
+
+from hybridsched.model import Elastic, JobSpec, MalformedSpec, ResourceKind, Rigid
+from hybridsched.traces import FaultDirective, MalformedTrace, SubmissionTrace
 
 
 # --- lifecycle table, hand-walked ------------------------------------------
@@ -453,3 +457,159 @@ def reference_admit(jobs, quota, spec_obj):
     if committed + projected_nodes_oracle(spec_obj) > quota["max_nodes_in_use"]:
         return "NodeQuota"
     return None
+
+
+# --- wire decoders, as first written ----------------------------------------
+#
+# The job-spec and trace decoders as they stood before their single-pass
+# rewrite, kept verbatim apart from the names, so a test can check that
+# the rewrite accepts the same inputs, builds equal values and rejects
+# everything else with the same error and message. They keep shape and
+# preference tables of their own.
+
+_SPEC_REQUIRED = ("name", "user_id", "kind_preferences", "shape", "work_units", "walltime_limit_ms")
+_SPEC_FIELDS = frozenset(_SPEC_REQUIRED + ("dataset_refs", "priority"))
+_RIGID_FIELDS = frozenset({"node_count"})
+_ELASTIC_FIELDS = frozenset({"min_workers", "max_workers"})
+_SHARED_SHAPES_MAX = 1024
+_SHAPES = {}
+_PREFERENCES = {}
+
+
+def is_integer(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    # `type(...) is int` is the fast path; bool is a subclass of int
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def _require_int(obj: dict, key: str, where: str) -> int:
+    value = obj.get(key)
+    if not is_integer(value):
+        raise MalformedSpec(f"{where}.{key} must be an integer")
+    return value
+
+
+def _require_str_list(value, fieldname: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedSpec(f"{fieldname} must be a list of strings")
+    for item in value:
+        if not isinstance(item, str):
+            raise MalformedSpec(f"{fieldname} must be a list of strings")
+    return value
+
+
+def _parse_shape(obj):
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise MalformedSpec('shape must be {"rigid": {...}} or {"elastic": {...}}')
+    [(tag, body)] = obj.items()
+    if not isinstance(body, dict):
+        raise MalformedSpec(f"shape.{tag} must be an object")
+    if tag == "rigid":
+        if not body.keys() <= _RIGID_FIELDS:
+            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _RIGID_FIELDS)}")
+        return _shared_shape(Rigid, _require_int(body, "node_count", "shape.rigid"))
+    if tag == "elastic":
+        if not body.keys() <= _ELASTIC_FIELDS:
+            raise MalformedSpec(f"unknown shape field: {min(body.keys() - _ELASTIC_FIELDS)}")
+        return _shared_shape(Elastic, _require_int(body, "min_workers", "shape.elastic"),
+                             _require_int(body, "max_workers", "shape.elastic"))
+    raise MalformedSpec(f"unknown shape tag: {tag}")
+
+
+def _shared_shape(cls, *fields: int):
+    key = (cls, *fields)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= _SHARED_SHAPES_MAX:
+            _SHAPES.clear()
+        shape = _SHAPES[key] = cls(*fields)
+    return shape
+
+
+def _parse_preferences(kinds: list[str]) -> tuple:
+    key = tuple(kinds)
+    prefs = _PREFERENCES.get(key)
+    if prefs is None:
+        prefs = tuple([ResourceKind.parse(k) for k in key])
+        if len(key) <= len(ResourceKind):
+            _PREFERENCES[key] = prefs
+    return prefs
+
+
+def reference_job_spec_from_obj(obj: dict) -> JobSpec:
+    """Parse the canonical JSON object form; unknown fields are rejected."""
+    if not isinstance(obj, dict):
+        raise MalformedSpec("job spec must be a JSON object")
+    fields = obj.keys()
+    if not fields <= _SPEC_FIELDS:
+        raise MalformedSpec(f"unknown field: {min(fields - _SPEC_FIELDS)}")
+    has_refs = "dataset_refs" in obj
+    # every key is known, so a required one is missing iff too few remain
+    if len(obj) - has_refs - ("priority" in obj) < len(_SPEC_REQUIRED):
+        missing = next(k for k in _SPEC_REQUIRED if k not in obj)
+        raise MalformedSpec(f"missing field: {missing}")
+    name = obj["name"]
+    if not isinstance(name, str):
+        raise MalformedSpec("name must be a string")
+    user_id = obj["user_id"]
+    if not isinstance(user_id, str):
+        raise MalformedSpec("user_id must be a string")
+    kinds = _require_str_list(obj["kind_preferences"], "kind_preferences")
+    refs = tuple(_require_str_list(obj["dataset_refs"], "dataset_refs")) if has_refs else ()
+    priority = obj.get("priority", 0)
+    if not is_integer(priority):
+        raise MalformedSpec("priority must be an integer")
+    # positional, in field order: keyword arguments make the frozen
+    # dataclass's __init__ about 30% slower, and this runs once per job
+    return JobSpec(
+        name,
+        user_id,
+        _parse_preferences(kinds),
+        _parse_shape(obj["shape"]),
+        _require_int(obj, "work_units", "spec"),
+        _require_int(obj, "walltime_limit_ms", "spec"),
+        refs,
+        priority,
+    )
+
+
+_TRACE_FIELDS = frozenset({"rng_seed", "jobs", "faults"})
+_JOB_ENTRY_FIELDS = frozenset({"t_ms", "spec"})
+_FAULT_FIELDS = frozenset({"t_ms", "cluster_id", "node_index", "down_duration_ms"})
+_FAULT_INT_FIELDS = ("t_ms", "node_index", "down_duration_ms")
+
+
+def reference_trace_from_obj(obj) -> SubmissionTrace:
+    if not isinstance(obj, dict):
+        raise MalformedTrace("trace must be a JSON object")
+    if not obj.keys() <= _TRACE_FIELDS:
+        raise MalformedTrace(f"unknown trace fields: {sorted(obj.keys() - _TRACE_FIELDS)}")
+    for key in ("jobs", "faults"):
+        if not isinstance(obj.get(key, []), list):
+            raise MalformedTrace(f"trace {key} must be a list")
+    rng_seed = obj.get("rng_seed", 0)
+    if not is_integer(rng_seed):
+        raise MalformedTrace("trace rng_seed must be an integer")
+    jobs = []
+    for entry in obj.get("jobs", ()):
+        if not isinstance(entry, dict) or entry.keys() != _JOB_ENTRY_FIELDS:
+            raise MalformedTrace("each job entry needs exactly t_ms and spec")
+        try:
+            spec = reference_job_spec_from_obj(entry["spec"])
+        except MalformedSpec as exc:
+            raise MalformedTrace(str(exc)) from exc
+        t_ms = entry["t_ms"]
+        if not is_integer(t_ms):
+            raise MalformedTrace("job t_ms must be an integer")
+        jobs.append((t_ms, spec))
+    faults = []
+    for entry in obj.get("faults", ()):
+        if not isinstance(entry, dict) or entry.keys() != _FAULT_FIELDS:
+            raise MalformedTrace("bad fault directive")
+        for key in _FAULT_INT_FIELDS:
+            if not is_integer(entry[key]):
+                raise MalformedTrace(f"fault {key} must be an integer")
+        if not isinstance(entry["cluster_id"], str):
+            raise MalformedTrace("fault cluster_id must be a string")
+        faults.append(FaultDirective(**entry))
+    return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=rng_seed)

@@ -5,11 +5,14 @@ bodies), so any wrong-typed field must surface as the codec's own error,
 never as a TypeError, KeyError or AttributeError from deeper down.
 """
 
+import copy
 import dataclasses
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from hybridsched.model import (
     Elastic,
@@ -188,3 +191,158 @@ class TestSharedValues:
         assert (a == b) == (name_a == name_b)
         if name_a == name_b:
             assert hash(a) == hash(b)
+
+
+# --- the decoders against their earlier form -------------------------------
+
+
+class Text(str):
+    """A str subclass: the decoders take one wherever they take a str."""
+
+
+class Count(int):
+    """An int subclass other than bool: the decoders take one wherever they take an int."""
+
+
+KIND_TEXTS = st.sampled_from([kind.value for kind in ResourceKind] + ["CPU", "tpu", ""])
+KEYS = st.one_of(
+    st.sampled_from(sorted(set(SPEC_FIELD_TYPES) | set(FAULT_FIELD_TYPES) | {
+        "node_count", "min_workers", "max_workers", "rigid", "elastic", "spec",
+        "jobs", "faults", "rng_seed"})),
+    texts,
+)
+SCALARS = st.one_of(
+    *JSON_VALUES.values(),
+    st.integers(min_value=-2, max_value=5),
+    ints.map(Count),
+    texts.map(Text),
+    KIND_TEXTS,
+    KIND_TEXTS.map(Text),
+)
+# lists of lists and of objects give lists with unhashable items
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def either(first, second):
+    """Half the time one strategy, half the other (`|` would weigh each of its branches)."""
+    return st.booleans().flatmap(lambda pick: first if pick else second)
+
+
+SMALL_INTS = either(st.integers(min_value=-2, max_value=5), VALUES)
+SHAPE_BODIES = st.dictionaries(st.sampled_from(["node_count", "min_workers", "max_workers"]),
+                               SMALL_INTS, max_size=3)
+SHAPE_VALUES = either(st.dictionaries(st.sampled_from(["rigid", "elastic", "moldable"]),
+                                      either(SHAPE_BODIES, VALUES), max_size=2), VALUES)
+KIND_VALUES = st.lists(either(KIND_TEXTS | KIND_TEXTS.map(Text), VALUES), max_size=5)
+# a replaced field draws from the values likeliest to get past its own
+# checks, or to fail only a later one (negative times, unknown kinds)
+VALUES_FOR = {"shape": SHAPE_VALUES, "kind_preferences": KIND_VALUES,
+              "dataset_refs": KIND_VALUES, **dict.fromkeys(
+                  ["t_ms", "down_duration_ms", "work_units", "walltime_limit_ms"], SMALL_INTS)}
+
+
+def places(document) -> list:
+    """(container, key) of every value nested in a JSON document."""
+    found, stack = [], [document]
+    while stack:
+        container = stack.pop()
+        if isinstance(container, dict):
+            items = list(container.items())
+        elif isinstance(container, list):
+            items = list(enumerate(container))
+        else:
+            continue
+        for key, value in items:
+            found.append((container, key))
+            stack.append(value)
+    return found
+
+
+def mutate(document, data) -> None:
+    """Replace, delete or add one value anywhere in the document."""
+    action = data.draw(st.sampled_from(["replace", "replace", "replace", "delete", "add"]))
+    nested = places(document)
+    if action == "add" or not nested:
+        objects = [document] + [c[k] for c, k in nested if isinstance(c[k], dict)]
+        target = data.draw(st.sampled_from(objects))
+        target[data.draw(KEYS)] = data.draw(VALUES)
+        return
+    # a key first, then one place with it, so that every field is as
+    # likely to change however many times it occurs in the document
+    by_key = {}
+    for container, key in nested:
+        by_key.setdefault(key, []).append(container)
+    key = data.draw(st.sampled_from(sorted(by_key, key=repr)))
+    container = data.draw(st.sampled_from(by_key[key]))
+    if action == "delete":
+        del container[key]
+    else:
+        container[key] = data.draw(VALUES_FOR.get(key, VALUES))
+
+
+def outcome(decode, document):
+    try:
+        return "value", decode(copy.deepcopy(document))
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+class TestAgainstEarlierDecoders:
+    """Every input is accepted as an equal value, or rejected with the same error and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(specs, st.integers(min_value=0, max_value=4), st.data())
+    def test_job_spec_decoder(self, spec, n_mutations, data):
+        obj = job_spec_to_obj(spec)
+        for _ in range(n_mutations):
+            mutate(obj, data)
+        assert outcome(job_spec_from_obj, obj) == outcome(oracles.reference_job_spec_from_obj, obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces, st.integers(min_value=0, max_value=4), st.data())
+    def test_trace_decoder(self, trace, n_mutations, data):
+        obj = trace_to_obj(trace)
+        for _ in range(n_mutations):
+            mutate(obj, data)
+        assert outcome(trace_from_obj, obj) == outcome(oracles.reference_trace_from_obj, obj)
+
+    @pytest.mark.parametrize("document", [
+        None, [], "spec", {}, {"shape": {}},
+        {"name": "n", "user_id": "u", "kind_preferences": ["cpu", "cpu"],
+         "shape": {"rigid": {"node_count": Count(2)}}, "work_units": 1,
+         "walltime_limit_ms": 1},
+        {"name": Text("n"), "user_id": "u", "kind_preferences": [Text("gpu")],
+         "shape": {"elastic": {"min_workers": 1, "max_workers": 2}}, "work_units": 1,
+         "walltime_limit_ms": 1, "dataset_refs": [Text("d")], "priority": Count(-1)},
+        {"name": "n", "user_id": "u", "kind_preferences": ["tpu"],
+         "shape": {"moldable": {}}, "work_units": 1.0, "walltime_limit_ms": True},
+        {"name": "n", "user_id": "u", "kind_preferences": [["cpu"]],
+         "shape": {"rigid": {"node_count": 1}}, "work_units": 1, "walltime_limit_ms": 1},
+    ])
+    def test_fixed_specs(self, document):
+        expected = outcome(oracles.reference_job_spec_from_obj, document)
+        assert outcome(job_spec_from_obj, document) == expected
+        # as the spec of a one-job trace
+        trace = {"jobs": [{"t_ms": 0, "spec": document}]}
+        assert outcome(trace_from_obj, trace) == outcome(oracles.reference_trace_from_obj, trace)
+
+    @pytest.mark.parametrize("jobs, faults", [
+        ([(5, "a"), (-3, "b"), (-7, "c")], []),
+        ([(Count(2), "a"), (0, "b")], [(-1, 1), (-4, 0)]),
+        ([(2, "a"), (1, "b"), (2, "c"), (0, "d")], [(3, 1), (1, 0), (1, 2)]),
+        ([], [(0, 5), (Count(0), Count(1))]),
+    ])
+    def test_fixed_traces(self, jobs, faults):
+        spec = job_spec_to_obj(JobSpec(name="", user_id="u", kind_preferences=(ResourceKind.CPU,),
+                                       shape=Rigid(node_count=1), work_units=1,
+                                       walltime_limit_ms=1))
+        trace = {
+            "jobs": [{"t_ms": t_ms, "spec": {**spec, "name": name}} for t_ms, name in jobs],
+            "faults": [{"t_ms": t_ms, "cluster_id": "c", "node_index": 0,
+                        "down_duration_ms": down} for t_ms, down in faults],
+        }
+        assert outcome(trace_from_obj, trace) == outcome(oracles.reference_trace_from_obj, trace)

@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import inspect
+import pickle
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +17,7 @@ from hybridsched.model import (
     DuplicateKind,
     Elastic,
     EmptyPreferences,
+    JobShape,
     InvalidTransition,
     JobRecord,
     JobSpec,
@@ -284,3 +289,115 @@ class TestSlottedRecords:
         assert not hasattr(_RunState(), "__dict__")
         with pytest.raises(AttributeError):
             record.note = "no such field"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class PlainJobSpec:
+    """JobSpec's fields and defaults in a dataclass with the generated __init__."""
+
+    name: str
+    user_id: str
+    kind_preferences: tuple[ResourceKind, ...]
+    shape: JobShape
+    work_units: int
+    walltime_limit_ms: int
+    dataset_refs: tuple[str, ...] = ()
+    priority: int = 0
+
+
+SPEC_ARGS = ("n", "u", (ResourceKind.GPU, ResourceKind.CPU), Rigid(node_count=3), 7, 900,
+             ("d1", "d2"), -2)
+
+
+def plain_repr(obj) -> str:
+    return repr(obj).replace("PlainJobSpec(", "JobSpec(", 1)
+
+
+class TestJobSpecContract:
+    """JobSpec's written-out __init__ behaves as a generated one would."""
+
+    def test_signature_and_defaults(self):
+        ours, plain = inspect.signature(JobSpec), inspect.signature(PlainJobSpec)
+        assert [(p.name, p.kind, p.default) for p in ours.parameters.values()] == \
+            [(p.name, p.kind, p.default) for p in plain.parameters.values()]
+        assert typing.get_type_hints(JobSpec.__init__) == \
+            typing.get_type_hints(PlainJobSpec.__init__)
+        assert [(f.name, f.default, f.init) for f in dataclasses.fields(JobSpec)] == \
+            [(f.name, f.default, f.init) for f in dataclasses.fields(PlainJobSpec)]
+        assert JobSpec.__match_args__ == PlainJobSpec.__match_args__
+        assert JobSpec.__slots__ == PlainJobSpec.__slots__
+
+    @pytest.mark.parametrize("n_args", range(6, 9))
+    @pytest.mark.parametrize("n_positional", [0, 3, 6])
+    def test_positional_and_keyword_construction(self, n_args, n_positional):
+        names = [f.name for f in dataclasses.fields(JobSpec)]
+        args = SPEC_ARGS[:n_positional]
+        kwargs = dict(zip(names[n_positional:n_args], SPEC_ARGS[n_positional:n_args]))
+        ours, plain = JobSpec(*args, **kwargs), PlainJobSpec(*args, **kwargs)
+        assert repr(ours) == plain_repr(plain)
+        for name in names:
+            assert getattr(ours, name) is getattr(plain, name)
+
+    def test_arguments_are_stored_as_given(self):
+        refs = ["d"]    # a list stays a list: no field is converted
+        assert JobSpec(*SPEC_ARGS[:6], refs).dataset_refs is refs
+        assert PlainJobSpec(*SPEC_ARGS[:6], refs).dataset_refs is refs
+
+    @pytest.mark.parametrize("args, kwargs", [
+        (SPEC_ARGS[:5], {}),
+        (SPEC_ARGS + (1,), {}),
+        (SPEC_ARGS[:6], {"nodes": 1}),
+        (SPEC_ARGS[:6], {"name": "again"}),
+        ((), {}),
+    ])
+    def test_bad_calls_fail_the_same_way(self, args, kwargs):
+        with pytest.raises(TypeError) as ours:
+            JobSpec(*args, **kwargs)
+        with pytest.raises(TypeError) as plain:
+            PlainJobSpec(*args, **kwargs)
+        assert str(ours.value) == str(plain.value).replace("PlainJobSpec", "JobSpec")
+
+    def test_replace(self):
+        ours, plain = JobSpec(*SPEC_ARGS), PlainJobSpec(*SPEC_ARGS)
+        for change in ({}, {"dataset_refs": ("x",)}, {"name": "m", "priority": 4},
+                       {"shape": Elastic(min_workers=1, max_workers=2)}):
+            replaced = dataclasses.replace(ours, **change)
+            assert type(replaced) is JobSpec
+            assert repr(replaced) == plain_repr(dataclasses.replace(plain, **change))
+        with pytest.raises(TypeError):
+            dataclasses.replace(ours, nodes=1)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PlainJobSpec)])
+    def test_every_field_is_frozen(self, field):
+        ours, plain = JobSpec(*SPEC_ARGS), PlainJobSpec(*SPEC_ARGS)
+        for obj in (ours, plain):
+            with pytest.raises(dataclasses.FrozenInstanceError) as error:
+                setattr(obj, field, 0)
+            assert str(error.value) == f"cannot assign to field {field!r}"
+            with pytest.raises(dataclasses.FrozenInstanceError) as error:
+                delattr(obj, field)
+            assert str(error.value) == f"cannot delete field {field!r}"
+        assert repr(ours) == plain_repr(plain)
+
+    def test_equality_hash_and_repr(self):
+        ours, plain = JobSpec(*SPEC_ARGS), PlainJobSpec(*SPEC_ARGS)
+        assert ours == JobSpec(*SPEC_ARGS) and hash(ours) == hash(plain)
+        assert ours != plain
+        for i, value in enumerate(["m", "v", (ResourceKind.CPU,), Rigid(node_count=4), 8, 901,
+                                   (), 0]):
+            args = SPEC_ARGS[:i] + (value,) + SPEC_ARGS[i + 1:]
+            other, plain_other = JobSpec(*args), PlainJobSpec(*args)
+            assert other != ours and plain_other != plain
+            assert hash(other) == hash(plain_other)
+            assert repr(other) == plain_repr(plain_other)
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies(self, round_trip):
+        ours = JobSpec(*SPEC_ARGS)
+        twin = round_trip(ours)
+        assert type(twin) is JobSpec and twin == ours and hash(twin) == hash(ours)
+        assert repr(twin) == repr(ours)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.name = "other"
