@@ -349,12 +349,8 @@ class Simulation:
     def schedule_arrival(self, t_ms: int, spec: JobSpec, job_id: Optional[str] = None) -> str:
         if t_ms < self.clock:
             raise PastTime(t_ms, self.clock)
-        # new_job_id and _push written inline: a trace schedules every job here
-        if not job_id:
-            job_id = f"j{self._job_idx:06d}"
-            self._job_idx += 1
-        heapq.heappush(self._pending, (t_ms, self._tick, _ARRIVAL, (job_id, spec)))
-        self._tick += 1
+        job_id = job_id or self.new_job_id()
+        self._push(t_ms, _ARRIVAL, (job_id, spec))
         return job_id
 
     def submit_now(self, spec: JobSpec, job_id: Optional[str] = None) -> str:

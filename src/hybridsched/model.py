@@ -272,20 +272,15 @@ def validate_job(spec: JobSpec, known_kinds: set[ResourceKind]) -> JobSpec:
     known_kinds is the set of kinds offered by at least one configured
     cluster; a preference outside it is rejected as UnknownKind.
     """
-    kinds = spec.kind_preferences
-    if not kinds:
+    if not spec.kind_preferences:
         raise EmptyPreferences()
-    if len(kinds) == 1:         # one kind cannot repeat: skip the seen set
-        if kinds[0] not in known_kinds:
-            raise UnknownKind(kinds[0].value)
-    else:
-        seen = set()
-        for kind in kinds:
-            if kind in seen:
-                raise DuplicateKind(kind)
-            seen.add(kind)
-            if kind not in known_kinds:
-                raise UnknownKind(kind.value)
+    seen = set()
+    for kind in spec.kind_preferences:
+        if kind in seen:
+            raise DuplicateKind(kind)
+        seen.add(kind)
+        if kind not in known_kinds:
+            raise UnknownKind(kind.value)
     if spec.work_units < 1:
         raise NonPositive("work_units")
     if spec.walltime_limit_ms < 1:
