@@ -116,8 +116,7 @@ def trace_from_obj(obj) -> SubmissionTrace:
                 raise MalformedTrace(f"fault {key} must be an integer")
         if not isinstance(entry["cluster_id"], str):
             raise MalformedTrace("fault cluster_id must be a string")
-        faults.append(FaultDirective(entry["t_ms"], entry["cluster_id"], entry["node_index"],
-                                     entry["down_duration_ms"]))
+        faults.append(FaultDirective(**entry))
     return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=rng_seed)
 
 
