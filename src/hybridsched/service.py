@@ -312,6 +312,8 @@ class Service:
     def handle_metrics(self, req) -> tuple[int, dict]:
         now = self.sim.now_ms
         window_ms = req.query_int("window_ms")
+        if window_ms is not None and window_ms < 0:
+            raise ApiError("validation_failed", "window_ms must be non-negative", 422)
         from_ms = 0 if window_ms is None else max(0, now - window_ms)
         to_ms = max(now, from_ms + 1)
         report = utilization(self.sim.log, self.config.clusters, (from_ms, to_ms))
@@ -450,7 +452,8 @@ class _Request:
                 length = int(self.environ.get("CONTENT_LENGTH") or 0)
             except ValueError:
                 length = 0
-            self._body = self.environ["wsgi.input"].read(length) if length else b""
+            # a negative length would read to EOF and block on a live socket
+            self._body = self.environ["wsgi.input"].read(length) if length > 0 else b""
         return self._body
 
     def json(self) -> dict:

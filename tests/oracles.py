@@ -13,6 +13,7 @@ import json
 import math
 from fractions import Fraction
 
+from hybridsched.catalog import BadDatasetName, CatalogError, DuplicateDataset
 from hybridsched.model import Elastic, JobSpec, MalformedSpec, ResourceKind, Rigid
 from hybridsched.traces import FaultDirective, MalformedTrace, SubmissionTrace
 
@@ -61,6 +62,19 @@ def staging_oracle(size_bytes, bandwidth_bytes_per_s):
     if not bandwidth_bytes_per_s:
         return 0
     return math.ceil(Fraction(1000 * size_bytes, bandwidth_bytes_per_s))
+
+
+def reference_register_dataset(sizes, name, size_bytes):
+    """Add one dataset to the name -> size dict `sizes`, or raise the
+    catalog's error for the first rule it breaks, checked in this order:
+    a non-empty str name, an exact int size of at least 0, a new name."""
+    if not isinstance(name, str) or name == "":
+        raise BadDatasetName("dataset name must be a non-empty string")
+    if type(size_bytes) is not int or size_bytes < 0:
+        raise CatalogError("size_bytes must be a non-negative integer")
+    if name in sizes:
+        raise DuplicateDataset(name)
+    sizes[name] = size_bytes
 
 
 # --- statistics ------------------------------------------------------------

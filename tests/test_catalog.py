@@ -1,14 +1,9 @@
-"""Dataset catalog tests: one namespace, atomic persistence, staging math."""
-
-import json
-import os
-import tempfile
-from pathlib import Path
+"""Dataset catalog tests: one in-memory namespace, one registration path,
+staging math."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridsched import catalog as catalog_mod
 from hybridsched.catalog import (
     BadDatasetName,
     CatalogError,
@@ -17,62 +12,66 @@ from hybridsched.catalog import (
     DuplicateDataset,
     MissingDataset,
 )
-from oracles import staging_oracle
+from oracles import reference_register_dataset, staging_oracle
+
+
+def register(cat, name, size_bytes):
+    cat.register_datasets([{"name": name, "size_bytes": size_bytes}])
 
 
 class TestRegisterResolve:
     def test_register_and_resolve(self):
         cat = DatasetCatalog()
-        rec = cat.register_dataset("survey-a", 1_000, now_ms=42)
-        assert rec.size_bytes == 1_000 and rec.registered_at_ms == 42
-        assert cat.resolve(["survey-a"]) == [rec]
-        assert len(cat) == 1
+        register(cat, "survey-a", 1_000)
+        assert cat.resolve(["survey-a"]) == [DatasetRecord("survey-a", 1_000)]
+        assert cat.names() == ["survey-a"]
 
     def test_duplicate_rejected(self):
         cat = DatasetCatalog()
-        cat.register_dataset("d", 10)
+        register(cat, "d", 10)
         with pytest.raises(DuplicateDataset):
-            cat.register_dataset("d", 20)
+            register(cat, "d", 20)
 
     def test_empty_name_and_negative_size(self):
         cat = DatasetCatalog()
         with pytest.raises(BadDatasetName):
-            cat.register_dataset("", 1)
+            register(cat, "", 1)
         with pytest.raises(CatalogError):
-            cat.register_dataset("x", -1)
+            register(cat, "x", -1)
 
     @pytest.mark.parametrize("name", [5, None, b"d", ["d"]])
     def test_non_string_name_rejected(self, name):
         cat = DatasetCatalog()
         with pytest.raises(BadDatasetName):
-            cat.register_dataset(name, 1)
-        assert len(cat) == 0
+            register(cat, name, 1)
+        assert cat.names() == []
 
     @pytest.mark.parametrize("size", [1.5, 10.0, "10", True, None])
     def test_non_integer_size_rejected(self, size):
         cat = DatasetCatalog()
         with pytest.raises(CatalogError, match="integer"):
-            cat.register_dataset("d", size)
-        assert len(cat) == 0
+            register(cat, "d", size)
+        assert cat.names() == []
 
     def test_records_are_immutable_and_resolve_equal(self):
         cat = DatasetCatalog()
-        rec = cat.register_dataset("d", 10, now_ms=3)
+        register(cat, "d", 10)
+        rec = cat.resolve(["d"])[0]
         with pytest.raises(AttributeError):
             rec.size_bytes = 20
-        assert (rec.name, rec.size_bytes, rec.registered_at_ms) == ("d", 10, 3)
+        assert (rec.name, rec.size_bytes) == ("d", 10)
         assert cat.resolve(["d", "d"]) == [rec, rec]
-        assert cat.resolve(["d"])[0] == DatasetRecord("d", 10, 3)
+        assert rec == DatasetRecord("d", 10)
 
     def test_zero_size_allowed(self):
         cat = DatasetCatalog()
-        cat.register_dataset("empty", 0)
+        register(cat, "empty", 0)
         assert cat.resolve(["empty"])[0].size_bytes == 0
 
     def test_resolve_is_all_or_nothing(self):
         cat = DatasetCatalog()
-        cat.register_dataset("a", 1)
-        cat.register_dataset("b", 2)
+        register(cat, "a", 1)
+        register(cat, "b", 2)
         with pytest.raises(MissingDataset) as err:
             cat.resolve(["a", "ghost", "b"])
         assert err.value.name == "ghost"
@@ -81,25 +80,25 @@ class TestRegisterResolve:
 
     def test_resolve_preserves_request_order(self):
         cat = DatasetCatalog()
-        cat.register_dataset("z", 1)
-        cat.register_dataset("a", 2)
+        register(cat, "z", 1)
+        register(cat, "a", 2)
         assert [r.name for r in cat.resolve(["z", "a", "z"])] == ["z", "a", "z"]
 
 
 class TestStagingDelay:
     def test_no_bandwidth_means_free(self):
         cat = DatasetCatalog()
-        cat.register_dataset("d", 10**9)
+        register(cat, "d", 10**9)
         assert cat.staging_delay_ms("d", "cpu0") == 0
 
     def test_exact_division(self):
         cat = DatasetCatalog(bandwidth_bytes_per_s={"cloud0": 1_000})
-        cat.register_dataset("d", 1_000)
+        register(cat, "d", 1_000)
         assert cat.staging_delay_ms("d", "cloud0") == 1_000
 
     def test_rounds_up(self):
         cat = DatasetCatalog(bandwidth_bytes_per_s={"cloud0": 3_000})
-        cat.register_dataset("d", 1_000)
+        register(cat, "d", 1_000)
         # 1000*1000/3000 = 333.33.. -> 334
         assert cat.staging_delay_ms("d", "cloud0") == 334
 
@@ -110,60 +109,19 @@ class TestStagingDelay:
 
     def test_zero_size_is_instant(self):
         cat = DatasetCatalog(bandwidth_bytes_per_s={"c": 5})
-        cat.register_dataset("d", 0)
+        register(cat, "d", 0)
         assert cat.staging_delay_ms("d", "c") == 0
 
     @given(size=st.integers(min_value=0, max_value=10**12),
            bw=st.integers(min_value=1, max_value=10**9))
     def test_matches_fraction_oracle(self, size, bw):
         cat = DatasetCatalog(bandwidth_bytes_per_s={"c": bw})
-        cat.register_dataset("d", size)
+        register(cat, "d", size)
         assert cat.staging_delay_ms("d", "c") == staging_oracle(size, bw)
 
 
-class TestPersistence:
-    def test_reload_round_trip(self, tmp_path):
-        path = str(tmp_path / "catalog.json")
-        cat = DatasetCatalog(path)
-        cat.register_dataset("a", 123, now_ms=5)
-        cat.register_dataset("b", 456, now_ms=9)
-        again = DatasetCatalog(path)
-        assert again.names() == ["a", "b"]
-        assert again.resolve(["a"])[0].size_bytes == 123
-        assert again.resolve(["b"])[0].registered_at_ms == 9
-
-    def test_file_is_valid_sorted_json(self, tmp_path):
-        path = tmp_path / "catalog.json"
-        cat = DatasetCatalog(str(path))
-        cat.register_dataset("zz", 1)
-        cat.register_dataset("aa", 2)
-        obj = json.loads(path.read_text())
-        assert list(obj) == ["aa", "zz"]
-        assert obj["aa"] == {"size_bytes": 2, "registered_at_ms": 0}
-
-    def test_no_temp_file_left_behind(self, tmp_path):
-        path = tmp_path / "catalog.json"
-        cat = DatasetCatalog(str(path))
-        cat.register_dataset("d", 7)
-        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
-
-    def test_failed_registration_leaves_file_unchanged(self, tmp_path):
-        path = tmp_path / "catalog.json"
-        cat = DatasetCatalog(str(path))
-        cat.register_dataset("d", 7)
-        before = path.read_bytes()
-        with pytest.raises(DuplicateDataset):
-            cat.register_dataset("d", 8)
-        assert path.read_bytes() == before
-
-    def test_memory_only_catalog_never_touches_disk(self, tmp_path):
-        cat = DatasetCatalog()
-        cat.register_dataset("d", 1)
-        assert list(tmp_path.iterdir()) == []
-
-
 class _Name(str):
-    """A str subclass, which register_dataset accepts as a name."""
+    """A str subclass, which register_datasets accepts as a name."""
 
 
 # a small alphabet, so drawn lists repeat names and hit registered ones
@@ -196,37 +154,36 @@ MALFORMED = [
 ]
 
 
-def _register_one_by_one(cat, entries):
+def _register_one_by_one(sizes, entries):
     for entry in entries:
-        cat.register_dataset(entry["name"], entry["size_bytes"])
+        reference_register_dataset(sizes, entry["name"], entry["size_bytes"])
 
 
-def _outcome(cat, register):
-    """What a registration call leaves: the error, names, records, file."""
+def _error_of(register_all):
+    """The (class, message) a registration call raises, or None."""
     try:
-        register()
-        error = None
+        register_all()
     except Exception as exc:   # noqa: BLE001 - compared, not handled
-        error = (type(exc), str(exc))
-    path = Path(cat.path)
-    saved = path.read_bytes() if path.exists() else None
-    return error, cat.names(), cat.resolve(cat.names()), saved
+        return type(exc), str(exc)
+    return None
 
 
 def check_bulk_matches_one_by_one(registered, entries, as_iterator=False):
-    with tempfile.TemporaryDirectory() as tmp:
-        one = DatasetCatalog(os.path.join(tmp, "one.json"))
-        bulk = DatasetCatalog(os.path.join(tmp, "bulk.json"))
-        for cat in (one, bulk):
-            _register_one_by_one(cat, registered)
-        expected = _outcome(one, lambda: _register_one_by_one(one, entries))
-        bulk_entries = iter(entries) if as_iterator else entries
-        got = _outcome(bulk, lambda: bulk.register_datasets(bulk_entries))
-    assert got == expected
+    sizes = {}
+    _register_one_by_one(sizes, registered)
+    error = _error_of(lambda: _register_one_by_one(sizes, entries))
+    names = sorted(sizes)
+    expected = error, names, [DatasetRecord(name, sizes[name]) for name in names]
+    bulk = DatasetCatalog()
+    bulk.register_datasets(registered)
+    bulk_entries = iter(entries) if as_iterator else entries
+    error = _error_of(lambda: bulk.register_datasets(bulk_entries))
+    assert (error, bulk.names(), bulk.resolve(bulk.names())) == expected
 
 
 class TestBulkRegistration:
-    """register_datasets leaves what register_dataset one entry at a time does."""
+    """register_datasets leaves what the reference rules, applied one entry
+    at a time, leave: the same error, names and records."""
 
     @settings(max_examples=300, deadline=None)
     @given(registered=st.lists(GOOD_ENTRY, max_size=3, unique_by=lambda e: e["name"]),
@@ -249,24 +206,13 @@ class TestBulkRegistration:
         entries = good[:at] + [bad] + good[at:]
         check_bulk_matches_one_by_one([{"name": "x", "size_bytes": 1}], entries)
 
-    def test_bulk_load_saves_once(self, tmp_path, monkeypatch):
-        entries = [{"name": f"d{i:03}", "size_bytes": i * 10} for i in range(200)]
-        one = DatasetCatalog(str(tmp_path / "one.json"))
-        _register_one_by_one(one, entries)
-        replaced = []
-        real_replace = os.replace
-        monkeypatch.setattr(catalog_mod.os, "replace",
-                            lambda src, dst: (replaced.append(dst), real_replace(src, dst)))
-        bulk = DatasetCatalog(str(tmp_path / "bulk.json"))
-        bulk.register_datasets(entries)
-        assert replaced == [bulk.path]
-        assert (tmp_path / "bulk.json").read_bytes() == (tmp_path / "one.json").read_bytes()
-        assert DatasetCatalog(bulk.path).resolve(["d007"]) == [DatasetRecord("d007", 70, 0)]
-
-    def test_empty_list_registers_and_saves_nothing(self, tmp_path):
-        cat = DatasetCatalog(str(tmp_path / "catalog.json"))
+    def test_empty_list_registers_and_saves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cat = DatasetCatalog()
         cat.register_datasets([])
-        assert len(cat) == 0 and list(tmp_path.iterdir()) == []
+        assert cat.names() == []
+        register(cat, "d", 1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_bad_entry_keeps_the_entries_before_it(self):
         cat = DatasetCatalog()

@@ -469,7 +469,7 @@ class TestElasticRuns:
 class TestStaging:
     def _sim(self, wall):
         catalog = DatasetCatalog(bandwidth_bytes_per_s={"cpu0": 1_000})
-        catalog.register_dataset("survey", 1_500)
+        catalog.register_datasets([{"name": "survey", "size_bytes": 1_500}])
         sim = Simulation([cluster("cpu0", CPU, 1)], catalog=catalog)
         sim.schedule_arrival(0, rigid("j", 1, 1, wall, refs=("survey",)))
         sim.run_to_quiescence()
@@ -488,7 +488,7 @@ class TestStaging:
 
     def test_no_bandwidth_entry_means_free_staging(self):
         catalog = DatasetCatalog()
-        catalog.register_dataset("survey", 10**12)
+        catalog.register_datasets([{"name": "survey", "size_bytes": 10**12}])
         sim = Simulation([cluster("cpu0", CPU, 1)], catalog=catalog)
         sim.schedule_arrival(0, rigid("j", 1, 1, 2_000, refs=("survey",)))
         sim.run_to_quiescence()

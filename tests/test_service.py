@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import socket
 import threading
 import time
 
@@ -80,10 +81,12 @@ def call(service, method, path, body=None, headers=None, query=""):
     return out["status"], json.loads(payload)
 
 
-def raw_call(service, method, path, raw, user=None, query=""):
-    """Send raw body bytes; returns (status, payload bytes)."""
+def raw_call(service, method, path, raw, user=None, query="", length=None):
+    """Send raw body bytes, with Content-Length `length` if given, else
+    their size; returns (status, payload bytes)."""
     environ = {"REQUEST_METHOD": method, "PATH_INFO": path, "QUERY_STRING": query,
-               "CONTENT_LENGTH": str(len(raw)), "wsgi.input": io.BytesIO(raw)}
+               "CONTENT_LENGTH": str(len(raw)) if length is None else length,
+               "wsgi.input": io.BytesIO(raw)}
     if user is not None:
         environ["HTTP_X_USER_ID"] = user
     out = []
@@ -160,6 +163,22 @@ class TestSubmit:
         payload = b"".join(svc.wsgi_app(environ, lambda s, h: out.update(status=s)))
         assert out["status"].startswith("422")
         assert json.loads(payload)["error"]["code"] == "validation_failed"
+
+    @pytest.mark.parametrize("length", ["-1", "-100", "nope"])
+    def test_bad_content_length_reads_no_body(self, svc, length):
+        # a negative length must not read the input to EOF, which on a
+        # live socket blocks until the client hangs up
+        environ = {
+            "REQUEST_METHOD": "POST", "PATH_INFO": "/v1/clock/advance",
+            "QUERY_STRING": "", "CONTENT_LENGTH": length,
+            "wsgi.input": io.BytesIO(b'{"by_ms": 1000}'),
+        }
+        out = {}
+        payload = b"".join(svc.wsgi_app(environ, lambda s, h: out.update(status=s)))
+        assert out["status"].startswith("422")
+        assert json.loads(payload)["error"] == {"code": "validation_failed",
+                                                "message": "empty request body"}
+        assert call(svc, "GET", "/v1/clock")[1]["now_ms"] == 0
 
     def test_auth_header_must_match_spec(self, svc):
         status, err = call(svc, "POST", "/v1/jobs", rigid_obj(),
@@ -364,6 +383,13 @@ class TestIntrospection:
         assert body["utilization"]["aggregate"]["busy_node_ms"] == 0
         status, err = call(svc, "GET", "/v1/metrics", query="window_ms=soon")
         assert status == 422 and err["error"]["code"] == "validation_failed"
+
+    def test_negative_metrics_window_rejected(self, svc):
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
+        status, err = call(svc, "GET", "/v1/metrics", query="window_ms=-5")
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        _status, body = call(svc, "GET", "/v1/metrics", query="window_ms=0")
+        assert body["utilization"]["window"] == {"from_ms": 1_000, "to_ms": 1_001}
 
 
 class TestUsers:
@@ -841,6 +867,23 @@ class TestOverRealHttp:
             thread.join(timeout=5)
             server.server_close()
 
+    def test_negative_content_length_is_answered_at_once(self):
+        # the client keeps its side open, so a server that read the body
+        # to EOF would never answer
+        server, thread, _base = self.run_server(base_config(listen_addr="127.0.0.1:0"))
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall(b"POST /v1/clock/advance HTTP/1.0\r\n"
+                             b"Content-Length: -1\r\n\r\n")
+                reply = sock.makefile("rb").read()
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == b"422"
+            assert json.loads(payload)["error"]["message"] == "empty request body"
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+
 
 # -- fuzzing the wire -------------------------------------------------------
 
@@ -895,7 +938,8 @@ def wire_requests(draw):
     ))
     user = draw(st.none() | st.sampled_from(["u", "v", "nobody"]) | st.text(max_size=6))
     query = draw(st.sampled_from(["", "window_ms=100", "window_ms=-5", "window_ms=x"]))
-    return method, path, body, user, query
+    length = draw(st.none() | st.sampled_from(["-1", "0", "", "x"]))   # None: the body's size
+    return method, path, body, user, query, length
 
 
 class TestFuzz:
@@ -903,7 +947,7 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_no_request_gets_a_500(self, reqs):
         svc = Service(base_config())
-        for method, path, body, user, query in reqs:
-            status, payload = raw_call(svc, method, path, body, user, query)
+        for method, path, body, user, query, length in reqs:
+            status, payload = raw_call(svc, method, path, body, user, query, length)
             assert status < 500, (method, path, body[:80], user, payload)
             json.loads(payload)
