@@ -29,7 +29,6 @@ from .engine import (
     EventLog,
     NonTerminating,
     SimConfig,
-    SimEvent,
     SimEventKind,
     Simulation,
     run_trace,
@@ -60,7 +59,6 @@ __all__ = [
     "Rigid",
     "Scheduler",
     "SimConfig",
-    "SimEvent",
     "SimEventKind",
     "Simulation",
     "SubmissionTrace",

@@ -171,7 +171,7 @@ def cmd_simulate(args) -> int:
         print(f"hsctl: invalid fault in trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
     log.write(args.out)
-    last = log.events[-1].t_ms if log.events else 0
+    last = log.t_ms[-1] if len(log) else 0
     window = (0, max(last, 1))
     report = utilization(log, clusters, window)
     stats = wait_stats(log)

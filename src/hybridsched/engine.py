@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import io
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -95,10 +94,10 @@ def canonical_line(t_ms: int, seq: int, kind: SimEventKind, payload: tuple) -> s
 class SimEvent:
     """One log entry, totally ordered by (t_ms, seq).
 
-    The log stores no SimEvent: it builds one when an entry is read
-    through `EventLog.events` or by iterating the log. payload is flat,
-    (k1, v1, k2, v2, ...), with its keys sorted once when the event is
-    emitted (see _flat_payload).
+    The log stores no SimEvent: `EventLog.events` builds one when an
+    entry is read. payload is flat, (k1, v1, k2, v2, ...), with its keys
+    sorted once when the event is emitted (see _flat_payload). Kept only
+    because the benchmark (perfbench/run.py) reads `log.events[-1].t_ms`.
     """
 
     t_ms: int
@@ -106,18 +105,12 @@ class SimEvent:
     kind: SimEventKind
     payload: tuple
 
-    def canonical(self) -> str:
-        return canonical_line(self.t_ms, self.seq, self.kind, self.payload)
 
-    def get(self, key: str):
-        return payload_get(self.payload, key)
-
-
-class EventView(Sequence):
-    """Read-only sequence of a log's events, each SimEvent built on read.
+class EventView:
+    """Read-only indexable view of a log's events, each SimEvent built on read.
 
     It holds the log's columns, not the log, so it makes no reference
-    cycle.
+    cycle. Kept only for the benchmark (perfbench/run.py), which indexes it.
     """
 
     __slots__ = ("_t_ms", "_kind", "_payload")
@@ -135,10 +128,6 @@ class EventView(Sequence):
         if not 0 <= seq < len(self._t_ms):
             raise IndexError("event index out of range")
         return SimEvent(self._t_ms[seq], seq, self._kind[seq], self._payload[seq])
-
-    def __iter__(self):
-        for seq, (t_ms, kind, payload) in enumerate(zip(self._t_ms, self._kind, self._payload)):
-            yield SimEvent(t_ms, seq, kind, payload)
 
 
 class EventLog:
@@ -164,14 +153,12 @@ class EventLog:
     def __len__(self):
         return len(self.t_ms)
 
-    def __iter__(self):
-        return iter(self.events)
-
     def rows(self):
         """(t_ms, kind, payload) of every event in seq order, no SimEvent built."""
         return zip(self.t_ms, self.kind, self.payload)
 
     def canonical_lines(self) -> list[str]:
+        """Every canonical line, in one list. Kept only for the benchmark (perfbench/run.py)."""
         return [canonical_line(t_ms, seq, kind, payload)
                 for seq, (t_ms, kind, payload) in enumerate(self.rows())]
 
@@ -407,7 +394,7 @@ class Simulation:
     # -- time -------------------------------------------------------------
 
     def step(self, until_ms: int) -> list[SimEvent]:
-        """advance_to(until_ms), then return the events emitted in the window."""
+        """advance_to plus the window's events; kept only because perfbench/tracer.py wraps it."""
         mark = len(self.log)
         self.advance_to(until_ms)
         return self.log.events[mark:]

@@ -351,8 +351,8 @@ def compare(trace, clusters_a: list[ClusterSpec], clusters_b: list[ClusterSpec],
     """
     log_a, _ = run_trace(trace, clusters_a, config_a)
     log_b, _ = run_trace(trace, clusters_b, config_b)
-    last_a = log_a.events[-1].t_ms if log_a.events else 0
-    last_b = log_b.events[-1].t_ms if log_b.events else 0
+    last_a = log_a.t_ms[-1] if len(log_a) else 0
+    last_b = log_b.t_ms[-1] if len(log_b) else 0
     to_ms = max(last_a, last_b, 1)
     window = (0, to_ms)
     return Comparison(

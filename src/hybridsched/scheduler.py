@@ -204,6 +204,7 @@ class Scheduler:
         return [key[2] for key in self._queue_keys]
 
     def queue_length(self) -> int:
+        """Jobs queued. Kept only for perfbench/tracer.py, which reads it on every plan."""
         return len(self._queue_keys)
 
     # -- helpers ----------------------------------------------------------

@@ -435,10 +435,15 @@ def _error_body(err: ApiError) -> dict:
 
 
 _REASONS = {
-    200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
-    403: "Forbidden", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 422: "Unprocessable Entity", 500: "Internal Server Error",
+    200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request", 403: "Forbidden",
+    404: "Not Found", 405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Content Too Large", 422: "Unprocessable Entity", 500: "Internal Server Error",
 }
+
+# make_server's timeout on each socket read: the server is single-threaded,
+# so one stalled client would hold up every other one
+REQUEST_TIMEOUT_S = 5
+MAX_BODY_BYTES = 1 << 20     # a larger Content-Length gets 413, its body unread
 
 
 class _Request:
@@ -452,8 +457,13 @@ class _Request:
                 length = int(self.environ.get("CONTENT_LENGTH") or 0)
             except ValueError:
                 length = 0
+            if length > MAX_BODY_BYTES:
+                raise ApiError("body_too_large", f"body over {MAX_BODY_BYTES} bytes", 413)
             # a negative length would read to EOF and block on a live socket
-            self._body = self.environ["wsgi.input"].read(length) if length > 0 else b""
+            try:
+                self._body = self.environ["wsgi.input"].read(length) if length > 0 else b""
+            except TimeoutError:
+                raise ApiError("request_timeout", f"body not sent in {REQUEST_TIMEOUT_S} s", 408)
         return self._body
 
     def json(self) -> dict:
@@ -494,6 +504,8 @@ def make_server(host: str, port: int, app):
     from wsgiref import simple_server
 
     class _QuietHandler(simple_server.WSGIRequestHandler):
+        timeout = REQUEST_TIMEOUT_S
+
         def log_message(self, *args):   # keep test output clean
             pass
 

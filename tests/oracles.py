@@ -112,6 +112,12 @@ def parse_log(lines):
     return out
 
 
+def log_events(log):
+    """An EventLog's events as plain dicts ("t", "seq", "kind", payload keys),
+    read back from its canonical bytes: the one way tests read a log."""
+    return parse_log(log.canonical_bytes().splitlines())
+
+
 TERMINAL_KINDS = {"JobFinished", "JobFailed", "JobTimedOut", "JobCancelled"}
 
 
@@ -160,15 +166,15 @@ def down_spans_from_log(events, end_ms):
     return spans
 
 
-def scan_utilization(lines, clusters, window, holds=()):
-    """Per-millisecond busy/available scan; clusters is [(cid, node_count)].
+def scan_utilization(events, clusters, window, holds=()):
+    """Per-millisecond busy/available scan of parsed log events (see
+    log_events); clusters is [(cid, node_count)].
 
     holds entries are (cluster_id, node, t0, t1_or_None). Slow on
     purpose: this is the ground truth the fast interval arithmetic is
     checked against, so keep windows small.
     """
     from_ms, to_ms = window
-    events = parse_log(lines)
     segs = segments_from_log(events, to_ms)
     down = down_spans_from_log(events, to_ms)
     blocked = {}
@@ -191,7 +197,7 @@ def scan_utilization(lines, clusters, window, holds=()):
     return busy, avail
 
 
-def scan_wait_stats(lines):
+def scan_wait_stats(events):
     """Wait and turnaround figures of a canonical log, as WaitStats.to_obj() names them.
 
     Wait is first JobStarted minus JobSubmitted; turnaround runs from
@@ -201,7 +207,7 @@ def scan_wait_stats(lines):
     submitted = {}
     starts = {}
     ended = {}
-    for ev in parse_log(lines):
+    for ev in events:
         kind = ev["kind"]
         if kind == "JobSubmitted":
             submitted[ev["job_id"]] = ev["t"]
@@ -223,8 +229,8 @@ def scan_wait_stats(lines):
     }
 
 
-def replay_occupancy(lines, clusters, job_kinds):
-    """Walk a canonical log and report every occupancy/kind violation.
+def replay_occupancy(events, clusters, job_kinds):
+    """Walk a parsed canonical log and report every occupancy/kind violation.
 
     clusters: {cluster_id: (kind, node_count)}
     job_kinds: {job_id: set of kind strings the job may run on}
@@ -233,7 +239,7 @@ def replay_occupancy(lines, clusters, job_kinds):
     holder = {cid: {} for cid in clusters}   # node -> job_id
     where = {}                               # job -> cluster
     bad = []
-    for ev in parse_log(lines):
+    for ev in events:
         kind = ev["kind"]
         if kind == "JobStarted" or kind == "RescaleApplied":
             jid = ev["job_id"]

@@ -86,7 +86,7 @@ def test_criterion_02_no_overallocation_and_kind_respect():
         cluster_map = {c.cluster_id: (c.kind.value, c.node_count) for c in clusters}
         job_kinds = {jid: {k.value for k in rec.spec.kind_preferences}
                      for jid, rec in records.items()}
-        violations.extend(oracles.replay_occupancy(log.canonical_lines(),
+        violations.extend(oracles.replay_occupancy(oracles.log_events(log),
                                                    cluster_map, job_kinds))
     report("criterion 2: occupancy and kind respect over 1000 traces",
            not violations,
@@ -247,8 +247,8 @@ def test_criterion_06_utilization_exactness():
                 down_duration_ms=gen.randint(50, 800)))
         log, _records = run_trace(SubmissionTrace(jobs=jobs, faults=faults),
                                   clusters)
-        last = log.events[-1].t_ms if log.events else 0
-        hi = max(last, 1)
+        events = oracles.log_events(log)
+        hi = max(events[-1]["t"] if events else 0, 1)
         if case % 4 == 0 and hi > 10:
             lo_w = gen.randint(1, hi // 2)
             window = (lo_w, gen.randint(lo_w + 1, hi))
@@ -256,8 +256,7 @@ def test_criterion_06_utilization_exactness():
             window = (0, hi)
         rep = utilization(log, clusters, window)
         busy, avail = oracles.scan_utilization(
-            log.canonical_lines(),
-            [(c.cluster_id, c.node_count) for c in clusters], window)
+            events, [(c.cluster_id, c.node_count) for c in clusters], window)
         good = all(cu.busy_node_ms == busy[cu.cluster_id]
                    and cu.available_node_ms == avail[cu.cluster_id]
                    for cu in rep.per_cluster)
@@ -336,11 +335,12 @@ def test_criterion_08_http_round_trip():
             status = requests.get(f"{base}/v1/jobs/{job_id}", timeout=5).json()
             manifest = requests.get(f"{base}/v1/jobs/{job_id}/result",
                                     timeout=5).json()
-            started = [e.t_ms for e in service.sim.log
-                       if e.kind.value == "JobStarted" and e.get("job_id") == job_id]
-            ended = [e.t_ms for e in service.sim.log
-                     if e.kind.value in ("JobFinished", "JobFailed",
-                                         "JobTimedOut", "JobCancelled")
+            events = oracles.log_events(service.sim.log)
+            started = [e["t"] for e in events
+                       if e["kind"] == "JobStarted" and e.get("job_id") == job_id]
+            ended = [e["t"] for e in events
+                     if e["kind"] in ("JobFinished", "JobFailed",
+                                      "JobTimedOut", "JobCancelled")
                      and e.get("job_id") == job_id]
             log_duration = ended[-1] - started[0]
             if (status["state"] == "Completed"
@@ -370,17 +370,18 @@ def test_criterion_09_failure_paths():
         return sim
 
     retry = scenario(1)
-    starts = [(e.t_ms, tuple(e.get("node_indices")))
-              for e in retry.log if e.kind.value == "JobStarted"]
-    finishes = [e.t_ms for e in retry.log if e.kind.value == "JobFinished"]
+    events = oracles.log_events(retry.log)
+    starts = [(e["t"], tuple(e["node_indices"])) for e in events if e["kind"] == "JobStarted"]
+    finishes = [e["t"] for e in events if e["kind"] == "JobFinished"]
     ok_retry = (starts == [(0, (0, 1)), (2_000, (1, 2))]
                 and finishes == [8_000]
                 and retry.records["j000000"].state is JobState.COMPLETED)
 
     fail = scenario(0)
-    failures = [e.t_ms for e in fail.log if e.kind.value == "JobFailed"]
+    events = oracles.log_events(fail.log)
+    failures = [e["t"] for e in events if e["kind"] == "JobFailed"]
     ok_fail = (failures == [2_000]
-               and not [e for e in fail.log if e.kind.value == "JobFinished"]
+               and not [e for e in events if e["kind"] == "JobFinished"]
                and fail.records["j000000"].state is JobState.FAILED)
 
     report("criterion 9: node-failure retry and exhaustion timelines",

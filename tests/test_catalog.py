@@ -181,6 +181,7 @@ def check_bulk_matches_one_by_one(registered, entries, as_iterator=False):
     assert (error, bulk.names(), bulk.resolve(bulk.names())) == expected
 
 
+@pytest.mark.extra_seeds
 class TestBulkRegistration:
     """register_datasets leaves what the reference rules, applied one entry
     at a time, leave: the same error, names and records."""

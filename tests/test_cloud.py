@@ -260,7 +260,7 @@ class TestVClusters:
         assert vc.state is VClusterState.PROVISIONING
         assert vc.ready_at_ms == 500
         assert layer.get_vcluster(vc.vcluster_id).state is VClusterState.PROVISIONING
-        layer.sim.step(500)
+        layer.sim.advance_to(500)
         assert layer.get_vcluster(vc.vcluster_id).state is VClusterState.READY
 
     def test_list_vclusters_sorted(self):

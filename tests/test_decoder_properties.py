@@ -291,6 +291,7 @@ def outcome(decode, document):
         return type(exc), str(exc), type(exc.__cause__)
 
 
+@pytest.mark.extra_seeds
 class TestAgainstEarlierDecoders:
     """Every input is accepted as an equal value, or rejected with the same error and message."""
 

@@ -199,12 +199,11 @@ class TestUtilization:
                                  arrival_span_ms=4_000, elastic_fraction=0.4,
                                  n_faults=2)
             log, _records = run_trace(trace, clusters)
-            last = log.events[-1].t_ms if log.events else 0
-            window = (0, max(last, 1))
+            events = oracles.log_events(log)
+            window = (0, max(events[-1]["t"] if events else 0, 1))
             report = utilization(log, clusters, window)
             busy, avail = oracles.scan_utilization(
-                log.canonical_lines(),
-                [(c.cluster_id, c.node_count) for c in clusters], window)
+                events, [(c.cluster_id, c.node_count) for c in clusters], window)
             for cu in report.per_cluster:
                 assert cu.busy_node_ms == busy[cu.cluster_id], seed
                 assert cu.available_node_ms == avail[cu.cluster_id], seed
@@ -218,13 +217,13 @@ class TestUtilization:
             shape=Elastic(min_workers=1, max_workers=2), work_units=8,
             walltime_limit_ms=60_000))
         sim.run_to_quiescence()
-        assert sim.log.events[0].canonical() == (
-            '{"t":0,"seq":0,"kind":"NodesHeld","cluster_id":"cloud0","node_indices":[2]}')
-        window = (0, max(sim.log.events[-1].t_ms, 1))
+        events = oracles.log_events(sim.log)
+        assert events[0] == {"t": 0, "seq": 0, "kind": "NodesHeld", "cluster_id": "cloud0",
+                             "node_indices": [2]}
+        window = (0, max(events[-1]["t"], 1))
         report = utilization(sim.log, [spec], window)
         busy, avail = oracles.scan_utilization(
-            sim.log.canonical_lines(), [("cloud0", 3)], window,
-            holds=[("cloud0", 2, 0, None)])
+            events, [("cloud0", 3)], window, holds=[("cloud0", 2, 0, None)])
         assert report.per_cluster[0].busy_node_ms == busy["cloud0"]
         assert report.per_cluster[0].available_node_ms == avail["cloud0"]
         assert report.per_cluster[0].held_node_ms > 0
@@ -301,13 +300,13 @@ class TestWaitStats:
             sim.schedule_arrival(t_ms, spec)
         for f in trace.faults:
             sim.inject_node_failure(f.cluster_id, f.node_index, f.t_ms, f.down_duration_ms)
-        sim.step(cancel_at)
+        sim.advance_to(cancel_at)
         live = sorted(sim.live_jobs())
         if live:
             sim.cancel_now(live[pick % len(live)])
         sim.run_to_quiescence()
         assert wait_stats(sim.log).to_obj() == oracles.scan_wait_stats(
-            sim.log.canonical_lines())
+            oracles.log_events(sim.log))
 
 
 class TestCompare:

@@ -483,6 +483,7 @@ def plan_inputs(draw):
     return now, clusters, jobs
 
 
+@pytest.mark.extra_seeds
 class TestPlanAgainstReference:
     """plan() returns what the straight queue walk in oracles returns."""
 

@@ -15,6 +15,7 @@ import oracles
 from hybridsched import cloud as cloud_mod
 from hybridsched import engine
 from hybridsched import model
+from hybridsched import service as service_mod
 from hybridsched.catalog import DuplicateDataset, MissingDataset
 from hybridsched.cloud import RejectReason
 from hybridsched.model import (
@@ -822,6 +823,12 @@ class TestReferenceCounting:
             gc.enable()
 
 
+def read_reply(sock):
+    """(status, parsed JSON body) of the one HTTP/1.0 reply on sock."""
+    head, _, payload = sock.makefile("rb").read().partition(b"\r\n\r\n")
+    return int(head.split(b"\r\n")[0].split()[1]), json.loads(payload)
+
+
 class TestOverRealHttp:
     def run_server(self, cfg):
         server, service = make_service_server(cfg)
@@ -875,10 +882,48 @@ class TestOverRealHttp:
             with socket.create_connection(server.server_address, timeout=5) as sock:
                 sock.sendall(b"POST /v1/clock/advance HTTP/1.0\r\n"
                              b"Content-Length: -1\r\n\r\n")
-                reply = sock.makefile("rb").read()
-            head, _, payload = reply.partition(b"\r\n\r\n")
-            assert head.split(b"\r\n")[0].split()[1] == b"422"
-            assert json.loads(payload)["error"]["message"] == "empty request body"
+                status, body = read_reply(sock)
+            assert status == 422
+            assert body["error"]["message"] == "empty request body"
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+
+    def test_a_stalled_body_does_not_hold_up_other_clients(self, monkeypatch):
+        # the slow client declares 100 bytes, sends 5 and keeps its side
+        # open; the single-threaded server must give up on it after the
+        # read timeout and then answer the next client
+        monkeypatch.setattr(service_mod, "REQUEST_TIMEOUT_S", 0.3)
+        server, thread, _base = self.run_server(base_config(listen_addr="127.0.0.1:0"))
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as slow:
+                slow.sendall(b"POST /v1/clock/advance HTTP/1.0\r\n"
+                             b"Content-Length: 100\r\n\r\n" b'{"by_')
+                t0 = time.monotonic()
+                with socket.create_connection(server.server_address, timeout=3) as other:
+                    other.sendall(b"GET /v1/clock HTTP/1.0\r\n\r\n")
+                    other_status, clock = read_reply(other)
+                waited = time.monotonic() - t0
+                slow_status, body = read_reply(slow)
+            assert (other_status, clock["now_ms"]) == (200, 0)
+            assert waited < 2.0, waited
+            assert slow_status == 408 and body["error"]["code"] == "request_timeout"
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+
+    def test_oversized_content_length_is_refused_unread(self):
+        # no body byte is ever sent: a server that tried to read it would
+        # time out instead of answering 413 at once
+        server, thread, _base = self.run_server(base_config(listen_addr="127.0.0.1:0"))
+        try:
+            with socket.create_connection(server.server_address, timeout=3) as sock:
+                sock.sendall(b"POST /v1/jobs HTTP/1.0\r\nContent-Length: %d\r\n\r\n"
+                             % (service_mod.MAX_BODY_BYTES + 1))
+                status, body = read_reply(sock)
+            assert status == 413 and body["error"]["code"] == "body_too_large"
         finally:
             server.shutdown()
             thread.join(timeout=5)
@@ -938,10 +983,12 @@ def wire_requests(draw):
     ))
     user = draw(st.none() | st.sampled_from(["u", "v", "nobody"]) | st.text(max_size=6))
     query = draw(st.sampled_from(["", "window_ms=100", "window_ms=-5", "window_ms=x"]))
-    length = draw(st.none() | st.sampled_from(["-1", "0", "", "x"]))   # None: the body's size
+    length = draw(st.none() | st.sampled_from(   # None: the body's size
+        ["-1", "0", "", "x", str(service_mod.MAX_BODY_BYTES + 1)]))
     return method, path, body, user, query, length
 
 
+@pytest.mark.extra_seeds
 class TestFuzz:
     @given(st.lists(wire_requests(), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
