@@ -9,7 +9,6 @@ entry point.
 """
 
 from .model import (
-    Allocation,
     ClusterSpec,
     Elastic,
     JobRecord,
@@ -39,7 +38,6 @@ from .cloud import CloudLayer, Quota, UserAccount, VirtualCluster
 from .metrics import UtilizationReport, WaitStats, compare, utilization, wait_stats
 
 __all__ = [
-    "Allocation",
     "CloudLayer",
     "ClusterSpec",
     "ClusterState",

@@ -246,7 +246,6 @@ class _RunState:
 
     epoch: int = 0
     retries_left: int = 1
-    rate_per_ms: int = 0          # speed_factor x workers, in milli-units/ms
     credit_from_ms: int = 0       # crediting starts here (start + staging)
 
 
@@ -568,28 +567,23 @@ class Simulation:
         for cluster_id, node_index in self._fault_starts.get(self.clock, ()):
             self.scheduler.clusters[cluster_id].down.add(node_index)
         decision = self.scheduler.plan(self.clock)
-        for job_id, alloc in decision.starts:
-            self._start_job(job_id, alloc)
+        for job_id in decision.starts:
+            self._start_job(job_id)
         self._rescale_pass(decision)
 
-    def _start_job(self, job_id: str, alloc):
+    def _start_job(self, job_id: str):
+        """Run a job that plan placed (on its record): Running, JobStarted, timer armed."""
         record = self.records[job_id]
-        rs = self._run[job_id]
-        cs = self.scheduler.clusters[alloc.cluster_id]
+        cs = self.scheduler.clusters[record.cluster_id]
         record.state = transition(record.state, LifecycleEvent.SCHEDULED)
         record.state = transition(record.state, LifecycleEvent.STARTED)
-        record.start_ms = self.clock
-        record.last_cluster_id = alloc.cluster_id
-        # the logged list doubles as the job's last placement, so the
-        # result facts an ended job keeps cost no extra object
-        record.last_node_indices = list(alloc.node_indices)
-        workers = len(alloc.node_indices)
-        rs.rate_per_ms = cs.spec.speed_factor * workers
-        rs.credit_from_ms = self.clock + self._staging_delay(record.spec, cs.spec)
+        workers = len(record.node_indices)
+        self._run[job_id].credit_from_ms = (
+            self.clock + self._staging_delay(record.spec, cs.spec))
         payload = {
-            "cluster_id": alloc.cluster_id,
+            "cluster_id": record.cluster_id,
             "job_id": job_id,
-            "node_indices": record.last_node_indices,
+            "node_indices": list(record.node_indices),
         }
         if isinstance(record.spec.shape, Elastic):
             record.worker_history.append((self.clock, workers))
@@ -603,6 +597,11 @@ class Simulation:
         return sum(self.catalog.staging_delay_ms(name, cluster.cluster_id)
                    for name in spec.dataset_refs)
 
+    def _work_rate(self, record: JobRecord) -> int:
+        """Milli-units of work credited per ms: speed_factor x workers."""
+        spec = self.scheduler.clusters[record.cluster_id].spec
+        return spec.speed_factor * len(record.node_indices)
+
     def _credit(self, job_id: str):
         """Advance work credit for a running job up to the current clock."""
         rs = self._run[job_id]
@@ -610,7 +609,7 @@ class Simulation:
         if record.state is not JobState.RUNNING:
             return
         if self.clock > rs.credit_from_ms:
-            record.credited_milli += rs.rate_per_ms * (self.clock - rs.credit_from_ms)
+            record.credited_milli += self._work_rate(record) * (self.clock - rs.credit_from_ms)
             rs.credit_from_ms = self.clock
 
     def _schedule_finish(self, job_id: str):
@@ -620,10 +619,9 @@ class Simulation:
         kill_at = record.start_ms + record.spec.walltime_limit_ms   # as _reserve reads it
         rs.epoch += 1
         remaining = record.spec.work_units * 1000 - record.credited_milli
-        if remaining <= 0:
-            finish_at = max(self.clock, rs.credit_from_ms)
-        else:
-            finish_at = max(self.clock, rs.credit_from_ms) + -(-remaining // rs.rate_per_ms)
+        finish_at = max(self.clock, rs.credit_from_ms)
+        if remaining > 0:
+            finish_at += -(-remaining // self._work_rate(record))
         if finish_at <= kill_at:
             self._push(finish_at, _FINISH, (job_id, rs.epoch))
         else:
@@ -635,19 +633,15 @@ class Simulation:
         records = self.records
         for cid in self._cloud_ids:
             targets = self.scheduler.elastic_targets(cid, reservation)
-            shrinks = [(j, t) for j, t in targets if t < len(records[j].allocation.node_indices)]
-            grows = [(j, t) for j, t in targets if t > len(records[j].allocation.node_indices)]
-            speed = self.scheduler.clusters[cid].spec.speed_factor
+            shrinks = [(j, t) for j, t in targets if t < len(records[j].node_indices)]
+            grows = [(j, t) for j, t in targets if t > len(records[j].node_indices)]
             for job_id, target in shrinks + grows:
-                self._credit(job_id)
+                self._credit(job_id)   # at the old worker count
                 new_nodes = self.scheduler.apply_worker_count(job_id, target)
-                record = records[job_id]
                 workers = len(new_nodes)
-                record.last_node_indices = list(new_nodes)
-                self._run[job_id].rate_per_ms = speed * workers
-                record.worker_history.append((self.clock, workers))
+                records[job_id].worker_history.append((self.clock, workers))
                 self._emit(SimEventKind.RESCALE_APPLIED, cluster_id=cid,
-                           job_id=job_id, node_indices=record.last_node_indices,
+                           job_id=job_id, node_indices=list(new_nodes),
                            workers=workers)
                 self._schedule_finish(job_id)
 

@@ -161,31 +161,18 @@ class ClusterSpec:
     speed_factor: int
 
 
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """A binding of a job to concrete nodes of one cluster."""
-
-    job_id: str
-    cluster_id: str
-    node_indices: tuple[int, ...]
-    start_ms: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_indices", tuple(sorted(self.node_indices)))
-
-
 @dataclass(slots=True)
 class JobRecord:
     """Mutable per-job record tracked by the platform.
 
-    The one per-job home of a job's placement and credited work.
-    allocation is set while the job holds nodes (in the engine, exactly
-    while it is Running), and only the scheduler writes it. worker_history
-    records (time_ms, worker_count) changes of an elastic job in a list of
-    its own; rigid jobs keep the shared empty tuple. The engine keeps the
-    last three fields current: the credited work (reset by a requeue) and
-    the cluster and nodes of the latest start or rescale (None and ()
-    before the first start); they stay once the job ends.
+    The one per-job home of a job's placement and credited work. Only
+    the scheduler writes the placement: cluster_id, node_indices (a
+    sorted tuple) and start_ms at each start, node_indices at each
+    resize. They stay when the job gives up its nodes, as its last
+    placement; whether it holds them now is ClusterState.owner's to say.
+    worker_history records (time_ms, worker_count) changes of an elastic
+    job in a list of its own; rigid jobs keep the shared empty tuple.
+    credited_milli is the engine's, reset by a requeue.
     """
 
     job_id: str
@@ -194,11 +181,10 @@ class JobRecord:
     submit_ms: Optional[int] = None
     start_ms: Optional[int] = None
     end_ms: Optional[int] = None
-    allocation: Optional[Allocation] = None
+    cluster_id: Optional[str] = None
+    node_indices: tuple[int, ...] = ()
     worker_history: Sequence[tuple[int, int]] = ()
     credited_milli: int = 0
-    last_cluster_id: Optional[str] = None
-    last_node_indices: Sequence[int] = ()
 
 
 # --- errors ---------------------------------------------------------------

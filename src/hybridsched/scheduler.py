@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    Allocation,
     ClusterSpec,
     Elastic,
     JobRecord,
@@ -100,19 +99,20 @@ class Reservation:
 
 @dataclass(frozen=True, slots=True)
 class DispatchDecision:
-    """Output of one plan cycle: jobs to start now, plus head reservation."""
+    """Output of one plan cycle: ids of the jobs to start now, plus head reservation."""
 
-    starts: tuple[tuple[str, Allocation], ...]
+    starts: tuple[str, ...]
     reservation: Optional[Reservation]
 
 
 class ClusterState:
     """Node bookkeeping for one cluster.
 
-    owner maps each busy node to the job holding it; the job's placement
-    itself is its JobRecord.allocation, and the scheduler writes both. A
-    node is free iff it has no owner, is not down, and is not held by a
-    virtual cluster.
+    owner maps each busy node to the job holding it, and is the one
+    record of occupancy: a job holds nodes exactly while the nodes on its
+    JobRecord are owned by it. The scheduler writes both. A node is free
+    iff it has no owner, is not down, and is not held by a virtual
+    cluster.
     """
 
     def __init__(self, spec: ClusterSpec):
@@ -136,7 +136,8 @@ class Scheduler:
     """Single-writer scheduler over a set of cluster states.
 
     Owns the queue and all placement decisions, and is the one writer of
-    JobRecord.allocation and ClusterState.owner; the simulation engine
+    a JobRecord's placement (cluster_id, node_indices, start_ms) and of
+    ClusterState.owner; the simulation engine
     (or the live service) drives it through one serialized command
     stream and turns its decisions into lifecycle events.
     """
@@ -169,7 +170,7 @@ class Scheduler:
         enough nodes.
         """
         job_id = job.job_id
-        if job_id in self._queue_entries or job.allocation is not None:
+        if job_id in self._queue_entries or self._holds_nodes(job):
             raise DuplicateJob(job_id)
         needed = job.spec.needed_nodes()
         accept = self._acceptable_clusters(self.effective_preferences(job))
@@ -198,10 +199,6 @@ class Scheduler:
     def forget(self, job_id: str):
         """Drop what the scheduler still keeps of a job that has ended."""
         self._seq_of_job.pop(job_id, None)
-
-    def queued_jobs(self) -> list[str]:
-        """Job ids in queue order."""
-        return [key[2] for key in self._queue_keys]
 
     def queue_length(self) -> int:
         """Jobs queued. Kept only for perfbench/tracer.py, which reads it on every plan."""
@@ -243,7 +240,7 @@ class Scheduler:
         that would still run at the reservation start; any other job may
         use them. No reservation, or backfill off, ends the pass.
         """
-        starts: list[tuple[str, Allocation]] = []
+        starts: list[str] = []
         reservation: Optional[Reservation] = None
         reserved_set: frozenset[int] = frozenset()
         res_cid: Optional[str] = None
@@ -291,17 +288,18 @@ class Scheduler:
                                  if n not in reserved_set)
                 continue
             job_id = entry.job_id
-            alloc = Allocation(job_id=job_id, cluster_id=cid, node_indices=chosen,
-                               start_ms=now_ms)
             owner = self.clusters[cid].owner
             for n in chosen:
                 owner[n] = job_id
-            self.records[job_id].allocation = alloc   # _reserve reads it this cycle
-            starts.append((job_id, alloc))
+            record = self.records[job_id]   # _reserve reads it this cycle
+            record.cluster_id = cid
+            record.node_indices = chosen
+            record.start_ms = now_ms
+            starts.append(job_id)
             free_total -= needed
             free_len[cid] -= needed
 
-        for job_id, _alloc in starts:
+        for job_id in starts:
             self.remove_queued(job_id)
         return DispatchDecision(starts=tuple(starts), reservation=reservation)
 
@@ -313,9 +311,9 @@ class Scheduler:
     def _reserve(self, entry: QueueEntry, now_ms: int, free_cache) -> Optional[Reservation]:
         """Earliest time enough nodes free up on any acceptable cluster.
 
-        Availability of a busy node is the walltime-bounded end of its
-        allocation; down and held nodes are not available at any bounded
-        time. Ties between clusters go to preference scan order.
+        Availability of a busy node is its owner's kill deadline (start
+        plus walltime); down and held nodes are not available at any
+        bounded time. Ties between clusters go to preference scan order.
         """
         best: Optional[tuple[int, str, tuple[int, ...]]] = None
         needed = entry.needed
@@ -328,7 +326,7 @@ class Scheduler:
             avail = [(now_ms, n) for n in self._free(cid, free_cache)]
             for n, job_id in cs.owner.items():   # this cycle's starts included
                 record = records[job_id]
-                avail.append((record.allocation.start_ms + record.spec.walltime_limit_ms, n))
+                avail.append((record.start_ms + record.spec.walltime_limit_ms, n))
             if len(avail) < needed:
                 continue
             avail.sort()
@@ -344,21 +342,24 @@ class Scheduler:
 
     # -- releases and cancellation ---------------------------------------
 
+    def _holds_nodes(self, record: JobRecord) -> bool:
+        """Whether ClusterState.owner gives the job the nodes its record names."""
+        nodes = record.node_indices
+        return bool(nodes) and self.clusters[record.cluster_id].owner.get(nodes[0]) == record.job_id
+
     def _placed_record(self, job_id: str) -> JobRecord:
         record = self.records.get(job_id)
-        if record is None or record.allocation is None:
+        if record is None or not self._holds_nodes(record):
             raise NoAllocation(job_id)
         return record
 
     def release(self, job_id: str) -> tuple[str, tuple[int, ...]]:
-        """Free all nodes of a live allocation; returns (cluster_id, nodes)."""
+        """Free a job's nodes; returns (cluster_id, nodes), which its record keeps."""
         record = self._placed_record(job_id)
-        alloc = record.allocation
-        record.allocation = None
-        owner = self.clusters[alloc.cluster_id].owner
-        for n in alloc.node_indices:
+        owner = self.clusters[record.cluster_id].owner
+        for n in record.node_indices:
             del owner[n]
-        return alloc.cluster_id, alloc.node_indices
+        return record.cluster_id, record.node_indices
 
     def cancel(self, job_id: str, now_ms: int) -> tuple[JobState, tuple[int, ...]]:
         """Cancel wherever the job currently is; returns (new state, freed nodes)."""
@@ -403,7 +404,7 @@ class Scheduler:
         if reservation is not None and reservation.cluster_id == cid:
             reserved = set(reservation.node_indices)
             free = [n for n in free if n not in reserved]
-        held_by_elastic = sum(len(self.records[j].allocation.node_indices) for j in jobs)
+        held_by_elastic = sum(len(self.records[j].node_indices) for j in jobs)
         pool = len(free) + held_by_elastic
         bounds = []
         for job_id in jobs:
@@ -419,23 +420,18 @@ class Scheduler:
         free indices. Growth is clamped by what is actually free.
         """
         record = self._placed_record(job_id)
-        alloc = record.allocation
-        cs = self.clusters[alloc.cluster_id]
-        current = list(alloc.node_indices)
+        cs = self.clusters[record.cluster_id]
+        current = record.node_indices
         if target < len(current):
-            new_nodes = tuple(current[: target])
             for n in current[target:]:
                 del cs.owner[n]
+            record.node_indices = current[:target]
         elif target > len(current):
             grab = cs.free_nodes()[: target - len(current)]
             for n in grab:
                 cs.owner[n] = job_id
-            new_nodes = tuple(sorted(current + grab))
-        else:
-            return alloc.node_indices
-        record.allocation = Allocation(job_id=job_id, cluster_id=alloc.cluster_id,
-                                       node_indices=new_nodes, start_ms=alloc.start_ms)
-        return new_nodes
+            record.node_indices = tuple(sorted(current + tuple(grab)))
+        return record.node_indices
 
 
 def fair_share_targets(pool: int, bounds: list[tuple[int, int]]) -> list[int]:

@@ -14,6 +14,7 @@ same engine into a crude live executor.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import re
@@ -26,7 +27,7 @@ from . import cloud as cloud_mod
 from . import model
 from .engine import SimConfig, Simulation
 from .metrics import utilization, wait_stats
-from .model import ClusterSpec, Elastic, cluster_spec_from_obj, job_spec_from_obj
+from .model import ClusterSpec, Elastic, JobState, cluster_spec_from_obj, job_spec_from_obj
 from .scheduler import AlreadyTerminal, UnknownJob
 
 
@@ -173,9 +174,9 @@ def job_view(record) -> dict:
         "start_ms": record.start_ms,
         "end_ms": record.end_ms,
     }
-    if record.allocation is not None:
-        view["cluster_id"] = record.allocation.cluster_id
-        view["node_indices"] = list(record.allocation.node_indices)
+    if record.state is JobState.RUNNING:
+        view["cluster_id"] = record.cluster_id
+        view["node_indices"] = list(record.node_indices)
     if isinstance(record.spec.shape, Elastic):
         view["worker_history"] = [{"t_ms": t, "workers": w} for t, w in record.worker_history]
     return view
@@ -193,9 +194,9 @@ def result_manifest(record) -> dict:
         "credited_work_milliunits": record.credited_milli,
         "work_units": record.spec.work_units,
     }
-    if record.last_cluster_id is not None:
-        manifest["cluster_id"] = record.last_cluster_id
-        manifest["node_indices"] = list(record.last_node_indices)
+    if record.cluster_id is not None:
+        manifest["cluster_id"] = record.cluster_id
+        manifest["node_indices"] = list(record.node_indices)
     return manifest
 
 
@@ -251,11 +252,8 @@ class Service:
     # -- handlers (each returns (status_int, body_obj)) -------------------
 
     def handle_submit(self, req) -> tuple[int, dict]:
-        try:
-            spec = job_spec_from_obj(req.json())
-            model.validate_job(spec, self._kinds)
-        except model.ValidationError as exc:
-            raise ApiError("validation_failed", str(exc), 422) from exc
+        spec = job_spec_from_obj(req.json())
+        model.validate_job(spec, self._kinds)
         caller = req.header(self.config.auth_header)
         if caller and caller != spec.user_id:
             raise ApiError("auth_mismatch",
@@ -446,6 +444,10 @@ REQUEST_TIMEOUT_S = 5
 MAX_BODY_BYTES = 1 << 20     # a larger Content-Length gets 413, its body unread
 
 
+def _request_timeout() -> ApiError:
+    return ApiError("request_timeout", f"request not sent in {REQUEST_TIMEOUT_S} s", 408)
+
+
 class _Request:
     def __init__(self, environ):
         self.environ = environ
@@ -463,7 +465,7 @@ class _Request:
             try:
                 self._body = self.environ["wsgi.input"].read(length) if length > 0 else b""
             except TimeoutError:
-                raise ApiError("request_timeout", f"body not sent in {REQUEST_TIMEOUT_S} s", 408)
+                raise _request_timeout()
         return self._body
 
     def json(self) -> dict:
@@ -505,6 +507,18 @@ def make_server(host: str, port: int, app):
 
     class _QuietHandler(simple_server.WSGIRequestHandler):
         timeout = REQUEST_TIMEOUT_S
+
+        def handle(self):
+            try:
+                super().handle()
+            except TimeoutError:
+                # stalled in its request line or headers, before the app
+                # saw it: answered as the app answers a stalled body
+                payload = json.dumps(_error_body(_request_timeout())).encode("utf-8")
+                with contextlib.suppress(OSError):      # the client may be gone too
+                    self.wfile.write(b"HTTP/1.0 408 Request Timeout\r\nContent-Type: "
+                                     b"application/json\r\nContent-Length: %d\r\n\r\n%s"
+                                     % (len(payload), payload))
 
         def log_message(self, *args):   # keep test output clean
             pass

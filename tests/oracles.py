@@ -350,6 +350,13 @@ class FifoOracle:
 
 # --- one plan pass ---------------------------------------------------------
 
+def queue_order(sched):
+    """Job ids in a Scheduler's queue order, the order plan walks."""
+    order = [key[2] for key in sched._queue_keys]
+    assert sorted(order) == sorted(sched._queue_entries), "queue keys and entries disagree"
+    return order
+
+
 def reference_plan(clusters, queue, now_ms, backfill=True):
     """One conservative-backfill plan pass, as a straight walk of the queue.
 

@@ -466,7 +466,7 @@ class TestElasticRuns:
         sim.schedule_arrival(0, elastic("e", 1, 3, 30, 60_000))
         sim.schedule_arrival(100, rigid("r", 2, 4, 60_000))
         sim.run_to_quiescence()
-        assert sim.records["j000001"].allocation is None
+        assert not sim.scheduler._holds_nodes(sim.records["j000001"])
         started = [e for e in events_of(sim.log, SimEventKind.JOB_STARTED)
                    if e["job_id"] == "j000001"]
         assert started[0]["cluster_id"] == "cpu0"
@@ -760,18 +760,18 @@ class TestBoundedState:
         assert set(sched._seq_of_job) == live
         assert set(sched._queue_entries) == {
             j for j in live if sim.records[j].state is JobState.QUEUED}
-        # the record is the one home of a running job's placement, and each
-        # cluster's owner map is exactly its inverse
+        # a job holds nodes exactly while it is Running, and each cluster's
+        # owner map is exactly the inverse of the Running records' placements
         owners = {cid: {} for cid in sched.clusters}
         for job_id, record in sim.records.items():
-            alloc = record.allocation
-            assert (alloc is not None) == (record.state is JobState.RUNNING), job_id
-            if alloc is not None:
-                assert record.last_cluster_id == alloc.cluster_id
-                assert tuple(record.last_node_indices) == alloc.node_indices
-                for n in alloc.node_indices:
-                    assert n not in owners[alloc.cluster_id], (job_id, n)
-                    owners[alloc.cluster_id][n] = job_id
+            running = record.state is JobState.RUNNING
+            assert sched._holds_nodes(record) == running, job_id
+            if running:
+                nodes = record.node_indices
+                assert type(nodes) is tuple and list(nodes) == sorted(set(nodes)), job_id
+                for n in nodes:
+                    assert n not in owners[record.cluster_id], (job_id, n)
+                    owners[record.cluster_id][n] = job_id
         for cid, cs in sched.clusters.items():
             assert cs.owner == owners[cid], cid
             assert not cs.held & cs.owner.keys(), cid

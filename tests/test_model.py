@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 import oracles
 from hybridsched.engine import _RunState
 from hybridsched.model import (
-    Allocation,
     BadShape,
     ClusterSpec,
     DuplicateKind,
@@ -268,7 +267,6 @@ class TestSlottedRecords:
         spec(),
         ClusterSpec(cluster_id="c", kind=ResourceKind.CPU, node_count=2, cores_per_node=8,
                     speed_factor=1),
-        Allocation(job_id="j", cluster_id="c", node_indices=(1, 0), start_ms=0),
         QueueEntry(job_id="j", priority=0, submit_seq=0, needed=1, wall_ms=1, accept=("c",)),
         Reservation(job_id="j", cluster_id="c", node_indices=(0,), start_ms=0,
                     expected_end_ms=1),

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hybridsched.model import (
-    Allocation,
     ClusterSpec,
     Elastic,
     JobRecord,
@@ -62,8 +61,9 @@ def add(sched, records, rec, now=0):
     return rec
 
 
-def started_ids(decision):
-    return [job_id for job_id, _a in decision.starts]
+def placement(records, job_id):
+    """(cluster_id, node_indices) the scheduler wrote on a job's record."""
+    return records[job_id].cluster_id, records[job_id].node_indices
 
 
 class TestQueueOrder:
@@ -71,14 +71,14 @@ class TestQueueOrder:
         sched, records = mk([cluster("cpu0", CPU, 1)])
         add(sched, records, rigid("a", 1))
         add(sched, records, rigid("b", 1))
-        assert sched.queued_jobs() == ["a", "b"]
+        assert oracles.queue_order(sched) == ["a", "b"]
 
     def test_priority_beats_submission(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])
         add(sched, records, rigid("a", 1, priority=0))
         add(sched, records, rigid("b", 1, priority=2))
         add(sched, records, rigid("c", 1, priority=1))
-        assert sched.queued_jobs() == ["b", "c", "a"]
+        assert oracles.queue_order(sched) == ["b", "c", "a"]
 
     def test_requeue_keeps_submission_seq(self):
         # a job bounced back by a node loss must regain its old position
@@ -87,7 +87,7 @@ class TestQueueOrder:
         add(sched, records, rigid("b", 1))
         assert sched.remove_queued("a")
         sched.enqueue(a, now_ms=500)
-        assert sched.queued_jobs() == ["a", "b"]
+        assert oracles.queue_order(sched) == ["a", "b"]
 
     def test_double_enqueue_rejected(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])
@@ -101,36 +101,35 @@ class TestPlacement:
         sched, records = mk([cluster("cpu0", CPU, 4)])
         add(sched, records, rigid("a", 2))
         add(sched, records, rigid("b", 1))
-        decision = sched.plan(0)
-        allocs = dict(decision.starts)
-        assert allocs["a"].node_indices == (0, 1)
-        assert allocs["b"].node_indices == (2,)
+        assert sched.plan(0).starts == ("a", "b")
+        assert placement(records, "a") == ("cpu0", (0, 1))
+        assert placement(records, "b") == ("cpu0", (2,))
 
     def test_lexicographic_cluster_tiebreak(self):
         sched, records = mk([cluster("cpub", CPU, 2), cluster("cpua", CPU, 2)])
         add(sched, records, rigid("a", 1))
-        decision = sched.plan(0)
-        assert dict(decision.starts)["a"].cluster_id == "cpua"
+        assert sched.plan(0).starts == ("a",)
+        assert records["a"].cluster_id == "cpua"
 
     def test_preference_order_before_cluster_id(self):
         # "a0" sorts before "gpu0" but the job prefers gpu
         sched, records = mk([cluster("a0", CPU, 2), cluster("gpu0", GPU, 2)])
         add(sched, records, rigid("j", 1, prefs=(GPU, CPU)))
-        decision = sched.plan(0)
-        assert dict(decision.starts)["j"].cluster_id == "gpu0"
+        assert sched.plan(0).starts == ("j",)
+        assert records["j"].cluster_id == "gpu0"
 
     def test_falls_through_to_second_preference(self):
         sched, records = mk([cluster("gpu0", GPU, 1), cluster("cpu0", CPU, 4)])
         add(sched, records, rigid("big", 3, prefs=(GPU, CPU)))
-        decision = sched.plan(0)
-        assert dict(decision.starts)["big"].cluster_id == "cpu0"
+        assert sched.plan(0).starts == ("big",)
+        assert records["big"].cluster_id == "cpu0"
 
     def test_unsatisfiable_reported_not_queued_forever(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
         with pytest.raises(Unsatisfiable) as err:
             add(sched, records, rigid("huge", 3))
         assert (err.value.job_id, err.value.needed) == ("huge", 3)
-        assert sched.queued_jobs() == []
+        assert oracles.queue_order(sched) == []
         assert sched.plan(0).starts == ()
 
     def test_rigid_never_lands_on_cloud_by_default(self):
@@ -138,14 +137,14 @@ class TestPlacement:
         with pytest.raises(Unsatisfiable) as err:
             add(sched, records, rigid("r", 1, prefs=(CLOUD,)))
         assert err.value.job_id == "r"
-        assert sched.queued_jobs() == []
+        assert oracles.queue_order(sched) == []
         assert sched.plan(0).starts == ()
 
     def test_rigid_on_cloud_with_flag(self):
         sched, records = mk([cluster("cloud0", CLOUD, 4)],
                             hybrid_rigid_on_cloud=True)
         add(sched, records, rigid("r", 1, prefs=(CLOUD,)))
-        assert started_ids(sched.plan(0)) == ["r"]
+        assert sched.plan(0).starts == ("r",)
 
     def test_first_preference_only_pins_primary_kind(self):
         sched, records = mk([cluster("cpu0", CPU, 1), cluster("gpu0", GPU, 2)],
@@ -154,7 +153,7 @@ class TestPlacement:
         add(sched, records, rigid("b", 1, prefs=(CPU, GPU)))
         decision = sched.plan(0)
         # only one cpu node; the partitioned baseline may not spill b to gpu
-        assert started_ids(decision) == ["a"]
+        assert decision.starts == ("a",)
         assert decision.reservation is not None
         assert decision.reservation.job_id == "b"
         assert decision.reservation.cluster_id == "cpu0"
@@ -180,7 +179,7 @@ class TestReservationAndBackfill:
         add(sched, records, rigid("b", 2, wall=5_000))
         add(sched, records, rigid("c", 1, wall=10_000))   # ends exactly at start
         decision = sched.plan(0)
-        assert started_ids(decision) == ["c"]
+        assert decision.starts == ("c",)
 
     def test_backfill_rejected_when_it_would_overrun(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
@@ -199,8 +198,8 @@ class TestReservationAndBackfill:
         add(sched, records, rigid("c", 1, wall=900_000))  # node 2 is unreserved
         decision = sched.plan(0)
         assert decision.reservation.node_indices == (0, 1)
-        assert started_ids(decision) == ["c"]
-        assert dict(decision.starts)["c"].node_indices == (2,)
+        assert decision.starts == ("c",)
+        assert placement(records, "c") == ("cpu0", (2,))
 
     def test_backfill_free_on_other_clusters(self):
         sched, records = mk([cluster("cpu0", CPU, 1), cluster("gpu0", GPU, 1)])
@@ -208,8 +207,8 @@ class TestReservationAndBackfill:
         sched.plan(0)
         add(sched, records, rigid("b", 1, wall=10_000))
         add(sched, records, rigid("c", 1, wall=999_999, prefs=(CPU, GPU)))
-        decision = sched.plan(0)
-        assert dict(decision.starts)["c"].cluster_id == "gpu0"
+        assert sched.plan(0).starts == ("c",)
+        assert records["c"].cluster_id == "gpu0"
 
     def test_no_backfill_flag_blocks_everything_behind_head(self):
         sched, records = mk([cluster("cpu0", CPU, 2)], backfill=False)
@@ -238,7 +237,7 @@ class TestReservationAndBackfill:
         add(sched, records, rigid("a", 1, wall=7_000))
         add(sched, records, rigid("b", 1, wall=1_000))
         decision = sched.plan(0)
-        assert started_ids(decision) == ["a"]
+        assert decision.starts == ("a",)
         assert decision.reservation.job_id == "b"
         assert decision.reservation.start_ms == 7_000
 
@@ -254,10 +253,9 @@ class TestReservationAndBackfill:
         decision = sched.plan(0)
         assert decision.reservation.node_indices == (0, 1, 2, 3)
         assert decision.reservation.start_ms == 10_000
-        starts = dict(decision.starts)
-        assert list(starts) == ["c", "d"]
-        assert starts["c"].node_indices == (2,)
-        assert starts["d"].node_indices == (4,)
+        assert decision.starts == ("c", "d")
+        assert placement(records, "c") == ("cpu0", (2,))
+        assert placement(records, "d") == ("cpu0", (4,))
 
     def test_held_nodes_invisible(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
@@ -275,7 +273,7 @@ class TestCancel:
         state, freed = sched.cancel("a", 0)
         assert state is JobState.CANCELLED
         assert freed == ()
-        assert sched.queued_jobs() == []
+        assert oracles.queue_order(sched) == []
 
     def test_cancel_running_frees_nodes(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
@@ -301,27 +299,27 @@ class TestCancel:
 
 
 class TestRecordAllocation:
-    """The scheduler is the one writer of a record's allocation."""
+    """The scheduler is the one writer of a record's placement; ClusterState.owner says if it is held."""
 
     def test_plan_resize_and_release_keep_the_record_in_step(self):
         sched, records = mk([cluster("cloud0", CLOUD, 5)])
         rec = add(sched, records, elastic("e", 2, 5))
         cs = sched.clusters["cloud0"]
-        assert rec.allocation is None
-        decision = sched.plan(0)
+        assert placement(records, "e") == (None, ()) and rec.start_ms is None
+        assert sched.plan(0).starts == ("e",)
         rec.state = JobState.RUNNING
-        assert rec.allocation is dict(decision.starts)["e"]
-        assert rec.allocation.node_indices == (0, 1)
+        assert placement(records, "e") == ("cloud0", (0, 1))
         assert cs.owner == {0: "e", 1: "e"}
         assert sched.apply_worker_count("e", 1) == (0,)            # shrink
-        assert rec.allocation.node_indices == (0,)
+        assert rec.node_indices == (0,)
         assert cs.owner == {0: "e"}
         assert sched.apply_worker_count("e", 4) == (0, 1, 2, 3)    # grow
-        assert rec.allocation.node_indices == (0, 1, 2, 3)
+        assert rec.node_indices == (0, 1, 2, 3)
         assert cs.owner == {0: "e", 1: "e", 2: "e", 3: "e"}
-        assert rec.allocation.start_ms == 0
+        assert rec.start_ms == 0
         assert sched.release("e") == ("cloud0", (0, 1, 2, 3))
-        assert rec.allocation is None and cs.owner == {}
+        # the record keeps the last placement; the owner map no longer holds it
+        assert placement(records, "e") == ("cloud0", (0, 1, 2, 3)) and cs.owner == {}
         with pytest.raises(NoAllocation):
             sched.release("e")
         with pytest.raises(NoAllocation):
@@ -332,11 +330,11 @@ class TestRecordAllocation:
         rec = add(sched, records, rigid("a", 2))
         sched.plan(0)
         rec.state = JobState.RUNNING
-        assert rec.allocation.node_indices == (0, 1)
+        assert placement(records, "a") == ("cpu0", (0, 1))
         assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
         sched.cancel("a", 100)
-        assert rec.allocation is None
         assert sched.clusters["cpu0"].owner == {}
+        assert placement(records, "a") == ("cpu0", (0, 1))   # what the result manifest reads
         with pytest.raises(NoAllocation):
             sched.release("a")
 
@@ -347,9 +345,24 @@ class TestRecordAllocation:
         rec.state = JobState.RUNNING
         with pytest.raises(DuplicateJob):
             sched.enqueue(rec, 10)
-        assert sched.queued_jobs() == []
-        assert rec.allocation.node_indices == (0,)
+        assert oracles.queue_order(sched) == []
+        assert placement(records, "a") == ("cpu0", (0,))
         assert sched.clusters["cpu0"].owner == {0: "a"}
+
+    def test_a_released_job_can_be_enqueued_again(self):
+        # a job requeued after a node loss still names its lost nodes, but
+        # holds none of them, so it is not a duplicate
+        sched, records = mk([cluster("cpu0", CPU, 2)])
+        rec = add(sched, records, rigid("a", 1))
+        sched.plan(0)
+        sched.release("a")
+        add(sched, records, rigid("b", 1))
+        sched.plan(5)
+        assert sched.clusters["cpu0"].owner == {0: "b"}   # a's old node, another owner
+        sched.enqueue(rec, 10)
+        assert oracles.queue_order(sched) == ["a"]
+        assert sched.plan(10).starts == ("a",)
+        assert (placement(records, "a"), rec.start_ms) == (("cpu0", (1,)), 10)
 
     def test_release_of_an_unknown_job_raises(self):
         sched, _records = mk([cluster("cpu0", CPU, 1)])
@@ -361,15 +374,15 @@ class TestElastic:
     def _running_elastic(self, sched, records, job_id, lo, hi):
         rec = add(sched, records, elastic(job_id, lo, hi))
         decision = sched.plan(0)
-        assert job_id in started_ids(decision)
+        assert job_id in decision.starts
         rec.state = JobState.RUNNING
         return rec
 
     def test_starts_at_min_workers(self):
         sched, records = mk([cluster("cloud0", CLOUD, 6)])
         add(sched, records, elastic("e", 2, 6))
-        decision = sched.plan(0)
-        assert dict(decision.starts)["e"].node_indices == (0, 1)
+        assert sched.plan(0).starts == ("e",)
+        assert records["e"].node_indices == (0, 1)
 
     def test_targets_split_free_pool(self):
         sched, records = mk([cluster("cloud0", CLOUD, 6)])
@@ -512,8 +525,7 @@ class TestPlanAgainstReference:
                     # a job started at t=0 whose walltime ends at the deadline
                     rec = rigid(f"r-{cid}-{n}", 1, wall=deadline, prefs=(kind,))
                     rec.state = JobState.RUNNING
-                    rec.allocation = Allocation(job_id=rec.job_id, cluster_id=cid,
-                                                node_indices=(n,), start_ms=0)
+                    rec.cluster_id, rec.node_indices, rec.start_ms = cid, (n,), 0
                     records[rec.job_id] = rec
                     cs.owner[n] = rec.job_id
                     busy[n] = deadline
@@ -552,17 +564,17 @@ class TestPlanAgainstReference:
             if requeued and sched.remove_queued(job_id):
                 sched.enqueue(records[job_id], now)
         queue = [entry for _key, entry in sorted(queued)]
-        assert sched.queued_jobs() == [job_id for job_id, *_rest in queue]
+        assert oracles.queue_order(sched) == [job_id for job_id, *_rest in queue]
 
         decision = sched.plan(now)
         want_starts, want_reservation = oracles.reference_plan(
             ref_clusters, queue, now, backfill=flags["backfill"])
-        assert [(job_id, a.cluster_id, a.node_indices)
-                for job_id, a in decision.starts] == want_starts
+        assert [(job_id, *placement(records, job_id))
+                for job_id in decision.starts] == want_starts
         r = decision.reservation
         assert (None if r is None else
                 (r.job_id, r.cluster_id, r.node_indices, r.start_ms, r.expected_end_ms)
                 ) == want_reservation
         started = {job_id for job_id, *_rest in want_starts}
-        assert sched.queued_jobs() == [job_id for job_id, *_rest in queue
+        assert oracles.queue_order(sched) == [job_id for job_id, *_rest in queue
                                        if job_id not in started]

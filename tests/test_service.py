@@ -317,6 +317,39 @@ class TestResultManifest:
             b'"end_ms": 2500, "duration_ms": 2500, "credited_work_milliunits": 6000, '
             b'"work_units": 40, "cluster_id": "cloud0", "node_indices": [0, 1]}')
 
+    def test_last_placement_after_a_requeue_and_a_rescale(self, svc):
+        # j000000 loses node 0, waits queued without a placement in its
+        # view, and restarts on other nodes once j000001 ends
+        call(svc, "POST", "/v1/jobs", rigid_obj(nodes=2, work=10))
+        call(svc, "POST", "/v1/jobs", rigid_obj(name="k", nodes=2, work=40))
+        svc.sim.inject_node_failure("cpu0", 0, 1_000, 30_000)
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
+        view = call(svc, "GET", "/v1/jobs/j000000")[1]
+        assert view["state"] == "Queued" and "node_indices" not in view
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 20_000})
+        view = call(svc, "GET", "/v1/jobs/j000000")[1]
+        assert (view["start_ms"], view["cluster_id"], view["node_indices"]) == (20_000, "cpu0", [1, 2])
+        # elastic j000002 shrinks from three nodes to two when j000003
+        # starts; j000003 grows when j000002 ends
+        call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=3, work=40))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 21_000})
+        call(svc, "POST", "/v1/jobs", elastic_obj(name="e2", lo=1, hi=3, work=100))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 80_000})
+        assert self.result_bytes(svc, "j000000") == (
+            b'{"job_id": "j000000", "terminal": "Completed", "submit_ms": 0, "start_ms": 20000, '
+            b'"end_ms": 25000, "duration_ms": 5000, "credited_work_milliunits": 10000, '
+            b'"work_units": 10, "cluster_id": "cpu0", "node_indices": [1, 2]}')
+        assert self.result_bytes(svc, "j000002") == (
+            b'{"job_id": "j000002", "terminal": "Completed", "submit_ms": 20000, '
+            b'"start_ms": 20000, "end_ms": 39500, "duration_ms": 19500, '
+            b'"credited_work_milliunits": 40000, "work_units": 40, "cluster_id": "cloud0", '
+            b'"node_indices": [0, 1]}')
+        assert self.result_bytes(svc, "j000003") == (
+            b'{"job_id": "j000003", "terminal": "Completed", "submit_ms": 21000, '
+            b'"start_ms": 21000, "end_ms": 60500, "duration_ms": 39500, '
+            b'"credited_work_milliunits": 100000, "work_units": 100, "cluster_id": "cloud0", '
+            b'"node_indices": [0, 2, 3]}')
+
 
 ADMIT_QUOTAS = {"u": {"max_concurrent_jobs": 3, "max_nodes_in_use": 6, "max_vcluster_nodes": 0},
                 "v": {"max_concurrent_jobs": 5, "max_nodes_in_use": 4, "max_vcluster_nodes": 0}}
@@ -913,6 +946,32 @@ class TestOverRealHttp:
             server.shutdown()
             thread.join(timeout=5)
             server.server_close()
+
+    def test_a_stalled_request_line_is_answered_without_a_traceback(self, monkeypatch, capfd):
+        # the slow client stops inside its request line, before the app
+        # sees anything; it gets the stalled body's 408, and the server
+        # prints nothing and moves on to the next client
+        monkeypatch.setattr(service_mod, "REQUEST_TIMEOUT_S", 0.3)
+        server, thread, _base = self.run_server(base_config(listen_addr="127.0.0.1:0"))
+        try:
+            with socket.create_connection(server.server_address, timeout=5) as slow:
+                slow.sendall(b"GET /v1/cl")
+                t0 = time.monotonic()
+                with socket.create_connection(server.server_address, timeout=3) as other:
+                    other.sendall(b"GET /v1/clock HTTP/1.0\r\n\r\n")
+                    other_status, clock = read_reply(other)
+                waited = time.monotonic() - t0
+                slow_status, body = read_reply(slow)
+            assert (other_status, clock["now_ms"]) == (200, 0)
+            assert waited < 2.0, waited
+            assert slow_status == 408
+            assert body == {"error": {"code": "request_timeout",
+                                      "message": "request not sent in 0.3 s"}}
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_oversized_content_length_is_refused_unread(self):
         # no body byte is ever sent: a server that tried to read it would
