@@ -156,8 +156,6 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError, ValidationError, TypeError) as exc:
         print(f"hsctl: bad clusters file {args.clusters}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.seed is not None:
-        trace.rng_seed = args.seed   # provenance only; the engine draws nothing
     config = SimConfig()
     try:
         log, records = run_trace(trace, clusters, config)
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a trace offline and write the event log")
     p.add_argument("--trace", required=True)
     p.add_argument("--clusters", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="events.jsonl")
     p.add_argument("--compare-baseline", action="store_true")
     p.set_defaults(func=cmd_simulate)

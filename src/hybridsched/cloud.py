@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .model import Elastic, JobSpec, ResourceKind, is_integer, projected_nodes
 from .engine import Simulation
@@ -100,11 +99,17 @@ class RejectReason(str, Enum):
     UNROUTABLE_KIND = "UnroutableKind"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    reason: Optional[RejectReason] = None
-    layer: Optional[TargetLayer] = None
+class QuotaRejected(CloudError):
+    def __init__(self, reason: RejectReason):
+        self.reason = reason
+        super().__init__(f"admission rejected: {reason.value}")
+
+
+class Unroutable(CloudError):
+    reason = RejectReason.UNROUTABLE_KIND
+
+    def __init__(self):
+        super().__init__(f"not routable: {self.reason.value}")
 
 
 class VClusterState(str, Enum):
@@ -157,29 +162,28 @@ class CloudLayer:
 
     # -- admission and routing --------------------------------------------
 
-    def admit(self, spec: JobSpec) -> Verdict:
-        """Quota check against the user's live jobs; admission-time only."""
+    def admit(self, spec: JobSpec) -> None:
+        """Quota check against the user's live jobs; admission-time only.
+
+        Raises QuotaRejected with the first quota the job would break.
+        """
         account = self.get_user(spec.user_id)
         live, committed = self.sim.user_load(spec.user_id)
         if live + 1 > account.quota.max_concurrent_jobs:
-            return Verdict(accepted=False, reason=RejectReason.CONCURRENCY_QUOTA)
+            raise QuotaRejected(RejectReason.CONCURRENCY_QUOTA)
         if committed + projected_nodes(spec) > account.quota.max_nodes_in_use:
-            return Verdict(accepted=False, reason=RejectReason.NODE_QUOTA)
-        return Verdict(accepted=True)
+            raise QuotaRejected(RejectReason.NODE_QUOTA)
 
-    def route(self, spec: JobSpec) -> Verdict:
+    def route(self, spec: JobSpec) -> TargetLayer:
         """Pick the layer an admitted job runs in.
 
-        Elastic work always belongs to the cloud pool. Rigid work goes to
-        the batch clusters; a rigid job whose only preference is cloud is
-        unroutable unless rigid-on-cloud placement is enabled.
+        Elastic work always belongs to the cloud pool, rigid work to the
+        batch clusters. A job the scheduler's placement rule leaves no
+        kind to run on is Unroutable.
         """
-        if isinstance(spec.shape, Elastic):
-            return Verdict(accepted=True, layer=TargetLayer.CLOUD)
-        kinds = set(spec.kind_preferences)
-        if kinds == {ResourceKind.CLOUD} and not self.sim.config.hybrid_rigid_on_cloud:
-            return Verdict(accepted=False, reason=RejectReason.UNROUTABLE_KIND)
-        return Verdict(accepted=True, layer=TargetLayer.HPC)
+        if not self.sim.scheduler.effective_preferences(spec):
+            raise Unroutable()
+        return TargetLayer.CLOUD if isinstance(spec.shape, Elastic) else TargetLayer.HPC
 
     # -- virtual clusters --------------------------------------------------
 

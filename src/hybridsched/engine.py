@@ -432,6 +432,7 @@ class Simulation:
         self._advance_clock(t_ms)
         if tag == _ARRIVAL:
             job_id, spec = data
+            validate_job(spec, self._known_kinds)
             self._handle_arrival(job_id, spec)
         elif tag == _FINISH:
             job_id, epoch = data
@@ -479,7 +480,7 @@ class Simulation:
     # -- event handlers ---------------------------------------------------
 
     def _handle_arrival(self, job_id: str, spec: JobSpec):
-        validate_job(spec, self._known_kinds)
+        """Record and queue a job whose spec its caller has validated."""
         record = JobRecord(job_id=job_id, spec=spec, submit_ms=self.clock)
         if isinstance(spec.shape, Elastic):
             record.worker_history = []

@@ -20,6 +20,7 @@ from .model import (
     ClusterSpec,
     Elastic,
     JobRecord,
+    JobSpec,
     JobState,
     LifecycleEvent,
     ResourceKind,
@@ -173,7 +174,7 @@ class Scheduler:
         if job_id in self._queue_entries or self._holds_nodes(job):
             raise DuplicateJob(job_id)
         needed = job.spec.needed_nodes()
-        accept = self._acceptable_clusters(self.effective_preferences(job))
+        accept = self._acceptable_clusters(self.effective_preferences(job.spec))
         if all(self.clusters[cid].spec.node_count < needed for cid in accept):
             raise Unsatisfiable(job_id, needed)
         if job_id in self._seq_of_job:
@@ -206,17 +207,18 @@ class Scheduler:
 
     # -- helpers ----------------------------------------------------------
 
-    def effective_preferences(self, job: JobRecord) -> tuple[ResourceKind, ...]:
+    def effective_preferences(self, spec: JobSpec) -> tuple[ResourceKind, ...]:
         """Kinds the scheduler may actually use for this job.
 
         Elastic jobs run only on cloud pools. Rigid jobs drop the cloud
         kind unless hybrid placement of rigid work on spare VMs is on.
         With first_preference_only (the statically partitioned baseline)
-        a rigid job is pinned to its primary kind.
+        a rigid job is pinned to its primary kind. This is the one
+        statement of that rule: the cloud layer's routing reads it too.
         """
-        if isinstance(job.spec.shape, Elastic):
+        if isinstance(spec.shape, Elastic):
             return (ResourceKind.CLOUD,)
-        prefs = job.spec.kind_preferences
+        prefs = spec.kind_preferences
         if self.first_preference_only:
             prefs = prefs[:1]
         if not self.hybrid_rigid_on_cloud:

@@ -144,17 +144,11 @@ ERROR_TABLE: list[tuple[type, str, int]] = [
     (cloud_mod.AlreadyReleased, "already_released", 409),
     (cloud_mod.InsufficientCloudCapacity, "insufficient_capacity", 409),
     (cloud_mod.QuotaExceeded, "quota_exceeded", 403),
+    (cloud_mod.QuotaRejected, "quota_rejected", 403),
+    (cloud_mod.Unroutable, "unroutable_kind", 422),
     (UnknownJob, "unknown_job", 404),
     (AlreadyTerminal, "already_terminal", 409),
 ]
-
-# Admission/routing rejections are verdicts, not exceptions; their wire
-# mappings live here so the totality test covers them too.
-VERDICT_TABLE: dict[cloud_mod.RejectReason, tuple[str, int]] = {
-    cloud_mod.RejectReason.CONCURRENCY_QUOTA: ("quota_rejected", 403),
-    cloud_mod.RejectReason.NODE_QUOTA: ("quota_rejected", 403),
-    cloud_mod.RejectReason.UNROUTABLE_KIND: ("unroutable_kind", 422),
-}
 
 
 def map_exception(exc: Exception) -> Optional[ApiError]:
@@ -260,16 +254,10 @@ class Service:
                            f"auth header says {caller!r} but spec says {spec.user_id!r}", 403)
         if spec.dataset_refs:
             self.catalog.resolve(spec.dataset_refs)
-        verdict = self.cloud.admit(spec)
-        if not verdict.accepted:
-            code, status = VERDICT_TABLE[verdict.reason]
-            raise ApiError(code, f"admission rejected: {verdict.reason.value}", status)
-        verdict = self.cloud.route(spec)
-        if not verdict.accepted:
-            code, status = VERDICT_TABLE[verdict.reason]
-            raise ApiError(code, f"not routable: {verdict.reason.value}", status)
+        self.cloud.admit(spec)
+        layer = self.cloud.route(spec)
         job_id = self.sim.submit_now(spec)
-        return 201, {"job_id": job_id, "layer": verdict.layer.value}
+        return 201, {"job_id": job_id, "layer": layer.value}
 
     def handle_status(self, req, job_id: str) -> tuple[int, dict]:
         record = self.sim.records.get(job_id)

@@ -258,12 +258,6 @@ class TestSimulate:
         assert code == EXIT_GUARD
         assert "did not terminate" in capsys.readouterr().err
 
-    def test_seed_flag_accepted(self, tmp_path, capsys):
-        trace_path, clusters_path = self.write_inputs(tmp_path, seed=3, n_jobs=5)
-        assert main(["simulate", "--trace", trace_path, "--clusters", clusters_path,
-                     "--seed", "99", "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
-        capsys.readouterr()
-
 
 class TestServe:
     @pytest.mark.parametrize("key, value, message", [

@@ -2,6 +2,8 @@
 
 import pytest
 
+from oracles import log_events
+
 from hybridsched.cloud import (
     AlreadyReleased,
     BadQuota,
@@ -12,10 +14,12 @@ from hybridsched.cloud import (
     PartitionViolation,
     Quota,
     QuotaExceeded,
+    QuotaRejected,
     RejectReason,
     TargetLayer,
     UnknownUser,
     UnknownVCluster,
+    Unroutable,
     VClusterState,
     projected_nodes,
 )
@@ -98,33 +102,35 @@ class TestAdmission:
     def test_concurrency_quota(self):
         layer = make_layer()
         layer.create_user("u", Quota(1, 1000, 0))
-        assert layer.admit(rigid("a", 1)).accepted
+        assert layer.admit(rigid("a", 1)) is None
         layer.sim.submit_now(rigid("a", 1))
-        verdict = layer.admit(rigid("b", 1))
-        assert not verdict.accepted
-        assert verdict.reason is RejectReason.CONCURRENCY_QUOTA
+        with pytest.raises(QuotaRejected) as info:
+            layer.admit(rigid("b", 1))
+        assert info.value.reason is RejectReason.CONCURRENCY_QUOTA
 
     def test_node_quota_counts_elastic_at_max(self):
         layer = make_layer()
         layer.create_user("u", Quota(100, 8, 0))
         layer.sim.submit_now(elastic("e", 1, 4))   # projected 4, running with 1
-        verdict = layer.admit(rigid("r5", 5))
-        assert not verdict.accepted
-        assert verdict.reason is RejectReason.NODE_QUOTA
-        assert layer.admit(rigid("r4", 4)).accepted
+        with pytest.raises(QuotaRejected) as info:
+            layer.admit(rigid("r5", 5))
+        assert info.value.reason is RejectReason.NODE_QUOTA
+        assert layer.admit(rigid("r4", 4)) is None
 
     def test_terminal_jobs_release_quota(self):
         layer = make_layer()
         layer.create_user("u", Quota(1, 2, 0))
         layer.sim.submit_now(rigid("a", 1, work=1, wall=10_000))
-        assert not layer.admit(rigid("b", 1)).accepted
+        with pytest.raises(QuotaRejected):
+            layer.admit(rigid("b", 1))
         layer.sim.run_to_quiescence()
-        assert layer.admit(rigid("b", 1)).accepted
+        assert layer.admit(rigid("b", 1)) is None
 
     def test_zero_concurrency_admits_nothing(self):
         layer = make_layer()
         layer.create_user("u", Quota(0, 1000, 0))
-        assert not layer.admit(rigid("a", 1)).accepted
+        with pytest.raises(QuotaRejected):
+            layer.admit(rigid("a", 1))
 
     def test_unknown_user_raises(self):
         layer = make_layer()
@@ -136,35 +142,45 @@ class TestAdmission:
         layer.create_user("u", Quota(1, 1, 0))
         layer.create_user("v", Quota(1, 1, 0))
         layer.sim.submit_now(rigid("a", 1, user="u"))
-        assert layer.admit(rigid("b", 1, user="v")).accepted
+        assert layer.admit(rigid("b", 1, user="v")) is None
 
 
 class TestRouting:
     def test_elastic_goes_to_cloud(self):
         layer = make_layer()
-        verdict = layer.route(elastic("e", 1, 2))
-        assert verdict.accepted and verdict.layer is TargetLayer.CLOUD
+        assert layer.route(elastic("e", 1, 2)) is TargetLayer.CLOUD
 
     def test_rigid_goes_to_hpc(self):
         layer = make_layer()
-        verdict = layer.route(rigid("r", 1))
-        assert verdict.accepted and verdict.layer is TargetLayer.HPC
+        assert layer.route(rigid("r", 1)) is TargetLayer.HPC
 
     def test_rigid_cloud_only_is_unroutable_by_default(self):
         layer = make_layer()
-        verdict = layer.route(rigid("r", 1, prefs=(CLOUD,)))
-        assert not verdict.accepted
-        assert verdict.reason is RejectReason.UNROUTABLE_KIND
+        with pytest.raises(Unroutable) as info:
+            layer.route(rigid("r", 1, prefs=(CLOUD,)))
+        assert info.value.reason is RejectReason.UNROUTABLE_KIND
 
     def test_rigid_cloud_only_routes_when_enabled(self):
         layer = make_layer(config=SimConfig(hybrid_rigid_on_cloud=True))
-        verdict = layer.route(rigid("r", 1, prefs=(CLOUD,)))
-        assert verdict.accepted and verdict.layer is TargetLayer.HPC
+        assert layer.route(rigid("r", 1, prefs=(CLOUD,))) is TargetLayer.HPC
 
     def test_mixed_preferences_route_to_hpc(self):
         layer = make_layer()
-        verdict = layer.route(rigid("r", 1, prefs=(CPU, CLOUD)))
-        assert verdict.accepted and verdict.layer is TargetLayer.HPC
+        assert layer.route(rigid("r", 1, prefs=(CPU, CLOUD))) is TargetLayer.HPC
+
+    def test_first_preference_only_agrees_with_the_engine(self):
+        # pinned to its first kind, cloud, a rigid job has no kind left:
+        # routing rejects it and the engine fails it at arrival
+        config = SimConfig(first_preference_only=True)
+        spec = rigid("r", 1, prefs=(CLOUD, CPU))
+        layer = make_layer(config=config)
+        with pytest.raises(Unroutable) as info:
+            layer.route(spec)
+        assert info.value.reason is RejectReason.UNROUTABLE_KIND
+        job_id = layer.sim.submit_now(spec)
+        layer.sim.run_to_quiescence()
+        assert [(e["kind"], e["job_id"]) for e in log_events(layer.sim.log)] == [
+            ("JobSubmitted", job_id), ("JobFailed", job_id)]
 
 
 class TestVClusters:

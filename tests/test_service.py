@@ -33,7 +33,6 @@ from hybridsched.service import (
     ERROR_TABLE,
     Service,
     ServiceConfig,
-    VERDICT_TABLE,
     load_config,
     make_service_server,
     map_exception,
@@ -351,6 +350,56 @@ class TestResultManifest:
             b'"node_indices": [0, 2, 3]}')
 
 
+def with_refs(obj, refs):
+    return {**obj, "dataset_refs": refs}
+
+
+class TestSubmitOutcomes:
+    """Exact status and body bytes of each submit outcome, in the order
+    handle_submit checks: decode, validate, auth, datasets, quota, route."""
+
+    USERS = [{"user_id": "u", "quota": {"max_concurrent_jobs": 10, "max_nodes_in_use": 100,
+                                        "max_vcluster_nodes": 4}},
+             {"user_id": "q", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 2,
+                                        "max_vcluster_nodes": 0}}]
+
+    # (case id, jobs q submits first, body, auth header, status, payload)
+    CASES = [
+        ("rigid", [], rigid_obj(nodes=2), None, 201,
+         b'{"job_id": "j000000", "layer": "hpc"}'),
+        ("elastic", [], elastic_obj(), None, 201,
+         b'{"job_id": "j000000", "layer": "cloud"}'),
+        ("validation_failed", [], rigid_obj(work=0), None, 422,
+         b'{"error": {"code": "validation_failed", "message": "work_units must be >= 1"}}'),
+        ("auth_mismatch", [], rigid_obj(), "q", 403,
+         (b'{"error": {"code": "auth_mismatch", '
+          b'"message": "auth header says \'q\' but spec says \'u\'"}}')),
+        ("missing_dataset", [], with_refs(rigid_obj(), ["nope"]), None, 422,
+         b'{"error": {"code": "missing_dataset", "message": "no dataset named \'nope\'"}}'),
+        ("unknown_user", [], rigid_obj(user="ghost"), None, 404,
+         b'{"error": {"code": "unknown_user", "message": "no user \'ghost\'"}}'),
+        ("concurrency_quota", [rigid_obj(user="q")], rigid_obj(name="k", user="q"), None, 403,
+         (b'{"error": {"code": "quota_rejected", '
+          b'"message": "admission rejected: ConcurrencyQuota"}}')),
+        ("node_quota", [], rigid_obj(nodes=3, user="q"), None, 403,
+         b'{"error": {"code": "quota_rejected", "message": "admission rejected: NodeQuota"}}'),
+        ("unroutable_kind", [], rigid_obj(prefs=("cloud",)), None, 422,
+         b'{"error": {"code": "unroutable_kind", "message": "not routable: UnroutableKind"}}'),
+        # over quota and cloud-only rigid: admission is checked before routing
+        ("quota_before_route", [], rigid_obj(nodes=3, prefs=("cloud",), user="q"), None, 403,
+         b'{"error": {"code": "quota_rejected", "message": "admission rejected: NodeQuota"}}'),
+    ]
+
+    @pytest.mark.parametrize("first, body, user, status, payload",
+                             [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+    def test_status_and_body_bytes(self, first, body, user, status, payload):
+        svc = Service(base_config(users=self.USERS))
+        for obj in first:
+            assert call(svc, "POST", "/v1/jobs", obj)[0] == 201
+        raw = json.dumps(body).encode("utf-8")
+        assert raw_call(svc, "POST", "/v1/jobs", raw, user=user) == (status, payload)
+
+
 ADMIT_QUOTAS = {"u": {"max_concurrent_jobs": 3, "max_nodes_in_use": 6, "max_vcluster_nodes": 0},
                 "v": {"max_concurrent_jobs": 5, "max_nodes_in_use": 4, "max_vcluster_nodes": 0}}
 admission_ops = st.lists(st.one_of(
@@ -361,6 +410,7 @@ admission_ops = st.lists(st.one_of(
 ), max_size=30)
 
 
+@pytest.mark.extra_seeds
 class TestAdmissionAgainstReference:
     """The indexed admission check agrees with the scan over every record."""
 
@@ -377,8 +427,12 @@ class TestAdmissionAgainstReference:
                 jobs = [(r.spec.user_id, r.state.value, job_spec_to_obj(r.spec))
                         for r in svc.sim.records.values()]
                 expected = oracles.reference_admit(jobs, ADMIT_QUOTAS[user], body)
-                verdict = svc.cloud.admit(model.job_spec_from_obj(body))
-                assert (verdict.reason.value if verdict.reason else None) == expected
+                try:
+                    svc.cloud.admit(model.job_spec_from_obj(body))
+                    reason = None
+                except cloud_mod.QuotaRejected as exc:
+                    reason = exc.reason.value
+                assert reason == expected
                 status, out = call(svc, "POST", "/v1/jobs", body)
                 assert status == (201 if expected is None else 403), out
             elif op[0] == "cancel":
@@ -611,6 +665,9 @@ class TestWireTables:
         (cloud_mod.AlreadyReleased("v"), "already_released", 409),
         (cloud_mod.InsufficientCloudCapacity(3), "insufficient_capacity", 409),
         (cloud_mod.QuotaExceeded("over"), "quota_exceeded", 403),
+        (cloud_mod.QuotaRejected(RejectReason.CONCURRENCY_QUOTA), "quota_rejected", 403),
+        (cloud_mod.QuotaRejected(RejectReason.NODE_QUOTA), "quota_rejected", 403),
+        (cloud_mod.Unroutable(), "unroutable_kind", 422),
         (UnknownJob("j"), "unknown_job", 404),
         (AlreadyTerminal("j", JobState.COMPLETED), "already_terminal", 409),
     ]
@@ -626,6 +683,17 @@ class TestWireTables:
         for etype, _code, _status in ERROR_TABLE:
             assert any(issubclass(c, etype) for c in covered), etype
 
+    def test_verdict_table_covers_every_reject_reason(self):
+        # admission and routing rejects are exceptions carrying a reason;
+        # every reason has a sample, and each sample maps to a wire error
+        reasons = set()
+        for exc, code, status in self.SAMPLES:
+            if isinstance(exc, (cloud_mod.QuotaRejected, cloud_mod.Unroutable)):
+                mapped = map_exception(exc)
+                assert (mapped.code, mapped.http_status) == (code, status), exc
+                reasons.add(exc.reason)
+        assert reasons == set(RejectReason)
+
     def test_unmapped_exception_stays_unmapped(self):
         assert map_exception(RuntimeError("boom")) is None
 
@@ -637,9 +705,6 @@ class TestWireTables:
         status, err = call(svc, "GET", "/v1/clock")
         assert status == 500 and err["error"]["code"] == "internal_error"
         assert "wires crossed" in err["error"]["message"]
-
-    def test_verdict_table_covers_every_reject_reason(self):
-        assert set(VERDICT_TABLE) == set(RejectReason)
 
 
 class TestConfigFile:
