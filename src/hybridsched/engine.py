@@ -67,11 +67,6 @@ TERMINAL_EVENT_KINDS = frozenset({
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _flat_payload(items) -> tuple:
-    """(k1, v1, k2, v2, ...) from (key, value) pairs, keys in canonical (sorted) order."""
-    return tuple(chain.from_iterable(sorted(items)))
-
-
 def payload_get(payload: tuple, key: str):
     """The value of `key` in a flat payload, or None when it is absent."""
     i, n = 0, len(payload)
@@ -96,8 +91,8 @@ class SimEvent:
 
     The log stores no SimEvent: `EventLog.events` builds one when an
     entry is read. payload is flat, (k1, v1, k2, v2, ...), with its keys
-    sorted once when the event is emitted (see _flat_payload). Kept only
-    because the benchmark (perfbench/run.py) reads `log.events[-1].t_ms`.
+    in canonical (alphabetical) order as each emit site writes them. Kept
+    only because the benchmark (perfbench/run.py) reads `log.events[-1].t_ms`.
     """
 
     t_ms: int
@@ -192,8 +187,8 @@ class EventLog:
             obj = json.loads(line)
             if obj["seq"] != len(log):
                 raise ValueError(f"event seq {obj['seq']} at position {len(log)}")
-            payload = _flat_payload((k, v) for k, v in obj.items()
-                                    if k not in ("t", "seq", "kind"))
+            payload = tuple(chain.from_iterable(sorted(
+                (k, v) for k, v in obj.items() if k not in ("t", "seq", "kind"))))
             log.append(obj["t"], SimEventKind(obj["kind"]), payload)
         return log
 
@@ -249,7 +244,9 @@ class _RunState:
     credit_from_ms: int = 0       # crediting starts here (start + staging)
 
 
-# pending-entry tags
+# pending-entry tags; an entry is (t_ms, tick, tag, a, b) with (a, b)
+# (job_id, spec) for an arrival, (job_id, epoch) for a finish or a kill
+# and (cluster_id, node_index) for a node going down or up
 _ARRIVAL = 0
 _FINISH = 1
 _KILL = 2
@@ -290,7 +287,7 @@ class Simulation:
                            if cs.spec.kind is ResourceKind.CLOUD]
         self.log = EventLog()
         self.clock = 0
-        self._pending: list[tuple[int, int, int, tuple]] = []
+        self._pending: list[tuple] = []     # heap of (t_ms, tick, tag, a, b)
         self._tick = 0
         # per-job state of live jobs only: _retire drops a job's entries as
         # it ends and leaves its result facts on its JobRecord
@@ -311,11 +308,12 @@ class Simulation:
     def clusters(self) -> dict[str, ClusterState]:
         return self.scheduler.clusters
 
-    def _emit(self, kind: SimEventKind, **payload):
-        self.log.append(self.clock, kind, _flat_payload(payload.items()))
+    def _emit(self, kind: SimEventKind, *payload):
+        """Log an event now; payload is (k1, v1, k2, v2, ...), keys in alphabetical order."""
+        self.log.append(self.clock, kind, payload)
 
-    def _push(self, t_ms: int, tag: int, data: tuple):
-        heapq.heappush(self._pending, (t_ms, self._tick, tag, data))
+    def _push(self, t_ms: int, tag: int, a, b):
+        heapq.heappush(self._pending, (t_ms, self._tick, tag, a, b))
         self._tick += 1
 
     def new_job_id(self) -> str:
@@ -336,7 +334,7 @@ class Simulation:
         if t_ms < self.clock:
             raise PastTime(t_ms, self.clock)
         job_id = job_id or self.new_job_id()
-        self._push(t_ms, _ARRIVAL, (job_id, spec))
+        self._push(t_ms, _ARRIVAL, job_id, spec)
         return job_id
 
     def submit_now(self, spec: JobSpec, job_id: Optional[str] = None) -> str:
@@ -354,7 +352,7 @@ class Simulation:
         state, _freed = self.scheduler.cancel(job_id, self.clock)
         self.records[job_id].end_ms = self.clock
         self._retire(job_id)
-        self._emit(SimEventKind.JOB_CANCELLED, job_id=job_id)
+        self._emit(SimEventKind.JOB_CANCELLED, "job_id", job_id)
         self._plan_cycle()
         return state
 
@@ -367,9 +365,9 @@ class Simulation:
             raise PastTime(at_ms, self.clock)
         if down_ms < 1:
             raise SimulationError("down_ms must be >= 1")
-        self._push(at_ms, _NODE_DOWN, (cluster_id, node_index))
+        self._push(at_ms, _NODE_DOWN, cluster_id, node_index)
         self._fault_starts.setdefault(at_ms, []).append((cluster_id, node_index))
-        self._push(at_ms + down_ms, _NODE_UP, (cluster_id, node_index))
+        self._push(at_ms + down_ms, _NODE_UP, cluster_id, node_index)
 
     # -- vcluster carve-outs (driven by the cloud layer) ------------------
 
@@ -381,13 +379,15 @@ class Simulation:
             if n not in free:
                 raise SimulationError(f"node {n} on {cluster_id} is not free")
         cs.held.update(nodes)
-        self._emit(SimEventKind.NODES_HELD, cluster_id=cluster_id, node_indices=sorted(nodes))
+        self._emit(SimEventKind.NODES_HELD,
+                   "cluster_id", cluster_id, "node_indices", sorted(nodes))
 
     def release_hold(self, cluster_id: str, nodes: tuple[int, ...]):
         """Return carved-out nodes to scheduler visibility, log NodesReleased, replan."""
         cs = self.scheduler.clusters[cluster_id]
         cs.held.difference_update(nodes)
-        self._emit(SimEventKind.NODES_RELEASED, cluster_id=cluster_id, node_indices=sorted(nodes))
+        self._emit(SimEventKind.NODES_RELEASED,
+                   "cluster_id", cluster_id, "node_indices", sorted(nodes))
         self._plan_cycle()
 
     # -- time -------------------------------------------------------------
@@ -420,7 +420,7 @@ class Simulation:
             )
 
     def _process_one(self):
-        t_ms, _tick, tag, data = self._pending[0]
+        t_ms, _tick, tag, a, b = self._pending[0]
         if t_ms > self.config.horizon_ms and self.live_jobs():
             # the event stays pending, so a caller that raises the horizon
             # and steps again loses no timer
@@ -431,23 +431,20 @@ class Simulation:
         heapq.heappop(self._pending)
         self._advance_clock(t_ms)
         if tag == _ARRIVAL:
-            job_id, spec = data
-            validate_job(spec, self._known_kinds)
-            self._handle_arrival(job_id, spec)
+            validate_job(b, self._known_kinds)
+            self._handle_arrival(a, b)
         elif tag == _FINISH:
-            job_id, epoch = data
-            if not self._timer_valid(job_id, epoch):
+            if not self._timer_valid(a, b):
                 return
-            self._end_run(job_id, LifecycleEvent.FINISHED, SimEventKind.JOB_FINISHED)
+            self._end_run(a, LifecycleEvent.FINISHED, SimEventKind.JOB_FINISHED)
         elif tag == _KILL:
-            job_id, epoch = data
-            if not self._timer_valid(job_id, epoch):
+            if not self._timer_valid(a, b):
                 return
-            self._end_run(job_id, LifecycleEvent.WALLTIME_EXCEEDED, SimEventKind.JOB_TIMED_OUT)
+            self._end_run(a, LifecycleEvent.WALLTIME_EXCEEDED, SimEventKind.JOB_TIMED_OUT)
         elif tag == _NODE_DOWN:
-            self._handle_node_down(*data)
+            self._handle_node_down(a, b)
         elif tag == _NODE_UP:
-            self._handle_node_up(*data)
+            self._handle_node_up(a, b)
         self._plan_cycle()
 
     def _advance_clock(self, t_ms: int):
@@ -488,7 +485,7 @@ class Simulation:
         self._run[job_id] = _RunState(retries_left=self.config.retry_budget)
         jobs, nodes = self._user_load.get(spec.user_id, (0, 0))
         self._user_load[spec.user_id] = (jobs + 1, nodes + projected_nodes(spec))
-        self._emit(SimEventKind.JOB_SUBMITTED, job_id=job_id)
+        self._emit(SimEventKind.JOB_SUBMITTED, "job_id", job_id)
         try:
             self.scheduler.enqueue(record, self.clock)
         except Unsatisfiable:
@@ -498,10 +495,10 @@ class Simulation:
             record.state = JobState.FAILED
             record.end_ms = self.clock
             self._retire(job_id)
-            self._emit(SimEventKind.JOB_FAILED, job_id=job_id)
+            self._emit(SimEventKind.JOB_FAILED, "job_id", job_id)
             return
         record.state = transition(record.state, LifecycleEvent.VALIDATED)
-        self._emit(SimEventKind.JOB_QUEUED, job_id=job_id)
+        self._emit(SimEventKind.JOB_QUEUED, "job_id", job_id)
 
     def _end_run(self, job_id: str, event: LifecycleEvent, kind: SimEventKind):
         """A running job's timer fired: it finished or hit its walltime."""
@@ -511,7 +508,7 @@ class Simulation:
         record.end_ms = self.clock
         self.scheduler.release(job_id)
         self._retire(job_id)
-        self._emit(kind, job_id=job_id)
+        self._emit(kind, "job_id", job_id)
 
     def _handle_node_down(self, cluster_id: str, node_index: int):
         # Faults may overlap or touch on one node: only the first opens the
@@ -524,7 +521,7 @@ class Simulation:
         self._down_depth[key] = 1
         cs = self.scheduler.clusters[cluster_id]
         cs.down.add(node_index)
-        self._emit(SimEventKind.NODE_DOWN, cluster_id=cluster_id, node_index=node_index)
+        self._emit(SimEventKind.NODE_DOWN, "cluster_id", cluster_id, "node_index", node_index)
         victim = cs.owner.get(node_index)
         if victim is None:
             return
@@ -539,11 +536,11 @@ class Simulation:
             rs.retries_left -= 1
             record.credited_milli = 0   # restart from scratch on the next attempt
             self.scheduler.enqueue(record, self.clock)
-            self._emit(SimEventKind.JOB_QUEUED, job_id=victim)
+            self._emit(SimEventKind.JOB_QUEUED, "job_id", victim)
         else:
             record.end_ms = self.clock
             self._retire(victim)
-            self._emit(SimEventKind.JOB_FAILED, job_id=victim)
+            self._emit(SimEventKind.JOB_FAILED, "job_id", victim)
 
     def _handle_node_up(self, cluster_id: str, node_index: int):
         key = (cluster_id, node_index)
@@ -556,7 +553,7 @@ class Simulation:
         del self._down_depth[key]
         cs = self.scheduler.clusters[cluster_id]
         cs.down.discard(node_index)
-        self._emit(SimEventKind.NODE_UP, cluster_id=cluster_id, node_index=node_index)
+        self._emit(SimEventKind.NODE_UP, "cluster_id", cluster_id, "node_index", node_index)
 
     # -- the plan cycle ---------------------------------------------------
 
@@ -578,18 +575,16 @@ class Simulation:
         cs = self.scheduler.clusters[record.cluster_id]
         record.state = transition(record.state, LifecycleEvent.SCHEDULED)
         record.state = transition(record.state, LifecycleEvent.STARTED)
-        workers = len(record.node_indices)
         self._run[job_id].credit_from_ms = (
             self.clock + self._staging_delay(record.spec, cs.spec))
-        payload = {
-            "cluster_id": record.cluster_id,
-            "job_id": job_id,
-            "node_indices": list(record.node_indices),
-        }
+        nodes = list(record.node_indices)
         if isinstance(record.spec.shape, Elastic):
-            record.worker_history.append((self.clock, workers))
-            payload["workers"] = workers
-        self._emit(SimEventKind.JOB_STARTED, **payload)
+            record.worker_history.append((self.clock, len(nodes)))
+            self._emit(SimEventKind.JOB_STARTED, "cluster_id", record.cluster_id,
+                       "job_id", job_id, "node_indices", nodes, "workers", len(nodes))
+        else:
+            self._emit(SimEventKind.JOB_STARTED, "cluster_id", record.cluster_id,
+                       "job_id", job_id, "node_indices", nodes)
         self._schedule_finish(job_id)
 
     def _staging_delay(self, spec: JobSpec, cluster: ClusterSpec) -> int:
@@ -624,9 +619,9 @@ class Simulation:
         if remaining > 0:
             finish_at += -(-remaining // self._work_rate(record))
         if finish_at <= kill_at:
-            self._push(finish_at, _FINISH, (job_id, rs.epoch))
+            self._push(finish_at, _FINISH, job_id, rs.epoch)
         else:
-            self._push(kill_at, _KILL, (job_id, rs.epoch))
+            self._push(kill_at, _KILL, job_id, rs.epoch)
 
     def _rescale_pass(self, decision: DispatchDecision):
         """Refit every running elastic job to its fair share, shrinks first."""
@@ -641,9 +636,8 @@ class Simulation:
                 new_nodes = self.scheduler.apply_worker_count(job_id, target)
                 workers = len(new_nodes)
                 records[job_id].worker_history.append((self.clock, workers))
-                self._emit(SimEventKind.RESCALE_APPLIED, cluster_id=cid,
-                           job_id=job_id, node_indices=list(new_nodes),
-                           workers=workers)
+                self._emit(SimEventKind.RESCALE_APPLIED, "cluster_id", cid, "job_id", job_id,
+                           "node_indices", list(new_nodes), "workers", workers)
                 self._schedule_finish(job_id)
 
 

@@ -2,14 +2,19 @@
 
 Each cell runs `random_clusters(seed)` and a 150-job `random_trace` under
 one `SimConfig`, pins the SHA-256 of the canonical log, and checks the
-log against oracles that import nothing from the engine:
+log against oracles that import nothing from the engine. The traces are
+mixed (30% elastic jobs, 6 node faults), rigid-only, or mixed with tight
+walltimes (each walltime equals the job's modeled duration on its slowest
+acceptable cluster); the configs vary backfill, `retry_budget`,
+`hybrid_rigid_on_cloud` and `first_preference_only`. The oracles:
 
 - the benchmark's checker (`perfbench/check.py`) replays every attempt,
   end time, occupancy and report row;
 - the jobs failed at arrival are exactly the rigid jobs that no
   acceptable cluster can hold. The checker does not model that rule, so
   with `hybrid_rigid_on_cloud` off (a rigid job that lists only `cloud`
-  has nowhere to run) its one complaint is such a job;
+  has nowhere to run) or `first_preference_only` on (a rigid job may use
+  only its first kind) its one complaint is such a job;
 - rigid-only cells without backfilling also go through `FifoOracle`.
 
 After a change that is meant to move the logs, rewrite the hashes with
@@ -46,45 +51,52 @@ def on_off(flag):
     return "on" if flag else "off"
 
 
-# (seed, rigid_only, backfill, retry_budget, hybrid_rigid_on_cloud); a
-# mixed trace has 30% elastic jobs and 6 node faults, a rigid-only one
+# (seed, trace, backfill, retry_budget, hybrid_rigid_on_cloud,
+# first_preference_only); a mixed trace has 30% elastic jobs and 6 node
+# faults, a tight one is mixed with tight walltimes, and a rigid-only one
 # has neither, so the FIFO oracle can replay it
-CELLS = [(seed, False, backfill, budget, hybrid)
+MIXED, RIGID_ONLY, TIGHT = "mixed", "rigid-only", "tight-walltime"
+CELLS = [(seed, MIXED, backfill, budget, hybrid, False)
          for seed in SEEDS for backfill in (True, False)
          for budget in (0, 1) for hybrid in (True, False)]
-CELLS += [(seed, True, False, 1, seed % 2 == 0) for seed in SEEDS]
+CELLS += [(seed, RIGID_ONLY, False, 1, seed % 2 == 0, False) for seed in SEEDS]
+CELLS += [(seed, TIGHT, True, 1, hybrid, False) for seed in SEEDS for hybrid in (True, False)]
+CELLS += [(seed, MIXED, True, 1, hybrid, True) for seed in SEEDS for hybrid in (True, False)]
 
 
 def cell_name(cell):
-    seed, rigid_only, backfill, budget, hybrid = cell
-    return (f"seed={seed} {'rigid-only' if rigid_only else 'mixed'} "
-            f"backfill={on_off(backfill)} retry_budget={budget} hybrid={on_off(hybrid)}")
+    seed, trace, backfill, budget, hybrid, first_only = cell
+    return (f"seed={seed} {trace} backfill={on_off(backfill)} retry_budget={budget} "
+            f"hybrid={on_off(hybrid)}" + (" first_preference_only=on" if first_only else ""))
 
 
-def inputs(seed, rigid_only):
+def inputs(seed, trace):
     """(clusters, trace) of a cell."""
     clusters = random_clusters(seed)
-    if rigid_only:
+    if trace == RIGID_ONLY:
         return clusters, random_trace(seed, clusters, n_jobs=150, rigid_only=True)
-    return clusters, random_trace(seed, clusters, n_jobs=150, n_faults=6, elastic_fraction=0.3)
+    return clusters, random_trace(seed, clusters, n_jobs=150, n_faults=6, elastic_fraction=0.3,
+                                  tight_walltime=trace == TIGHT)
 
 
 def run_cell(cell, clusters, trace):
-    _seed, _rigid_only, backfill, budget, hybrid = cell
-    config = SimConfig(backfill=backfill, retry_budget=budget, hybrid_rigid_on_cloud=hybrid)
+    _seed, _trace, backfill, budget, hybrid, first_only = cell
+    config = SimConfig(backfill=backfill, retry_budget=budget, hybrid_rigid_on_cloud=hybrid,
+                       first_preference_only=first_only)
     return run_trace(trace, clusters, config)[0]
 
 
-def acceptable_kinds(spec, hybrid):
+def acceptable_kinds(spec, hybrid, first_only=False):
     if "elastic" in spec["shape"]:
         return ("cloud",)
-    return tuple(k for k in spec["kind_preferences"] if hybrid or k != "cloud")
+    prefs = spec["kind_preferences"][:1] if first_only else spec["kind_preferences"]
+    return tuple(k for k in prefs if hybrid or k != "cloud")
 
 
-def unsatisfiable(clusters, jobs, hybrid):
+def unsatisfiable(clusters, jobs, hybrid, first_only):
     """Rigid jobs with no acceptable cluster of at least their size."""
     return {job_id for job_id, spec in jobs.items() if "rigid" in spec["shape"]
-            and not any(c["kind"] in acceptable_kinds(spec, hybrid)
+            and not any(c["kind"] in acceptable_kinds(spec, hybrid, first_only)
                         and c["node_count"] >= spec["shape"]["rigid"]["node_count"]
                         for c in clusters)}
 
@@ -115,18 +127,18 @@ HASHES = json.loads(HASHES_PATH.read_text()) if HASHES_PATH.exists() else {}
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cells_of_one_seed(seed):
-    for rigid_only in (False, True):
-        clusters, trace = inputs(seed, rigid_only)
+    for kind in (MIXED, RIGID_ONLY, TIGHT):
+        clusters, trace = inputs(seed, kind)
         cluster_objs = [cluster_spec_to_obj(c) for c in clusters]
         trace_obj = trace_to_obj(trace)
         for cell in CELLS:
-            if cell[:2] == (seed, rigid_only):
+            if cell[:2] == (seed, kind):
                 check_cell(cell, clusters, trace, cluster_objs, trace_obj)
 
 
 def check_cell(cell, clusters, trace, cluster_objs, trace_obj):
     name = cell_name(cell)
-    _seed, rigid_only, backfill, budget, hybrid = cell
+    _seed, kind, backfill, budget, hybrid, first_only = cell
     log = run_cell(cell, clusters, trace)
     data = log.canonical_bytes()
     assert hashlib.sha256(data).hexdigest() == HASHES.get(name), name
@@ -135,7 +147,7 @@ def check_cell(cell, clusters, trace, cluster_objs, trace_obj):
     jobs = {job_id: entry["spec"] for job_id, entry in entries.items()}
     lines = data.decode().splitlines()
     events = oracles.parse_log(lines)      # oracles.log_events(log), serialized once
-    unsat = unsatisfiable(cluster_objs, jobs, hybrid)
+    unsat = unsatisfiable(cluster_objs, jobs, hybrid, first_only)
     assert failed_at_arrival(events) == unsat, name
 
     last_t = events[-1]["t"] if events else 0
@@ -147,7 +159,7 @@ def check_cell(cell, clusters, trace, cluster_objs, trace_obj):
     assert [p for p in outcome.problems if p not in explained] == [], name
     assert outcome.known_defect_failures == 0, name
 
-    if rigid_only and not backfill:
+    if kind == RIGID_ONLY and not backfill:
         starts = {}
         for ev in events:
             if ev["kind"] == "JobStarted":

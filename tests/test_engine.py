@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import hashlib
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import log_events
 from hybridsched.catalog import DatasetCatalog
+from hybridsched.cloud import CloudLayer, Quota
 from hybridsched.engine import (
     DuplicateCluster,
     EventLog,
@@ -644,6 +646,56 @@ class TestCompactEvents:
         assert list(parsed.rows()) == list(log.rows())
 
 
+# the payload keys each kind is logged with, in canonical (alphabetical)
+# order; emit sites write them so, since nothing is sorted at emit
+EVENT_KEYS = {
+    SimEventKind.JOB_SUBMITTED: {("job_id",)},
+    SimEventKind.JOB_QUEUED: {("job_id",)},
+    SimEventKind.JOB_STARTED: {("cluster_id", "job_id", "node_indices"),
+                               ("cluster_id", "job_id", "node_indices", "workers")},
+    SimEventKind.JOB_FINISHED: {("job_id",)},
+    SimEventKind.JOB_FAILED: {("job_id",)},
+    SimEventKind.JOB_TIMED_OUT: {("job_id",)},
+    SimEventKind.JOB_CANCELLED: {("job_id",)},
+    SimEventKind.NODE_DOWN: {("cluster_id", "node_index")},
+    SimEventKind.NODE_UP: {("cluster_id", "node_index")},
+    SimEventKind.NODES_HELD: {("cluster_id", "node_indices")},
+    SimEventKind.NODES_RELEASED: {("cluster_id", "node_indices")},
+    SimEventKind.RESCALE_APPLIED: {("cluster_id", "job_id", "node_indices", "workers")},
+}
+
+
+class TestPayloadKeyOrder:
+    """Every emit site writes its payload keys in canonical order."""
+
+    def test_every_kind_is_pinned(self):
+        assert set(EVENT_KEYS) == set(SimEventKind)
+
+    def test_emitted_keys_are_pinned_and_ascending(self):
+        sim = Simulation([cluster("cloud0", CLOUD, 4), cluster("cpu0", CPU, 2)])
+        layer = CloudLayer(sim)
+        layer.create_user("u", Quota(max_concurrent_jobs=100, max_nodes_in_use=100,
+                                     max_vcluster_nodes=4))
+        vc = layer.provision_vcluster("u", 1, "img")                 # NodesHeld
+        sim.submit_now(rigid("ok", 1, 1, 10_000))                   # JobStarted, no workers
+        sim.submit_now(rigid("late", 1, 100, 10))                   # JobTimedOut
+        sim.submit_now(rigid("huge", 3, 1, 1000))                   # JobFailed at arrival
+        sim.submit_now(elastic("e1", 1, 3, 50, 60_000))             # JobStarted with workers
+        sim.submit_now(elastic("e2", 1, 3, 50, 60_000))             # RescaleApplied
+        sim.cancel_now(sim.submit_now(rigid("gone", 2, 1, 1000)))   # JobCancelled
+        sim.inject_node_failure("cpu0", 0, 5, 100)                  # NodeDown, NodeUp
+        layer.release_vcluster(vc.vcluster_id)                      # NodesReleased
+        sim.run_to_quiescence()
+
+        seen = {}
+        for _t_ms, kind, payload in sim.log.rows():     # the engine's own rows
+            keys = payload[0::2]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (kind, payload)
+            assert keys in EVENT_KEYS[kind], (kind, payload)
+            seen.setdefault(kind, set()).add(keys)
+        assert seen == EVENT_KEYS
+
+
 class TestColumnarLog:
     """The log keeps columns; SimEvents are built only when they are read.
 
@@ -731,6 +783,42 @@ class TestAgainstFifoOracle:
     @pytest.mark.parametrize("seed", range(8, 12))
     def test_single_cluster(self, seed):
         self._compare(seed, [cluster("cpu0", CPU, 4)])
+
+
+@pytest.mark.extra_seeds
+class TestPlanIdempotence:
+    """Before the elastic rescale pass, a plan cycle leaves nothing to do.
+
+    A second plan at the same instant, run dry on a copy of the scheduler,
+    starts nothing and returns the same reservation. After the rescale
+    pass this does not always hold: a shrink can free a node that a job
+    could start on at once (ROADMAP item 3)."""
+
+    @given(seed=st.integers(1, 10_000), n_jobs=st.integers(1, 30),
+           n_faults=st.integers(0, 3), backfill=st.booleans(), hybrid=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_second_plan_before_the_rescale_pass_is_empty(self, seed, n_jobs, n_faults,
+                                                          backfill, hybrid):
+        clusters = random_clusters(seed)
+        trace = random_trace(seed, clusters, n_jobs, n_faults=n_faults, elastic_fraction=0.3)
+        config = SimConfig(backfill=backfill, hybrid_rigid_on_cloud=hybrid)
+        sim = Simulation(clusters, config)
+        for t_ms, spec in trace.jobs:
+            sim.schedule_arrival(t_ms, spec)
+        for fault in trace.faults:
+            sim.inject_node_failure(fault.cluster_id, fault.node_index,
+                                    fault.t_ms, fault.down_duration_ms)
+        rescale_pass = sim._rescale_pass
+
+        def checked(decision):
+            again = copy.deepcopy(sim.scheduler).plan(sim.clock)
+            assert again.starts == (), (sim.clock, again.starts)
+            assert again.reservation == decision.reservation, sim.clock
+            rescale_pass(decision)
+
+        sim._rescale_pass = checked
+        sim.run_to_quiescence()
+        assert sim.log.canonical_bytes() == run_trace(trace, clusters, config)[0].canonical_bytes()
 
 
 # one operation on a live simulation: a submission (user, elastic?, two
