@@ -330,16 +330,24 @@ class Simulation:
 
     # -- submission and control -------------------------------------------
 
+    def _check_job(self, spec: JobSpec):
+        """The one spec check, at both doors: configured kinds, then catalog refs."""
+        validate_job(spec, self._known_kinds)
+        if self.catalog is not None and spec.dataset_refs:
+            self.catalog.resolve(spec.dataset_refs)
+
     def schedule_arrival(self, t_ms: int, spec: JobSpec, job_id: Optional[str] = None) -> str:
+        """Check a job now and queue its arrival for t_ms."""
         if t_ms < self.clock:
             raise PastTime(t_ms, self.clock)
+        self._check_job(spec)
         job_id = job_id or self.new_job_id()
         self._push(t_ms, _ARRIVAL, job_id, spec)
         return job_id
 
     def submit_now(self, spec: JobSpec, job_id: Optional[str] = None) -> str:
-        """Process a submission synchronously at the current clock."""
-        validate_job(spec, self._known_kinds)   # before an id is consumed
+        """Check a job and process its submission synchronously at the current clock."""
+        self._check_job(spec)
         job_id = job_id or self.new_job_id()
         self._handle_arrival(job_id, spec)
         self._plan_cycle()
@@ -431,7 +439,6 @@ class Simulation:
         heapq.heappop(self._pending)
         self._advance_clock(t_ms)
         if tag == _ARRIVAL:
-            validate_job(b, self._known_kinds)
             self._handle_arrival(a, b)
         elif tag == _FINISH:
             if not self._timer_valid(a, b):
@@ -466,7 +473,6 @@ class Simulation:
         """
         record = self.records[job_id]
         del self._run[job_id]
-        self.scheduler.forget(job_id)
         user = record.spec.user_id
         jobs, nodes = self._user_load[user]
         if jobs == 1:
@@ -477,7 +483,7 @@ class Simulation:
     # -- event handlers ---------------------------------------------------
 
     def _handle_arrival(self, job_id: str, spec: JobSpec):
-        """Record and queue a job whose spec its caller has validated."""
+        """Record and queue a job whose spec _check_job passed at its door."""
         record = JobRecord(job_id=job_id, spec=spec, submit_ms=self.clock)
         if isinstance(spec.shape, Elastic):
             record.worker_history = []
@@ -645,15 +651,10 @@ def run_trace(trace, clusters: list[ClusterSpec], config: Optional[SimConfig] = 
               catalog=None) -> tuple[EventLog, dict[str, JobRecord]]:
     """Run a submission trace to completion on the given clusters.
 
-    Jobs are validated against the configured kinds (and the catalog, when
-    one is supplied) before anything runs; identical inputs produce a
+    schedule_arrival checks each job, so a bad one raises in trace order
+    before any event and any fault; identical inputs produce a
     byte-identical canonical event log.
     """
-    known = {s.kind for s in clusters}
-    for _t, spec in trace.jobs:
-        validate_job(spec, known)
-        if catalog is not None and spec.dataset_refs:
-            catalog.resolve(spec.dataset_refs)
     sim = Simulation(clusters, config=config, catalog=catalog)
     for t_ms, spec in trace.jobs:
         sim.schedule_arrival(t_ms, spec)

@@ -172,7 +172,8 @@ class JobRecord:
     placement; whether it holds them now is ClusterState.owner's to say.
     worker_history records (time_ms, worker_count) changes of an elastic
     job in a list of its own; rigid jobs keep the shared empty tuple.
-    credited_milli is the engine's, reset by a requeue.
+    credited_milli is the engine's, reset by a requeue. submit_seq, the
+    scheduler's, is set at the first enqueue and kept through a requeue.
     """
 
     job_id: str
@@ -185,6 +186,7 @@ class JobRecord:
     node_indices: tuple[int, ...] = ()
     worker_history: Sequence[tuple[int, int]] = ()
     credited_milli: int = 0
+    submit_seq: Optional[int] = None
 
 
 # --- errors ---------------------------------------------------------------

@@ -154,7 +154,6 @@ class Scheduler:
         self._queue_keys: list[tuple] = []
         self._queue_entries: dict[str, QueueEntry] = {}
         self._submit_seq = 0
-        self._seq_of_job: dict[str, int] = {}   # live jobs only; forget() drops one
         # cluster ids per kind, lexicographic, fixed at construction
         self._by_kind: dict[ResourceKind, list[str]] = {}
         for cid in sorted(clusters):
@@ -165,10 +164,10 @@ class Scheduler:
     def enqueue(self, job: JobRecord, now_ms: int) -> QueueEntry:
         """Insert a Queued job preserving the total order.
 
-        A job requeued after a node loss keeps its original submit_seq, so
-        it goes back to its old position rather than the tail. Raises
-        Unsatisfiable, and queues nothing, when no acceptable cluster owns
-        enough nodes.
+        A job's first enqueue stores its submit_seq on its record; a
+        requeue after a node loss keeps it, so the job goes back to its
+        old position rather than the tail. Raises Unsatisfiable, and
+        queues nothing, when no acceptable cluster owns enough nodes.
         """
         job_id = job.job_id
         if job_id in self._queue_entries or self._holds_nodes(job):
@@ -177,12 +176,10 @@ class Scheduler:
         accept = self._acceptable_clusters(self.effective_preferences(job.spec))
         if all(self.clusters[cid].spec.node_count < needed for cid in accept):
             raise Unsatisfiable(job_id, needed)
-        if job_id in self._seq_of_job:
-            seq = self._seq_of_job[job_id]
-        else:
-            seq = self._submit_seq
+        seq = job.submit_seq
+        if seq is None:
+            seq = job.submit_seq = self._submit_seq
             self._submit_seq += 1
-            self._seq_of_job[job_id] = seq
         entry = QueueEntry(job_id, job.spec.priority, seq, needed,
                            job.spec.walltime_limit_ms, accept)
         bisect.insort(self._queue_keys, entry.sort_key)
@@ -196,10 +193,6 @@ class Scheduler:
         idx = bisect.bisect_left(self._queue_keys, entry.sort_key)
         del self._queue_keys[idx]
         return True
-
-    def forget(self, job_id: str):
-        """Drop what the scheduler still keeps of a job that has ended."""
-        self._seq_of_job.pop(job_id, None)
 
     def queue_length(self) -> int:
         """Jobs queued. Kept only for perfbench/tracer.py, which reads it on every plan."""
@@ -387,7 +380,7 @@ class Scheduler:
             job = self.records[job_id]
             if isinstance(job.spec.shape, Elastic) and job.state is JobState.RUNNING:
                 out.append(job_id)
-        out.sort(key=lambda j: self._seq_of_job[j])
+        out.sort(key=lambda j: self.records[j].submit_seq)
         return out
 
     def elastic_targets(self, cid: str, reservation: Optional[Reservation] = None

@@ -238,6 +238,24 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_job_of_an_unoffered_kind_exits_2(self, tmp_path, capsys):
+        # the second job asks for gpu, which no cluster offers
+        jobs = [(t_ms, JobSpec(name="j", user_id="u", kind_preferences=prefs,
+                               shape=Rigid(node_count=1), work_units=1,
+                               walltime_limit_ms=1_000))
+                for t_ms, prefs in ((0, (CPU,)), (5, (ResourceKind.GPU,)), (9, (CPU,)))]
+        trace_path = tmp_path / "trace.json"
+        write_trace(SubmissionTrace(jobs=jobs), trace_path)
+        clusters_path = tmp_path / "clusters.json"
+        clusters_path.write_text(json.dumps(
+            [cluster_spec_to_obj(cluster("cpu0", CPU, 1))]))
+        out = tmp_path / "o.jsonl"
+        code = main(["simulate", "--trace", str(trace_path),
+                     "--clusters", str(clusters_path), "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert "invalid job in trace" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonterminating_guard_exits_3(self, tmp_path, capsys):
         # the only node goes down past the horizon while a job waits
         trace = SubmissionTrace(

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import log_events
-from hybridsched.catalog import DatasetCatalog
+from hybridsched import engine
+from hybridsched.catalog import DatasetCatalog, MissingDataset
 from hybridsched.cloud import CloudLayer, Quota
 from hybridsched.engine import (
     DuplicateCluster,
@@ -28,15 +29,17 @@ from hybridsched.engine import (
 )
 from hybridsched.metrics import utilization
 from hybridsched.model import (
+    BadShape,
     ClusterSpec,
     Elastic,
     JobSpec,
     JobState,
     ResourceKind,
     Rigid,
+    UnknownKind,
     ValidationError,
 )
-from hybridsched.traces import SubmissionTrace, random_clusters, random_trace
+from hybridsched.traces import FaultDirective, SubmissionTrace, random_clusters, random_trace
 
 CPU = ResourceKind.CPU
 GPU = ResourceKind.GPU
@@ -124,6 +127,67 @@ class TestBasics:
             sim.inject_node_failure("cpu0", 7, 10, 100)
         with pytest.raises(UnknownNode):
             sim.inject_node_failure("nope", 0, 10, 100)
+
+
+class TestTheDoor:
+    """schedule_arrival and submit_now check a job at the call, before an id is consumed."""
+
+    @staticmethod
+    def catalog_sim():
+        catalog = DatasetCatalog()
+        catalog.register_datasets([{"name": "survey", "size_bytes": 10}])
+        return Simulation([cluster("cpu0", CPU, 2)], catalog=catalog)
+
+    def test_submit_now_rejects_an_unknown_ref(self):
+        sim = self.catalog_sim()
+        with pytest.raises(MissingDataset):
+            sim.submit_now(rigid("ghost", 1, 1, 1000, refs=("survey", "ghost")))
+        assert sim.scheduler.clusters["cpu0"].owner == {}
+        assert sim.records == {} and len(sim.log) == 0
+        # the whole site is still free: a 2-node job starts and finishes
+        assert sim.submit_now(rigid("both", 2, 1, 1000, refs=("survey",))) == "j000000"
+        sim.run_to_quiescence()
+        assert sim.records["j000000"].state is JobState.COMPLETED
+
+    @pytest.mark.parametrize("spec, error", [
+        (rigid("gpu", 1, 1, 1000, prefs=(GPU,)), UnknownKind),
+        (elastic("inverted", 4, 2, 1, 1000), BadShape),
+        (rigid("ghost", 1, 1, 1000, refs=("ghost",)), MissingDataset),
+    ])
+    def test_schedule_arrival_rejects_at_the_call(self, spec, error):
+        catalog = DatasetCatalog()
+        sim = Simulation([cluster("cpu0", CPU, 2), cluster("cloud0", CLOUD, 2)],
+                         catalog=catalog)
+        sim.advance_to(3)
+        with pytest.raises(error):
+            sim.schedule_arrival(5, spec)
+        assert sim.clock == 3 and sim._pending == []
+        assert sim.records == {} and len(sim.log) == 0
+        assert sim.schedule_arrival(5, rigid("ok", 1, 1, 1000)) == "j000000"
+
+    def test_run_trace_checks_each_job_once(self, monkeypatch):
+        clusters = random_clusters(4)
+        trace = random_trace(4, clusters, n_jobs=30, n_faults=2)
+        seen = []
+        check = engine.validate_job
+
+        def counting(spec, known):
+            seen.append(spec)
+            return check(spec, known)
+
+        monkeypatch.setattr(engine, "validate_job", counting)
+        run_trace(trace, clusters)
+        assert seen == [spec for _t, spec in trace.jobs]
+
+    def test_run_trace_raises_the_first_bad_job_before_any_fault(self):
+        trace = SubmissionTrace(
+            jobs=[(0, rigid("ok", 1, 1, 1000)),
+                  (10, rigid("gpu", 1, 1, 1000, prefs=(GPU,))),
+                  (20, rigid("zero", 1, 0, 1000))],
+            faults=[FaultDirective(0, "cpu9", 0, 100)],
+        )
+        with pytest.raises(UnknownKind):
+            run_trace(trace, [cluster("cpu0", CPU, 1)])
 
 
 class TestWalltime:
@@ -845,7 +909,8 @@ class TestBoundedState:
         assert set(sim._run) == live
         assert sorted(sim.live_jobs()) == sorted(live)
         sched = sim.scheduler
-        assert set(sched._seq_of_job) == live
+        assert all(entry.submit_seq == sim.records[j].submit_seq
+                   for j, entry in sched._queue_entries.items())
         assert set(sched._queue_entries) == {
             j for j in live if sim.records[j].state is JobState.QUEUED}
         # a job holds nodes exactly while it is Running, and each cluster's
@@ -925,4 +990,4 @@ class TestBoundedState:
             self.check(sim)
         sim.run_to_quiescence()
         self.check(sim)
-        assert sim._run == {} and sim._user_load == {} and sim.scheduler._seq_of_job == {}
+        assert sim._run == {} and sim._user_load == {}
