@@ -12,13 +12,12 @@ guard tripped (non-terminating run).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .engine import NonTerminating, SimConfig, UnknownNode, run_trace
 from .metrics import compare, format_table, utilization, utilization_rows, wait_stats
-from .model import ValidationError, cluster_spec_from_obj
+from .model import MalformedSpec, ValidationError, cluster_specs_from_obj, read_json
 from .service import ConfigError, load_config, serve
 from .traces import MalformedTrace, read_trace
 
@@ -66,13 +65,9 @@ def _finish(args, resp, render) -> int:
 
 def cmd_submit(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            body = json.load(fh)
-    except OSError as exc:
+        body = read_json(args.file, MalformedSpec)
+    except (OSError, MalformedSpec) as exc:
         print(f"hsctl: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"hsctl: {args.file} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     headers = {}
     user = args.user or (body.get("user_id") if isinstance(body, dict) else None)
@@ -150,10 +145,8 @@ def cmd_simulate(args) -> int:
         print(f"hsctl: bad trace {args.trace}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        with open(args.clusters, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        clusters = [cluster_spec_from_obj(entry) for entry in raw]
-    except (OSError, json.JSONDecodeError, ValidationError, TypeError) as exc:
+        clusters = cluster_specs_from_obj(read_json(args.clusters, MalformedSpec))
+    except (OSError, ValidationError) as exc:
         print(f"hsctl: bad clusters file {args.clusters}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     config = SimConfig()
@@ -168,7 +161,11 @@ def cmd_simulate(args) -> int:
     except UnknownNode as exc:
         print(f"hsctl: invalid fault in trace: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    log.write(args.out)
+    try:
+        log.write(args.out)
+    except OSError as exc:
+        print(f"hsctl: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     last = log.t_ms[-1] if len(log) else 0
     window = (0, max(last, 1))
     report = utilization(log, clusters, window)

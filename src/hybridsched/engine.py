@@ -33,6 +33,7 @@ from .model import (
     LifecycleEvent,
     ResourceKind,
     projected_nodes,
+    reject_duplicate_clusters,
     transition,
     validate_cluster,
     validate_job,
@@ -230,11 +231,6 @@ class PastTime(SimulationError):
         super().__init__(f"cannot schedule at {at_ms}; clock already at {now_ms}")
 
 
-class DuplicateCluster(SimulationError):
-    def __init__(self, cluster_id: str):
-        super().__init__(f"duplicate cluster_id {cluster_id}")
-
-
 @dataclass(slots=True)
 class _RunState:
     """Timer and crediting state of one live job; its placement and work are on its JobRecord."""
@@ -268,12 +264,9 @@ class Simulation:
                  catalog=None):
         self.config = config or SimConfig()
         self.catalog = catalog
-        seen = set()
         for spec in clusters:
             validate_cluster(spec)
-            if spec.cluster_id in seen:
-                raise DuplicateCluster(spec.cluster_id)
-            seen.add(spec.cluster_id)
+        reject_duplicate_clusters(clusters)
         states = {s.cluster_id: ClusterState(s) for s in sorted(clusters, key=lambda s: s.cluster_id)}
         self.records: dict[str, JobRecord] = {}
         self.scheduler = Scheduler(
@@ -330,8 +323,8 @@ class Simulation:
 
     # -- submission and control -------------------------------------------
 
-    def _check_job(self, spec: JobSpec):
-        """The one spec check, at both doors: configured kinds, then catalog refs."""
+    def check_job(self, spec: JobSpec):
+        """The one spec check (configured kinds, then catalog refs); it changes nothing."""
         validate_job(spec, self._known_kinds)
         if self.catalog is not None and spec.dataset_refs:
             self.catalog.resolve(spec.dataset_refs)
@@ -340,14 +333,14 @@ class Simulation:
         """Check a job now and queue its arrival for t_ms."""
         if t_ms < self.clock:
             raise PastTime(t_ms, self.clock)
-        self._check_job(spec)
+        self.check_job(spec)
         job_id = job_id or self.new_job_id()
         self._push(t_ms, _ARRIVAL, job_id, spec)
         return job_id
 
     def submit_now(self, spec: JobSpec, job_id: Optional[str] = None) -> str:
         """Check a job and process its submission synchronously at the current clock."""
-        self._check_job(spec)
+        self.check_job(spec)
         job_id = job_id or self.new_job_id()
         self._handle_arrival(job_id, spec)
         self._plan_cycle()
@@ -483,7 +476,7 @@ class Simulation:
     # -- event handlers ---------------------------------------------------
 
     def _handle_arrival(self, job_id: str, spec: JobSpec):
-        """Record and queue a job whose spec _check_job passed at its door."""
+        """Record and queue a job whose spec check_job passed at its door."""
         record = JobRecord(job_id=job_id, spec=spec, submit_ms=self.clock)
         if isinstance(spec.shape, Elastic):
             record.worker_history = []

@@ -11,6 +11,7 @@ simulation runs reproducible byte-for-byte across platforms.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -193,44 +194,32 @@ class JobRecord:
 
 
 class ValidationError(ValueError):
-    """A job spec violates an invariant and is rejected."""
-
-    code = "invalid"
+    """A job or cluster spec violates an invariant and is rejected."""
 
 
 class EmptyPreferences(ValidationError):
-    code = "empty_preferences"
-
     def __init__(self):
         super().__init__("kind_preferences must not be empty")
 
 
 class UnknownKind(ValidationError):
-    code = "unknown_kind"
-
     def __init__(self, kind):
         self.kind = kind
         super().__init__(f"unknown or unconfigured resource kind: {kind}")
 
 
 class DuplicateKind(ValidationError):
-    code = "duplicate_kind"
-
     def __init__(self, kind):
         self.kind = kind
         super().__init__(f"resource kind listed twice: {kind}")
 
 
 class BadShape(ValidationError):
-    code = "bad_shape"
-
     def __init__(self, detail: str):
         super().__init__(f"bad job shape: {detail}")
 
 
 class NonPositive(ValidationError):
-    code = "non_positive"
-
     def __init__(self, fieldname: str):
         self.fieldname = fieldname
         super().__init__(f"{fieldname} must be >= 1")
@@ -239,7 +228,10 @@ class NonPositive(ValidationError):
 class MalformedSpec(ValidationError):
     """Structural problem in the wire encoding (missing/unknown/wrongly typed field)."""
 
-    code = "malformed_spec"
+
+class DuplicateCluster(ValidationError):
+    def __init__(self, cluster_id: str):
+        super().__init__(f"duplicate cluster_id {cluster_id}")
 
 
 class InvalidTransition(Exception):
@@ -541,3 +533,37 @@ def validate_cluster(spec: ClusterSpec) -> ClusterSpec:
     if spec.speed_factor < 1:
         raise NonPositive("speed_factor")
     return spec
+
+
+def cluster_specs_from_obj(obj) -> list[ClusterSpec]:
+    """Decode a JSON list of cluster specs: the one cluster-list decoder."""
+    if not isinstance(obj, list):
+        raise MalformedSpec("clusters must be a JSON list")
+    specs = [cluster_spec_from_obj(entry) for entry in obj]
+    reject_duplicate_clusters(specs)
+    return specs
+
+
+def reject_duplicate_clusters(specs) -> None:
+    """Raise DuplicateCluster at the first cluster_id listed twice."""
+    seen = set()
+    for spec in specs:
+        if spec.cluster_id in seen:
+            raise DuplicateCluster(spec.cluster_id)
+        seen.add(spec.cluster_id)
+
+
+def parse_json(raw: bytes, error):
+    """Decode outside JSON bytes as UTF-8; bytes that are not JSON raise error(message)."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integers past the
+        # interpreter's digit limit; RecursionError, nesting too deep
+        raise error(f"not valid JSON: {exc}") from exc
+
+
+def read_json(path, error):
+    """Read and parse a JSON file, the one place the package reads one; OSError passes through."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), error)

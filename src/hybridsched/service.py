@@ -27,7 +27,8 @@ from . import cloud as cloud_mod
 from . import model
 from .engine import SimConfig, Simulation
 from .metrics import utilization, wait_stats
-from .model import ClusterSpec, Elastic, JobState, cluster_spec_from_obj, job_spec_from_obj
+from .model import ClusterSpec, Elastic, JobState, job_spec_from_obj
+from .model import cluster_spec_from_obj  # noqa: F401 - perfbench/tracer.py wraps it here
 from .scheduler import AlreadyTerminal, UnknownJob
 
 
@@ -54,17 +55,13 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
     """Read a JSON config file; HYBRIDSCHED_ADDR overrides the listen address."""
     import os
     env = os.environ if env is None else env
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = model.read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if not isinstance(raw.get("clusters"), list) or not raw["clusters"]:
         raise ConfigError("config must list at least one cluster")
     try:
-        clusters = [cluster_spec_from_obj(entry) for entry in raw["clusters"]]
+        clusters = model.cluster_specs_from_obj(raw["clusters"])
     except model.ValidationError as exc:
         raise ConfigError(f"bad cluster entry: {exc}") from exc
     sched = raw.get("scheduler", {})
@@ -240,20 +237,17 @@ class Service:
         # the catalog and the cloud layer are the one resident copy of the
         # datasets and users; the caller's config object is left as it was
         self.config = dataclasses.replace(config, datasets=[], users=[])
-        self._kinds = {c.kind for c in config.clusters}
         self._t0 = time.monotonic()
 
     # -- handlers (each returns (status_int, body_obj)) -------------------
 
     def handle_submit(self, req) -> tuple[int, dict]:
         spec = job_spec_from_obj(req.json())
-        model.validate_job(spec, self._kinds)
         caller = req.header(self.config.auth_header)
         if caller and caller != spec.user_id:
             raise ApiError("auth_mismatch",
                            f"auth header says {caller!r} but spec says {spec.user_id!r}", 403)
-        if spec.dataset_refs:
-            self.catalog.resolve(spec.dataset_refs)
+        self.sim.check_job(spec)      # before admission; submit_now checks again
         self.cloud.admit(spec)
         layer = self.cloud.route(spec)
         job_id = self.sim.submit_now(spec)
@@ -460,12 +454,8 @@ class _Request:
         raw = self.body()
         if not raw:
             raise ApiError("validation_failed", "empty request body", 422)
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            # ValueError covers bad UTF-8, bad JSON and integers past the
-            # interpreter's digit limit; RecursionError, nesting too deep
-            raise ApiError("validation_failed", f"body is not valid JSON: {exc}", 422)
+        obj = model.parse_json(
+            raw, lambda message: ApiError("validation_failed", f"body is {message}", 422))
         if not isinstance(obj, dict):
             raise ApiError("validation_failed", "body must be a JSON object", 422)
         return obj

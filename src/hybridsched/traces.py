@@ -24,6 +24,7 @@ from .model import (
     job_duration_ms,
     job_spec_from_obj,
     job_spec_to_obj,
+    read_json,
 )
 
 
@@ -127,12 +128,7 @@ def write_trace(trace: SubmissionTrace, path):
 
 
 def read_trace(path) -> SubmissionTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedTrace(f"not valid JSON: {exc}") from exc
-    return trace_from_obj(obj)
+    return trace_from_obj(read_json(path, MalformedTrace))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import requests
 
 import hybridsched
+from hybridsched import cli as cli_mod
 from hybridsched.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_REMOTE, main
 from hybridsched.model import (
     ClusterSpec,
@@ -69,6 +70,14 @@ def spec_file(tmp_path, **kw):
     return str(path)
 
 
+def unreachable_server() -> str:
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return "http://127.0.0.1:%d" % port
+
+
 class TestRemoteCommands:
     def test_submit_advance_result_flow(self, server, tmp_path, capsys):
         assert main(["--server", server, "submit", "--file",
@@ -123,12 +132,7 @@ class TestRemoteCommands:
         assert "404" in err and "unknown_job" in err
 
     def test_unreachable_server_exits_1(self, capsys):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        assert main(["--server", "http://127.0.0.1:%d" % port,
-                     "clusters"]) == EXIT_REMOTE
+        assert main(["--server", unreachable_server(), "clusters"]) == EXIT_REMOTE
         assert "cannot reach" in capsys.readouterr().err
 
     def test_server_from_environment(self, server, capsys, monkeypatch):
@@ -311,6 +315,69 @@ class TestServe:
         path.write_text(json.dumps(config))
         assert main(["serve", "--config", str(path)]) == EXIT_INPUT
         assert "bad config" in capsys.readouterr().err
+
+
+# file contents that no JSON reader in hsctl may turn into a traceback
+BAD_BYTES = {
+    "bad_utf8": b'{"name": "\xff"}',
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+class TestBadFiles:
+    """Each input file hsctl reads: a bad one exits 2 with one hsctl: line."""
+
+    def argv(self, tmp_path, monkeypatch, target, bad):
+        """hsctl arguments that read the file bad as target, the other inputs good."""
+        trace_path, clusters_path = TestSimulate().write_inputs(tmp_path)
+        if target == "trace":
+            return ["simulate", "--trace", bad, "--clusters", clusters_path,
+                    "--out", str(tmp_path / "o.jsonl")]
+        if target == "clusters":
+            return ["simulate", "--trace", trace_path, "--clusters", bad,
+                    "--out", str(tmp_path / "o.jsonl")]
+        if target == "config":
+            monkeypatch.setattr(service_mod, "make_server", None)   # never reached
+            return ["serve", "--config", bad]
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("the job file is read before any request")
+
+        monkeypatch.setattr(cli_mod, "_request", no_request)
+        return ["--server", unreachable_server(), "submit", "--file", bad]
+
+    @staticmethod
+    def one_hsctl_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("hsctl: "), err
+        return err
+
+    @pytest.mark.parametrize("content", sorted(BAD_BYTES))
+    @pytest.mark.parametrize("target", ["trace", "clusters", "config", "job"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, monkeypatch, target, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(BAD_BYTES[content])
+        argv = self.argv(tmp_path, monkeypatch, target, str(bad))
+        assert main(argv) == EXIT_INPUT
+        assert "not valid JSON" in self.one_hsctl_line(capsys)
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("target", ["clusters", "config"])
+    def test_a_cluster_id_listed_twice_exits_2(self, tmp_path, capsys, monkeypatch, target):
+        cpu0 = cluster_spec_to_obj(cluster("cpu0", CPU, 2))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([cpu0, cpu0] if target == "clusters" else
+                                  {"clusters": [cpu0, cpu0], "listen_addr": "127.0.0.1:0"}))
+        argv = self.argv(tmp_path, monkeypatch, target, str(bad))
+        assert main(argv) == EXIT_INPUT
+        assert "duplicate cluster_id cpu0" in self.one_hsctl_line(capsys)
+
+    def test_an_unwritable_out_exits_2(self, tmp_path, capsys):
+        trace_path, clusters_path = TestSimulate().write_inputs(tmp_path)
+        out = tmp_path / "no" / "such" / "x.jsonl"
+        assert main(["simulate", "--trace", trace_path, "--clusters", clusters_path,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert f"hsctl: cannot write {out}" in self.one_hsctl_line(capsys)
 
 
 class TestImportFootprint:

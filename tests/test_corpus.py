@@ -15,7 +15,10 @@ acceptable cluster); the configs vary backfill, `retry_budget`,
   with `hybrid_rigid_on_cloud` off (a rigid job that lists only `cloud`
   has nowhere to run) or `first_preference_only` on (a rigid job may use
   only its first kind) its one complaint is such a job;
-- rigid-only cells without backfilling also go through `FifoOracle`.
+- rigid-only cells without backfilling also go through `FifoOracle`;
+- every plan cycle of the run returns what `oracles.reference_plan`
+  returns on the same state, and a reference plan on the state the
+  cycle's starts leave, before the elastic rescale pass, starts nothing.
 
 After a change that is meant to move the logs, rewrite the hashes with
 
@@ -34,6 +37,7 @@ import oracles
 from hybridsched.engine import SimConfig, run_trace
 from hybridsched.metrics import utilization, wait_stats
 from hybridsched.model import cluster_spec_to_obj
+from hybridsched.scheduler import Scheduler
 from hybridsched.traces import random_clusters, random_trace, trace_to_obj
 
 HERE = Path(__file__).resolve().parent
@@ -122,29 +126,85 @@ def fifo_starts(clusters, entries, unsat, hybrid):
     return oracles.FifoOracle(topology, jobs).run().start_ms
 
 
+def reference_state(sched, facts):
+    """(clusters, queue) of oracles.reference_plan, read off a live scheduler.
+
+    facts maps each job id to its (needed, wall_ms, accept), worked out
+    from the trace; only occupancy and queue order come from sched.
+    """
+    records = sched.records
+    clusters = {}
+    for cid, cs in sched.clusters.items():
+        busy = {n: records[job_id].start_ms + records[job_id].spec.walltime_limit_ms
+                for n, job_id in cs.owner.items()}
+        clusters[cid] = (cs.spec.node_count, busy, set(cs.down), set(cs.held))
+    return clusters, [(job_id, *facts[job_id]) for job_id in oracles.queue_order(sched)]
+
+
+def checked_plan(cell, cluster_objs, jobs, cycles):
+    """Scheduler.plan, checking each cycle against oracles.reference_plan.
+
+    Each checked cycle appends its clock reading to cycles.
+    """
+    _seed, _kind, backfill, _budget, hybrid, first_only = cell
+    name = cell_name(cell)
+    by_kind = {}
+    for c in sorted(cluster_objs, key=lambda c: c["cluster_id"]):
+        by_kind.setdefault(c["kind"], []).append(c["cluster_id"])
+    facts = {}
+    for job_id, spec in jobs.items():
+        [(tag, shape)] = spec["shape"].items()
+        accept = tuple(cid for kind in acceptable_kinds(spec, hybrid, first_only)
+                       for cid in by_kind.get(kind, ()))
+        facts[job_id] = (shape["node_count" if tag == "rigid" else "min_workers"],
+                         spec["walltime_limit_ms"], accept)
+    plan = Scheduler.plan
+
+    def checked(sched, now_ms):
+        before = reference_state(sched, facts)
+        decision = plan(sched, now_ms)
+        starts, reservation = oracles.reference_plan(*before, now_ms, backfill)
+        records = sched.records
+        assert [(job_id, records[job_id].cluster_id, records[job_id].node_indices)
+                for job_id in decision.starts] == starts, (name, now_ms)
+        r = decision.reservation
+        assert (None if r is None else (r.job_id, r.cluster_id, r.node_indices, r.start_ms,
+                                        r.expected_end_ms)) == reservation, (name, now_ms)
+        again, _ = oracles.reference_plan(*reference_state(sched, facts), now_ms, backfill)
+        # the cycle is a fixpoint before the rescale pass
+        assert again == [], (name, now_ms)
+        cycles.append(now_ms)
+        return decision
+    return checked
+
+
 HASHES = json.loads(HASHES_PATH.read_text()) if HASHES_PATH.exists() else {}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_cells_of_one_seed(seed):
+def test_cells_of_one_seed(seed, monkeypatch):
     for kind in (MIXED, RIGID_ONLY, TIGHT):
         clusters, trace = inputs(seed, kind)
         cluster_objs = [cluster_spec_to_obj(c) for c in clusters]
         trace_obj = trace_to_obj(trace)
         for cell in CELLS:
             if cell[:2] == (seed, kind):
-                check_cell(cell, clusters, trace, cluster_objs, trace_obj)
+                check_cell(cell, clusters, trace, cluster_objs, trace_obj, monkeypatch)
 
 
-def check_cell(cell, clusters, trace, cluster_objs, trace_obj):
+def check_cell(cell, clusters, trace, cluster_objs, trace_obj, monkeypatch):
     name = cell_name(cell)
     _seed, kind, backfill, budget, hybrid, first_only = cell
-    log = run_cell(cell, clusters, trace)
+    entries = {f"j{i:06d}": entry for i, entry in enumerate(trace_obj["jobs"])}
+    jobs = {job_id: entry["spec"] for job_id, entry in entries.items()}
+    cycles = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Scheduler, "plan", checked_plan(cell, cluster_objs, jobs, cycles))
+        log = run_cell(cell, clusters, trace)
+    assert cycles, name
     data = log.canonical_bytes()
     assert hashlib.sha256(data).hexdigest() == HASHES.get(name), name
 
-    entries = {f"j{i:06d}": entry for i, entry in enumerate(trace_obj["jobs"])}
-    jobs = {job_id: entry["spec"] for job_id, entry in entries.items()}
     lines = data.decode().splitlines()
     events = oracles.parse_log(lines)      # oracles.log_events(log), serialized once
     unsat = unsatisfiable(cluster_objs, jobs, hybrid, first_only)

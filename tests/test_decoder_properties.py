@@ -2,31 +2,42 @@
 
 The decoders take input from outside the program (trace files, HTTP
 bodies), so any wrong-typed field must surface as the codec's own error,
-never as a TypeError, KeyError or AttributeError from deeper down.
+never as a TypeError, KeyError or AttributeError from deeper down. The
+same holds at the file boundary: hsctl simulate and the service config
+loader on mutated files.
 """
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import oracles
 
+from hybridsched import cli
 from hybridsched.model import (
     Elastic,
     JobSpec,
     MalformedSpec,
     ResourceKind,
     Rigid,
+    cluster_spec_to_obj,
     job_spec_from_obj,
     job_spec_to_obj,
 )
+from hybridsched.service import ConfigError, Service, load_config
 from hybridsched.traces import (
     FaultDirective,
     MalformedTrace,
     SubmissionTrace,
+    random_clusters,
+    random_trace,
     trace_from_obj,
     trace_to_obj,
 )
@@ -347,3 +358,104 @@ class TestAgainstEarlierDecoders:
                         "down_duration_ms": down} for t_ms, down in faults],
         }
         assert outcome(trace_from_obj, trace) == outcome(oracles.reference_trace_from_obj, trace)
+
+
+# --- the file boundary -------------------------------------------------------
+
+
+def encode(document, data) -> bytes:
+    """A document's JSON bytes; now and then not UTF-8, or nested past any decoder's depth."""
+    raw = json.dumps(document).encode("utf-8")
+    edit = data.draw(st.sampled_from(["none", "none", "none", "bad_utf8", "deep_nesting"]))
+    if edit == "bad_utf8":
+        at = data.draw(st.integers(min_value=0, max_value=len(raw)))
+        # json.dumps writes ASCII only, so each of these breaks the UTF-8
+        bad = data.draw(st.sampled_from([b"\x80", b"\xc3", b"\xff", b"\xed\xa0\x80"]))
+        return raw[:at] + bad + raw[at:]
+    if edit == "deep_nesting":
+        return b"[" * 100_000 + raw + b"]" * 100_000
+    return raw
+
+
+def mutate_some(document, data) -> None:
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        mutate(document, data)
+
+
+def huge_cluster(clusters) -> bool:
+    """A cluster entry with more than 1,000 nodes, which a simulate run must not get.
+
+    Placement lists a cluster's free nodes one by one
+    (ClusterState.free_nodes), so a run on a site of 10**12 nodes would
+    exhaust memory rather than fail.
+    """
+    return isinstance(clusters, list) and any(
+        isinstance(entry, dict) and isinstance(entry.get("node_count"), int)
+        and entry["node_count"] > 1_000 for entry in clusters)
+
+
+def site(seed: int):
+    clusters = random_clusters(seed)
+    trace = random_trace(seed, clusters, 6, arrival_span_ms=3_000, n_faults=2,
+                         elastic_fraction=0.3)
+    return [cluster_spec_to_obj(c) for c in clusters], trace_to_obj(trace)
+
+
+@pytest.mark.extra_seeds
+class TestFileBoundary:
+    """A mutated input file is refused as bad input or run; nothing escapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.sampled_from(["trace", "clusters"]),
+           st.data())
+    def test_simulate(self, seed, target, data):
+        clusters, trace = site(seed)
+        # the list goes in an object, so that a mutation may replace it whole
+        documents = {"trace": trace, "clusters": {"clusters": clusters}}
+        mutate_some(documents[target], data)
+        documents["clusters"] = documents["clusters"].get("clusters", documents["clusters"])
+        assume(not huge_cluster(documents["clusters"]))
+        with tempfile.TemporaryDirectory() as work:
+            paths = {}
+            for name, document in documents.items():
+                paths[name] = os.path.join(work, f"{name}.json")
+                with open(paths[name], "wb") as fh:
+                    fh.write(encode(document, data) if name == target
+                             else json.dumps(document).encode())
+            out = os.path.join(work, "events.jsonl")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["simulate", "--trace", paths["trace"],
+                                 "--clusters", paths["clusters"], "--out", out])
+            event(f"exit {code}")
+            assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_GUARD)
+            assert os.path.exists(out) == (code == cli.EXIT_OK)
+            if code != cli.EXIT_OK:
+                assert stderr.getvalue().startswith("hsctl: "), stderr.getvalue()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.data())
+    def test_service_config(self, seed, data):
+        clusters, _trace = site(seed)
+        config = {
+            "clusters": clusters,
+            "listen_addr": "127.0.0.1:0",
+            "mode": "sim",
+            "scheduler": {"backfill": True, "hybrid_rigid_on_cloud": False,
+                          "retry_budget": 1, "provision_delay_ms": 0},
+            "users": [{"user_id": "u", "display_name": "U",
+                       "quota": {"max_concurrent_jobs": 2, "max_nodes_in_use": 4,
+                                 "max_vcluster_nodes": 2}}],
+            "datasets": [{"name": "d", "size_bytes": 10}],
+            "bandwidth_bytes_per_s": {clusters[0]["cluster_id"]: 1000},
+        }
+        mutate_some(config, data)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "service.json")
+            with open(path, "wb") as fh:
+                fh.write(encode(config, data))
+            try:
+                Service(load_config(path, env={}))
+                event("built")
+            except ConfigError:
+                event("ConfigError")

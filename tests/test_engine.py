@@ -14,7 +14,6 @@ from hybridsched import engine
 from hybridsched.catalog import DatasetCatalog, MissingDataset
 from hybridsched.cloud import CloudLayer, Quota
 from hybridsched.engine import (
-    DuplicateCluster,
     EventLog,
     NonTerminating,
     PastTime,
@@ -31,6 +30,7 @@ from hybridsched.metrics import utilization
 from hybridsched.model import (
     BadShape,
     ClusterSpec,
+    DuplicateCluster,
     Elastic,
     JobSpec,
     JobState,

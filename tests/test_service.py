@@ -356,7 +356,8 @@ def with_refs(obj, refs):
 
 class TestSubmitOutcomes:
     """Exact status and body bytes of each submit outcome, in the order
-    handle_submit checks: decode, validate, auth, datasets, quota, route."""
+    handle_submit checks: decode, auth, check (validate + datasets), quota,
+    route."""
 
     USERS = [{"user_id": "u", "quota": {"max_concurrent_jobs": 10, "max_nodes_in_use": 100,
                                         "max_vcluster_nodes": 4}},
@@ -372,6 +373,10 @@ class TestSubmitOutcomes:
         ("validation_failed", [], rigid_obj(work=0), None, 422,
          b'{"error": {"code": "validation_failed", "message": "work_units must be >= 1"}}'),
         ("auth_mismatch", [], rigid_obj(), "q", 403,
+         (b'{"error": {"code": "auth_mismatch", '
+          b'"message": "auth header says \'q\' but spec says \'u\'"}}')),
+        # a mis-authed spec that is also invalid: auth is checked first
+        ("auth_before_check", [], rigid_obj(work=0), "q", 403,
          (b'{"error": {"code": "auth_mismatch", '
           b'"message": "auth header says \'q\' but spec says \'u\'"}}')),
         ("missing_dataset", [], with_refs(rigid_obj(), ["nope"]), None, 422,
