@@ -33,7 +33,7 @@ from .engine import (
     run_trace,
 )
 from .traces import FaultDirective, SubmissionTrace, random_clusters, random_trace
-from .catalog import DatasetCatalog, DatasetRecord
+from .catalog import DatasetCatalog
 from .cloud import CloudLayer, Quota, UserAccount, VirtualCluster
 from .metrics import UtilizationReport, WaitStats, compare, utilization, wait_stats
 
@@ -42,7 +42,6 @@ __all__ = [
     "ClusterSpec",
     "ClusterState",
     "DatasetCatalog",
-    "DatasetRecord",
     "Elastic",
     "EventLog",
     "FaultDirective",

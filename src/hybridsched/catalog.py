@@ -1,7 +1,7 @@
 """Shared dataset catalog.
 
 One in-memory namespace visible from every cluster kind: a job's dataset
-references resolve to the same records no matter where the job lands.
+references name the same datasets no matter where the job lands.
 Nothing is saved to disk. Under the default uniform model staging is
 free; an opt-in per-cluster bandwidth table turns dataset size into a
 start-up delay instead.
@@ -9,7 +9,7 @@ start-up delay instead.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 
 class CatalogError(ValueError):
@@ -29,16 +29,6 @@ class MissingDataset(CatalogError):
 
 class BadDatasetName(CatalogError):
     pass
-
-
-class DatasetRecord(NamedTuple):
-    """Immutable view of one dataset, built when it is read: the catalog
-    stores sizes by name, not records. A NamedTuple, not a frozen
-    dataclass, whose __init__ sets each field through object.__setattr__
-    and costs about three times as much."""
-
-    name: str
-    size_bytes: int
 
 
 class DatasetCatalog:
@@ -64,15 +54,11 @@ class DatasetCatalog:
                 raise DuplicateDataset(name)
             self._size[name] = size_bytes
 
-    def resolve(self, refs) -> list[DatasetRecord]:
-        """All records or none: the first unknown name fails the whole call."""
-        out = []
+    def resolve(self, refs) -> None:
+        """Check that every name is registered: the first unknown one raises MissingDataset."""
         for name in refs:
-            size = self._size.get(name)
-            if size is None:
+            if name not in self._size:
                 raise MissingDataset(name)
-            out.append(DatasetRecord(name, size))
-        return out
 
     def staging_delay_ms(self, name: str, cluster_id: str) -> int:
         """Virtual ms to stage one dataset onto one cluster.

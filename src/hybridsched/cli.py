@@ -29,6 +29,16 @@ EXIT_GUARD = 3
 DEFAULT_SERVER = "http://127.0.0.1:8080"
 
 
+def _fail(message: str, code: int = EXIT_INPUT) -> int:
+    """Print one `hsctl:` line on stderr and return code. Control characters
+    echoed from a file or a server body are escaped, so none can break the
+    line or forge another; printable non-ASCII stays."""
+    message = "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                      for c in message)
+    print(f"hsctl: {message}", file=sys.stderr)
+    return code
+
+
 def _server(args) -> str:
     if args.server:
         return args.server
@@ -44,7 +54,7 @@ def _request(args, method: str, path: str, body=None, headers=None):
     try:
         resp = requests.request(method, url, json=body, headers=headers, timeout=10)
     except requests.RequestException as exc:
-        print(f"hsctl: cannot reach {url}: {exc}", file=sys.stderr)
+        _fail(f"cannot reach {url}: {exc}")
         return None
     return resp
 
@@ -54,8 +64,7 @@ def _finish(args, resp, render) -> int:
     if resp is None:
         return EXIT_REMOTE
     if resp.status_code >= 400:
-        print(f"hsctl: {resp.status_code}: {resp.text}", file=sys.stderr)
-        return EXIT_REMOTE
+        return _fail(f"{resp.status_code}: {resp.text}", EXIT_REMOTE)
     if args.json:
         sys.stdout.write(resp.content.decode("utf-8"))
         return EXIT_OK
@@ -67,8 +76,7 @@ def cmd_submit(args) -> int:
     try:
         body = read_json(args.file, MalformedSpec)
     except (OSError, MalformedSpec) as exc:
-        print(f"hsctl: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"cannot read {args.file}: {exc}")
     headers = {}
     user = args.user or (body.get("user_id") if isinstance(body, dict) else None)
     if user:
@@ -129,8 +137,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_advance(args) -> int:
     if (args.until_ms is None) == (args.by_ms is None):
-        print("hsctl: advance needs exactly one of --until-ms/--by-ms", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("advance needs exactly one of --until-ms/--by-ms")
     body = ({"until_ms": args.until_ms} if args.until_ms is not None
             else {"by_ms": args.by_ms})
     resp = _request(args, "POST", "/v1/clock/advance", body=body)
@@ -142,30 +149,24 @@ def cmd_simulate(args) -> int:
     try:
         trace = read_trace(args.trace)
     except (OSError, MalformedTrace, ValidationError) as exc:
-        print(f"hsctl: bad trace {args.trace}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"bad trace {args.trace}: {exc}")
     try:
         clusters = cluster_specs_from_obj(read_json(args.clusters, MalformedSpec))
     except (OSError, ValidationError) as exc:
-        print(f"hsctl: bad clusters file {args.clusters}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"bad clusters file {args.clusters}: {exc}")
     config = SimConfig()
     try:
         log, records = run_trace(trace, clusters, config)
     except NonTerminating as exc:
-        print(f"hsctl: simulation did not terminate: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return _fail(f"simulation did not terminate: {exc}", EXIT_GUARD)
     except ValidationError as exc:
-        print(f"hsctl: invalid job in trace: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"invalid job in trace: {exc}")
     except UnknownNode as exc:
-        print(f"hsctl: invalid fault in trace: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"invalid fault in trace: {exc}")
     try:
         log.write(args.out)
     except OSError as exc:
-        print(f"hsctl: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"cannot write {args.out}: {exc}")
     last = log.t_ms[-1] if len(log) else 0
     window = (0, max(last, 1))
     report = utilization(log, clusters, window)
@@ -185,10 +186,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_serve(args) -> int:
     try:
-        serve(load_config(args.config))     # Service(config) checks the datasets
+        serve(load_config(args.config))     # Service(config) checks the users and datasets
     except (OSError, ConfigError) as exc:
-        print(f"hsctl: bad config {args.config}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(f"bad config {args.config}: {exc}")
     return EXIT_OK
 
 

@@ -56,6 +56,10 @@ class BadQuota(CloudError):
     pass
 
 
+class BadUser(CloudError):
+    pass
+
+
 class BadNodeCount(CloudError):
     def __init__(self, node_count):
         super().__init__(f"node_count must be an integer >= 1, got {node_count!r}")
@@ -65,6 +69,9 @@ class PartitionViolation(CloudError):
     pass
 
 
+_QUOTA_FIELDS = ("max_concurrent_jobs", "max_nodes_in_use", "max_vcluster_nodes")
+
+
 @dataclass(frozen=True)
 class Quota:
     max_concurrent_jobs: int
@@ -72,12 +79,29 @@ class Quota:
     max_vcluster_nodes: int
 
     def __post_init__(self):
-        for name in ("max_concurrent_jobs", "max_nodes_in_use", "max_vcluster_nodes"):
+        for name in _QUOTA_FIELDS:
             value = getattr(self, name)
             if not is_integer(value):
                 raise BadQuota(f"{name} must be an integer")
             if value < 0:
                 raise BadQuota(f"{name} must be >= 0")
+
+
+def user_from_obj(obj) -> tuple[str, Quota, str]:
+    """The one decoder of an outside user entry (a config's or a POST
+    /v1/users body) into create_user's arguments; raises BadUser or BadQuota."""
+    if not isinstance(obj, dict):
+        raise BadUser("user entry must be a JSON object")
+    user_id = obj.get("user_id")
+    if not isinstance(user_id, str) or not user_id:
+        raise BadUser("user_id must be a non-empty string")
+    display_name = obj.get("display_name", "")
+    if not isinstance(display_name, str):
+        raise BadUser("display_name must be a string")
+    quota = obj.get("quota")
+    if not isinstance(quota, dict) or quota.keys() != set(_QUOTA_FIELDS):
+        raise BadQuota(f"quota must be an object of exactly {', '.join(_QUOTA_FIELDS)}")
+    return user_id, Quota(**quota), display_name
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,7 @@ class CloudLayer:
 
     def create_user(self, user_id: str, quota: Quota, display_name: str = "") -> UserAccount:
         if not user_id:
-            raise CloudError("user_id must be non-empty")
+            raise BadUser("user_id must be a non-empty string")
         if user_id in self.users:
             raise DuplicateUser(user_id)
         account = UserAccount(user_id=user_id, display_name=display_name or user_id,

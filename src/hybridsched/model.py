@@ -229,6 +229,11 @@ class MalformedSpec(ValidationError):
     """Structural problem in the wire encoding (missing/unknown/wrongly typed field)."""
 
 
+class TooManyNodes(ValidationError):
+    def __init__(self, node_count: int):
+        super().__init__(f"node_count {node_count} is above the limit of {MAX_CLUSTER_NODES}")
+
+
 class DuplicateCluster(ValidationError):
     def __init__(self, cluster_id: str):
         super().__init__(f"duplicate cluster_id {cluster_id}")
@@ -525,9 +530,14 @@ def cluster_spec_from_obj(obj: dict) -> ClusterSpec:
     return validate_cluster(spec)
 
 
+MAX_CLUSTER_NODES = 65_536     # placement lists a cluster's free nodes one by one
+
+
 def validate_cluster(spec: ClusterSpec) -> ClusterSpec:
     if spec.node_count < 1:
         raise NonPositive("node_count")
+    if spec.node_count > MAX_CLUSTER_NODES:
+        raise TooManyNodes(spec.node_count)
     if spec.cores_per_node < 1:
         raise NonPositive("cores_per_node")
     if spec.speed_factor < 1:

@@ -98,21 +98,6 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
         raise ConfigError("scheduler.provision_delay_ms must be a non-negative integer")
     if not isinstance(cfg.users, list):
         raise ConfigError("users must be a list")
-    user_ids = set()
-    for entry in cfg.users:
-        try:
-            cloud_mod.Quota(**entry["quota"])
-            user_id = entry["user_id"]
-            display_name = entry.get("display_name", "")
-        except (cloud_mod.BadQuota, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad user entry {entry!r}: {exc}") from exc
-        if not isinstance(user_id, str) or not user_id:
-            raise ConfigError(f"bad user entry {entry!r}: user_id must be a non-empty string")
-        if user_id in user_ids:
-            raise ConfigError(f"duplicate user_id {user_id!r}")
-        if not isinstance(display_name, str):
-            raise ConfigError(f"bad user entry {entry!r}: display_name must be a string")
-        user_ids.add(user_id)
     bandwidth = cfg.bandwidth_bytes_per_s
     if not isinstance(bandwidth, dict) or not all(
             model.is_integer(v) and v >= 0 for v in bandwidth.values()):
@@ -136,6 +121,7 @@ ERROR_TABLE: list[tuple[type, str, int]] = [
     (cloud_mod.UnknownUser, "unknown_user", 404),
     (cloud_mod.DuplicateUser, "duplicate_user", 409),
     (cloud_mod.BadQuota, "validation_failed", 422),
+    (cloud_mod.BadUser, "validation_failed", 422),
     (cloud_mod.BadNodeCount, "validation_failed", 422),
     (cloud_mod.UnknownVCluster, "unknown_vcluster", 404),
     (cloud_mod.AlreadyReleased, "already_released", 409),
@@ -225,9 +211,10 @@ class Service:
         self.sim = Simulation(config.clusters, config=sim_config, catalog=self.catalog)
         self.cloud = cloud_mod.CloudLayer(self.sim, provision_delay_ms=config.provision_delay_ms)
         for entry in config.users:
-            quota = cloud_mod.Quota(**entry["quota"])
-            self.cloud.create_user(entry["user_id"], quota,
-                                   entry.get("display_name", ""))
+            try:
+                self.cloud.create_user(*cloud_mod.user_from_obj(entry))
+            except cloud_mod.CloudError as exc:
+                raise ConfigError(f"bad user entry {entry!r}: {exc}") from exc
         try:
             self.catalog.register_datasets(config.datasets)
         except KeyError as exc:
@@ -300,15 +287,7 @@ class Service:
         return 200, {"utilization": report.to_obj(), "waits": wait_stats(self.sim.log).to_obj()}
 
     def handle_create_user(self, req) -> tuple[int, dict]:
-        body = req.json()
-        try:
-            quota = cloud_mod.Quota(**body.get("quota", {}))
-        except TypeError as exc:
-            raise ApiError("validation_failed", f"bad quota: {exc}", 422) from exc
-        user_id = _str_field(body, "user_id")
-        if not user_id:
-            raise ApiError("validation_failed", "user_id must be non-empty", 422)
-        account = self.cloud.create_user(user_id, quota, _str_field(body, "display_name"))
+        account = self.cloud.create_user(*cloud_mod.user_from_obj(req.json()))
         return 201, {"user_id": account.user_id, "created_at_ms": account.created_at_ms}
 
     def handle_list_users(self, req) -> tuple[int, dict]:

@@ -8,7 +8,6 @@ from hybridsched.catalog import (
     BadDatasetName,
     CatalogError,
     DatasetCatalog,
-    DatasetRecord,
     DuplicateDataset,
     MissingDataset,
 )
@@ -23,7 +22,7 @@ class TestRegisterResolve:
     def test_register_and_resolve(self):
         cat = DatasetCatalog()
         register(cat, "survey-a", 1_000)
-        assert cat.resolve(["survey-a"]) == [DatasetRecord("survey-a", 1_000)]
+        assert cat.resolve(["survey-a"]) is None
         assert cat.names() == ["survey-a"]
 
     def test_duplicate_rejected(self):
@@ -53,20 +52,19 @@ class TestRegisterResolve:
             register(cat, "d", size)
         assert cat.names() == []
 
-    def test_records_are_immutable_and_resolve_equal(self):
+    def test_resolve_accepts_a_name_given_twice(self):
         cat = DatasetCatalog()
         register(cat, "d", 10)
-        rec = cat.resolve(["d"])[0]
-        with pytest.raises(AttributeError):
-            rec.size_bytes = 20
-        assert (rec.name, rec.size_bytes) == ("d", 10)
-        assert cat.resolve(["d", "d"]) == [rec, rec]
-        assert rec == DatasetRecord("d", 10)
+        assert cat.resolve(["d", "d"]) is None
+        assert cat.resolve([]) is None
+        with pytest.raises(MissingDataset):
+            cat.resolve(["d", "e", "d"])
 
     def test_zero_size_allowed(self):
-        cat = DatasetCatalog()
+        cat = DatasetCatalog(bandwidth_bytes_per_s={"c": 1})
         register(cat, "empty", 0)
-        assert cat.resolve(["empty"])[0].size_bytes == 0
+        assert cat.resolve(["empty"]) is None
+        assert cat.staging_delay_ms("empty", "c") == 0
 
     def test_resolve_is_all_or_nothing(self):
         cat = DatasetCatalog()
@@ -82,7 +80,11 @@ class TestRegisterResolve:
         cat = DatasetCatalog()
         register(cat, "z", 1)
         register(cat, "a", 2)
-        assert [r.name for r in cat.resolve(["z", "a", "z"])] == ["z", "a", "z"]
+        assert cat.resolve(["z", "a", "z"]) is None
+        # the first unknown name in request order is the one reported
+        with pytest.raises(MissingDataset) as err:
+            cat.resolve(["z", "y", "a", "b"])
+        assert err.value.name == "y"
 
 
 class TestStagingDelay:
@@ -173,12 +175,15 @@ def check_bulk_matches_one_by_one(registered, entries, as_iterator=False):
     _register_one_by_one(sizes, registered)
     error = _error_of(lambda: _register_one_by_one(sizes, entries))
     names = sorted(sizes)
-    expected = error, names, [DatasetRecord(name, sizes[name]) for name in names]
-    bulk = DatasetCatalog()
+    expected = error, names, [sizes[name] for name in names]
+    # at 1,000 bytes/s a dataset's staging delay in ms equals its size in bytes
+    bulk = DatasetCatalog(bandwidth_bytes_per_s={"c": 1_000})
     bulk.register_datasets(registered)
     bulk_entries = iter(entries) if as_iterator else entries
     error = _error_of(lambda: bulk.register_datasets(bulk_entries))
-    assert (error, bulk.names(), bulk.resolve(bulk.names())) == expected
+    assert bulk.resolve(bulk.names()) is None
+    assert (error, bulk.names(),
+            [bulk.staging_delay_ms(name, "c") for name in bulk.names()]) == expected
 
 
 @pytest.mark.extra_seeds

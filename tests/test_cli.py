@@ -293,6 +293,13 @@ class TestServe:
         ("scheduler", {"backfill": "false"}, "scheduler.backfill must be true or false"),
         ("listen_addr", 5, "listen_addr must be a host:port string"),
         ("auth_header", 5, "auth_header must be a non-empty string"),
+        # users are checked where the Service registers them, still before binding
+        ("users", [{"user_id": "u", "quota": {"max_concurrent_jobs": -1, "max_nodes_in_use": 1,
+                                              "max_vcluster_nodes": 0}}],
+         "max_concurrent_jobs must be >= 0"),
+        ("users", [{"user_id": "u", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
+                                              "max_vcluster_nodes": 0}}] * 2,
+         "user 'u' already exists"),
     ])
     def test_bad_config_exits_2_before_binding(self, tmp_path, capsys, monkeypatch,
                                               key, value, message):
@@ -371,6 +378,41 @@ class TestBadFiles:
         argv = self.argv(tmp_path, monkeypatch, target, str(bad))
         assert main(argv) == EXIT_INPUT
         assert "duplicate cluster_id cpu0" in self.one_hsctl_line(capsys)
+
+    @pytest.mark.parametrize("target", ["clusters", "config"])
+    def test_a_cluster_above_the_node_bound_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     target):
+        big = cluster_spec_to_obj(cluster("cpu0", CPU, 65_537))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([big] if target == "clusters" else
+                                  {"clusters": [big], "listen_addr": "127.0.0.1:0"}))
+        argv = self.argv(tmp_path, monkeypatch, target, str(bad))
+        assert main(argv) == EXIT_INPUT
+        assert "node_count 65537 is above the limit of 65536" in self.one_hsctl_line(capsys)
+
+    @pytest.mark.parametrize("key, escaped", [
+        ("a\nTraceback (most recent call last):", r"a\nTraceback (most recent call last):"),
+        ("\x1b[2J\x1b[31mred\r", r"\x1b[2J\x1b[31mred\r"),
+        ("caf\u00e9\u2028x", r"café\u2028x"),
+    ])
+    def test_control_characters_in_an_error_are_escaped(self, tmp_path, capsys, monkeypatch,
+                                                         key, escaped):
+        entry = {**cluster_spec_to_obj(cluster("cpu0", CPU, 2)), key: 1}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([entry]))
+        argv = self.argv(tmp_path, monkeypatch, "clusters", str(bad))
+        assert main(argv) == EXIT_INPUT
+        assert self.one_hsctl_line(capsys).endswith(f"unknown field: {escaped}\n")
+
+    def test_a_server_error_body_is_one_line(self, capsys, monkeypatch):
+        class Reply:
+            status_code = 502
+            text = "<html>\nTraceback (most recent call last):\n</html>"
+
+        monkeypatch.setattr(cli_mod, "_request", lambda *args, **kwargs: Reply())
+        assert main(["status", "j000000"]) == EXIT_REMOTE
+        err = self.one_hsctl_line(capsys)
+        assert err == r"hsctl: 502: <html>\nTraceback (most recent call last):\n</html>" + "\n"
 
     def test_an_unwritable_out_exits_2(self, tmp_path, capsys):
         trace_path, clusters_path = TestSimulate().write_inputs(tmp_path)

@@ -115,6 +115,11 @@ class TestBasics:
         with pytest.raises(DuplicateCluster):
             Simulation([cluster("c", CPU, 1), cluster("c", CPU, 2)])
 
+    def test_cluster_above_the_node_bound_rejected(self):
+        # refused before any per-node state is built
+        with pytest.raises(ValidationError, match="node_count 65537 is above the limit"):
+            Simulation([cluster("c", CPU, 1), cluster("big", CPU, 65_537)])
+
     def test_arrival_in_the_past_rejected(self):
         sim = Simulation([cluster("cpu0", CPU, 1)])
         sim.advance_to(100)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import oracles
 from hybridsched.engine import _RunState
 from hybridsched.model import (
+    MAX_CLUSTER_NODES,
     BadShape,
     ClusterSpec,
     DuplicateKind,
@@ -26,7 +27,9 @@ from hybridsched.model import (
     NonPositive,
     ResourceKind,
     Rigid,
+    TooManyNodes,
     UnknownKind,
+    ValidationError,
     job_duration_ms,
     job_spec_from_obj,
     job_spec_to_obj,
@@ -256,6 +259,15 @@ class TestClusterCodec:
                 "cluster_id": "c", "kind": "cpu", "node_count": 1,
                 "cores_per_node": 8, "speed_factor": 1, "rack": "r1",
             })
+
+    def test_node_count_bound(self):
+        obj = {"cluster_id": "c", "kind": "cpu", "cores_per_node": 8, "speed_factor": 1}
+        assert MAX_CLUSTER_NODES == 65_536
+        assert cluster_spec_from_obj({**obj, "node_count": 65_536}).node_count == 65_536
+        for node_count in (65_537, 10**12):
+            with pytest.raises(TooManyNodes, match=f"node_count {node_count} is above"):
+                cluster_spec_from_obj({**obj, "node_count": node_count})
+        assert issubclass(TooManyNodes, ValidationError)
 
 
 class TestSlottedRecords:

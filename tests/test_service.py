@@ -9,6 +9,14 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    multiple,
+    rule,
+)
 
 import oracles
 
@@ -530,6 +538,20 @@ class TestUsers:
         _status, listing = call(svc, "GET", "/v1/users")
         assert [u["user_id"] for u in listing["users"]] == ["u"]
 
+    @pytest.mark.parametrize("body, message", [
+        ({"user_id": "bob", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
+                                      "max_vcluster_nodes": 0, "max_gpus": 1}},
+         "quota must be an object of exactly"),
+        ({"quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1, "max_vcluster_nodes": 0}},
+         "user_id must be a non-empty string"),
+    ])
+    def test_extra_quota_key_or_missing_user_id(self, svc, body, message):
+        status, err = call(svc, "POST", "/v1/users", body)
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        assert message in err["error"]["message"]
+        _status, listing = call(svc, "GET", "/v1/users")
+        assert [u["user_id"] for u in listing["users"]] == ["u"]
+
 
 class TestVClusters:
     def test_lifecycle(self, svc):
@@ -665,6 +687,7 @@ class TestWireTables:
         (cloud_mod.UnknownUser("u"), "unknown_user", 404),
         (cloud_mod.DuplicateUser("u"), "duplicate_user", 409),
         (cloud_mod.BadQuota("q"), "validation_failed", 422),
+        (cloud_mod.BadUser("u"), "validation_failed", 422),
         (cloud_mod.BadNodeCount("2"), "validation_failed", 422),
         (cloud_mod.UnknownVCluster("v"), "unknown_vcluster", 404),
         (cloud_mod.AlreadyReleased("v"), "already_released", 409),
@@ -822,7 +845,7 @@ class TestConfigFile:
         obj = self.good_obj()
         obj["users"][0]["quota"]["max_concurrent_jobs"] = value
         with pytest.raises(ConfigError, match="max_concurrent_jobs"):
-            load_config(self.write(tmp_path, obj), env={})
+            Service(load_config(self.write(tmp_path, obj), env={}))
 
     @pytest.mark.parametrize("value", ["5", -1, 1.5, True, None])
     def test_rejects_bad_provision_delay(self, tmp_path, value):
@@ -836,19 +859,20 @@ class TestConfigFile:
         ({"user_id": 5}, "user_id must be a non-empty string"),
         ({"user_id": None}, "user_id must be a non-empty string"),
         ({"user_id": "v", "display_name": 5}, "display_name must be a string"),
-        ({"user_id": "u"}, "duplicate user_id 'u'"),
+        ({"user_id": "u"}, "user 'u' already exists"),
     ])
     def test_rejects_bad_user_entry(self, tmp_path, change, message):
+        # users are checked where the Service registers them
         obj = self.good_obj()
         obj["users"].append({**obj["users"][0], **change})
         with pytest.raises(ConfigError, match=message):
-            load_config(self.write(tmp_path, obj), env={})
+            Service(load_config(self.write(tmp_path, obj), env={}))
 
     def test_rejects_a_user_without_an_id(self, tmp_path):
         obj = self.good_obj()
         del obj["users"][0]["user_id"]
-        with pytest.raises(ConfigError, match="'user_id'$"):
-            load_config(self.write(tmp_path, obj), env={})
+        with pytest.raises(ConfigError, match="user_id must be a non-empty string$"):
+            Service(load_config(self.write(tmp_path, obj), env={}))
 
     @pytest.mark.parametrize("bandwidth", [
         {"cpu0": "1000"}, {"cpu0": -1}, {"cpu0": 1.5}, {"cpu0": True}, {"cpu0": None}, [1000],
@@ -1127,3 +1151,213 @@ class TestFuzz:
             status, payload = raw_call(svc, method, path, body, user, query, length)
             assert status < 500, (method, path, body[:80], user, payload)
             json.loads(payload)
+
+
+# -- a model of the service, checked after every request --------------------
+
+MODEL_SITE = [cluster("cpu0", CPU, 3, speed=10), cluster("cloud0", CLOUD, 4, speed=10)]
+MODEL_USERS = ["u0", "u1", "u2"]
+# the job state each log event leaves its job in
+STATE_AFTER = {"JobSubmitted": "Submitted", "JobQueued": "Queued", "JobStarted": "Running",
+               "JobFinished": "Completed", "JobFailed": "Failed", "JobTimedOut": "TimedOut",
+               "JobCancelled": "Cancelled"}
+quotas = st.fixed_dictionaries({"max_concurrent_jobs": st.integers(0, 4),
+                                "max_nodes_in_use": st.integers(0, 8),
+                                "max_vcluster_nodes": st.integers(0, 3)})
+
+
+def replayed_states(events) -> dict:
+    """job_id -> the state the log's events leave the job in."""
+    return {ev["job_id"]: STATE_AFTER[ev["kind"]] for ev in events if ev["kind"] in STATE_AFTER}
+
+
+def node_spans(events, opens, closes) -> set:
+    """(cluster_id, node) of the spans the log has opened and not closed."""
+    open_now = set()
+    for ev in events:
+        if ev["kind"] in (opens, closes):
+            nodes = ev.get("node_indices", [ev.get("node_index")])
+            keys = {(ev["cluster_id"], n) for n in nodes}
+            open_now = open_now | keys if ev["kind"] == opens else open_now - keys
+    return open_now
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    """Users, submits, cancels, clock advances, vclusters and node faults on
+    one Service. After each step its answers must agree with the log, read
+    back through the oracles, and with what the model saw it accept."""
+
+    users = Bundle("users")
+    jobs = Bundle("jobs")
+    vclusters = Bundle("vclusters")
+
+    def __init__(self):
+        super().__init__()
+        self.quota = {"u0": {"max_concurrent_jobs": 4, "max_nodes_in_use": 8,
+                             "max_vcluster_nodes": 2}}
+        # the config's users go through the same decoder as POST /v1/users
+        self.svc = Service(ServiceConfig(
+            clusters=MODEL_SITE, users=[{"user_id": "u0", "quota": self.quota["u0"]}]))
+        self.specs = {}       # job_id -> spec object of each job answered 201
+        self.holds = {}       # vcluster_id -> [owner, cluster_id, nodes, t0, t1 or None]
+
+    @initialize(target=users)
+    def configured_user(self):
+        return "u0"
+
+    @rule(target=users, user_id=st.sampled_from(MODEL_USERS), quota=quotas,
+          extra=st.sampled_from([None, "extra_quota_key", "no_user_id", "display_name"]))
+    def create_user(self, user_id, quota, extra):
+        body = {"user_id": user_id, "quota": dict(quota)}
+        if extra == "extra_quota_key":
+            body["quota"]["max_gpus"] = 1
+        elif extra == "no_user_id":
+            del body["user_id"]
+        elif extra == "display_name":
+            body["display_name"] = 5
+        status, out = call(self.svc, "POST", "/v1/users", body)
+        if extra is not None:
+            assert (status, out["error"]["code"]) == (422, "validation_failed"), out
+            return multiple()
+        if user_id in self.quota:
+            assert (status, out["error"]["code"]) == (409, "duplicate_user"), out
+            return multiple()
+        assert status == 201 and out["user_id"] == user_id, out
+        self.quota[user_id] = quota
+        return user_id
+
+    @rule(target=jobs, user=st.one_of(users, users, users, st.just("nobody")),
+          nodes=st.integers(1, 4), work=st.integers(1, 3), wall=st.sampled_from([60_000, 150]),
+          prefs=st.sampled_from([("cpu",), ("cpu", "cloud"), ("cloud",)]))
+    def submit_rigid(self, user, nodes, work, wall, prefs):
+        return self.submit(rigid_obj(nodes=nodes, work=work, wall=wall, prefs=prefs, user=user))
+
+    @rule(target=jobs, user=st.one_of(users, users, users, st.just("nobody")),
+          a=st.integers(1, 4), b=st.integers(1, 4), work=st.integers(1, 3),
+          wall=st.sampled_from([60_000, 150]))
+    def submit_elastic(self, user, a, b, work, wall):
+        return self.submit(elastic_obj(lo=min(a, b), hi=max(a, b), work=work, wall=wall,
+                                       user=user))
+
+    def submit(self, obj):
+        user = obj["user_id"]
+        status, out = call(self.svc, "POST", "/v1/jobs", obj, headers={"X-User-Id": user})
+        if user not in self.quota:
+            assert (status, out["error"]["code"]) == (404, "unknown_user"), out
+            return multiple()
+        states = replayed_states(oracles.log_events(self.svc.sim.log))
+        jobs = [(spec["user_id"], states[job_id], spec) for job_id, spec in self.specs.items()]
+        reason = oracles.reference_admit(jobs, self.quota[user], obj)
+        if reason is not None:
+            assert (status, out["error"]["code"]) == (403, "quota_rejected"), out
+            assert reason in out["error"]["message"]
+            return multiple()
+        elastic = "elastic" in obj["shape"]
+        if not elastic and obj["kind_preferences"] == ["cloud"]:   # rigid work on cloud is off
+            assert (status, out["error"]["code"]) == (422, "unroutable_kind"), out
+            return multiple()
+        assert status == 201 and out["layer"] == ("cloud" if elastic else "hpc"), out
+        self.specs[out["job_id"]] = obj
+        return out["job_id"]
+
+    @rule(job_id=jobs)
+    def cancel(self, job_id):
+        before = replayed_states(oracles.log_events(self.svc.sim.log))[job_id]
+        status, out = call(self.svc, "DELETE", f"/v1/jobs/{job_id}")
+        if before in oracles.TERMINAL_STATES:
+            assert (status, out["error"]["code"]) == (409, "already_terminal"), out
+        else:
+            assert (status, out["state"]) == (202, "Cancelled"), out
+
+    @rule(by_ms=st.integers(0, 300))
+    def advance(self, by_ms):
+        now = self.svc.sim.now_ms
+        status, out = call(self.svc, "POST", "/v1/clock/advance", {"by_ms": by_ms})
+        assert (status, out["now_ms"]) == (200, now + by_ms), out
+
+    @rule(target=vclusters, user=users, node_count=st.integers(1, 3))
+    def create_vcluster(self, user, node_count):
+        status, out = call(self.svc, "POST", "/v1/vclusters",
+                           {"node_count": node_count, "image": "img"}, headers={"X-User-Id": user})
+        held = sum(len(nodes) for owner, _cid, nodes, _t0, t1 in self.holds.values()
+                   if owner == user and t1 is None)
+        if held + node_count > self.quota[user]["max_vcluster_nodes"]:
+            assert (status, out["error"]["code"]) == (403, "quota_exceeded"), out
+            return multiple()
+        if status == 409:
+            assert out["error"]["code"] == "insufficient_capacity", out
+            return multiple()
+        assert status == 201 and len(out["node_indices"]) == node_count, out
+        self.holds[out["vcluster_id"]] = [user, out["cluster_id"], out["node_indices"],
+                                          self.svc.sim.now_ms, None]
+        return out["vcluster_id"]
+
+    @rule(vcluster_id=vclusters)
+    def release_vcluster(self, vcluster_id):
+        hold = self.holds[vcluster_id]
+        status, out = call(self.svc, "DELETE", f"/v1/vclusters/{vcluster_id}")
+        if hold[4] is not None:
+            assert (status, out["error"]["code"]) == (409, "already_released"), out
+        else:
+            assert (status, sorted(out["freed_nodes"])) == (200, sorted(hold[2])), out
+            hold[4] = self.svc.sim.now_ms
+
+    @rule(site=st.sampled_from(MODEL_SITE), node=st.integers(0, 3),
+          delay_ms=st.integers(1, 100), down_ms=st.integers(1, 200))
+    def node_fault(self, site, node, delay_ms, down_ms):
+        # at least 1 ms ahead: a fault due now marks its node down before
+        # its NodeDown, and only an advance brings both
+        self.svc.sim.inject_node_failure(site.cluster_id, node % site.node_count,
+                                         self.svc.sim.now_ms + delay_ms, down_ms)
+
+    @invariant()
+    def agrees_with_the_log(self):
+        events = oracles.log_events(self.svc.sim.log)
+        states = replayed_states(events)
+        views = {job_id: call(self.svc, "GET", f"/v1/jobs/{job_id}")[1] for job_id in self.specs}
+        # each job's wire state is the one its log events leave it in
+        assert {job_id: view["state"] for job_id, view in views.items()} == states
+
+        # no node is in two placements, and none is down or held
+        held = node_spans(events, "NodesHeld", "NodesReleased")
+        down = node_spans(events, "NodeDown", "NodeUp")
+        placed = [(view["cluster_id"], n) for view in views.values()
+                  if view["state"] == "Running" for n in view["node_indices"]]
+        assert len(placed) == len(set(placed))
+        assert not set(placed) & (held | down)
+
+        # the held set is NodesHeld minus NodesReleased, in the engine and the model
+        clusters = self.svc.sim.clusters()
+        assert held == {(cid, n) for cid, cs in clusters.items() for n in cs.held}
+        assert held == {(cid, n) for _owner, cid, nodes, _t0, t1 in self.holds.values()
+                        if t1 is None for n in nodes}
+        assert down == {(cid, n) for cid, cs in clusters.items() for n in cs.down}
+
+        # each user's live jobs and projected nodes, within quota
+        for user, quota in self.quota.items():
+            live = [spec for job_id, spec in self.specs.items()
+                    if spec["user_id"] == user and states[job_id] not in oracles.TERMINAL_STATES]
+            load = (len(live), sum(oracles.projected_nodes_oracle(spec) for spec in live))
+            assert self.svc.sim.user_load(user) == load
+            assert load[0] <= quota["max_concurrent_jobs"]
+            assert load[1] <= quota["max_nodes_in_use"]
+
+        # /v1/metrics is the per-millisecond scan of the log
+        status, metrics = call(self.svc, "GET", "/v1/metrics")
+        assert status == 200
+        to_ms = max(self.svc.sim.now_ms, 1)
+        holds = [(cid, n, t0, t1) for _owner, cid, nodes, t0, t1 in self.holds.values()
+                 for n in nodes]
+        busy, avail = oracles.scan_utilization(
+            events, [(c.cluster_id, c.node_count) for c in MODEL_SITE], (0, to_ms), holds)
+        held_ms = {c.cluster_id: 0 for c in MODEL_SITE}
+        for cid, _n, t0, t1 in holds:
+            held_ms[cid] += (to_ms if t1 is None else t1) - t0
+        assert {c["cluster_id"]: (c["busy_node_ms"], c["available_node_ms"], c["held_node_ms"])
+                for c in metrics["utilization"]["clusters"]} == {
+            cid: (busy[cid], avail[cid], held_ms[cid]) for cid in busy}
+        assert metrics["waits"] == oracles.scan_wait_stats(events)
+
+
+TestServiceModel = pytest.mark.extra_seeds(ServiceMachine.TestCase)
+TestServiceModel.settings = settings(max_examples=25, stateful_step_count=40, deadline=None)
