@@ -176,8 +176,7 @@ def cmd_simulate(args) -> int:
     print(report.render_text())
     if args.compare_baseline:
         baseline = SimConfig(first_preference_only=True)
-        result = compare(trace, clusters, clusters,
-                         config_a=baseline, config_b=config,
+        result = compare(trace, clusters, config_a=baseline, config_b=config,
                          label_a="partitioned", label_b="hybrid")
         print()
         print(result.render_text())

@@ -199,12 +199,14 @@ class EventLog:
             return cls.parse_lines(fh)
 
 
+HORIZON_MS = 10_000_000_000   # virtual time past which live jobs are NonTerminating
+
+
 @dataclass
 class SimConfig:
     """Tunable policy knobs; defaults give the full hybrid-sharing setup."""
 
     retry_budget: int = 1
-    horizon_ms: int = 10_000_000_000
     backfill: bool = True
     hybrid_rigid_on_cloud: bool = False
     first_preference_only: bool = False
@@ -309,7 +311,7 @@ class Simulation:
         heapq.heappush(self._pending, (t_ms, self._tick, tag, a, b))
         self._tick += 1
 
-    def new_job_id(self) -> str:
+    def _new_job_id(self) -> str:
         job_id = f"j{self._job_idx:06d}"
         self._job_idx += 1
         return job_id
@@ -329,19 +331,19 @@ class Simulation:
         if self.catalog is not None and spec.dataset_refs:
             self.catalog.resolve(spec.dataset_refs)
 
-    def schedule_arrival(self, t_ms: int, spec: JobSpec, job_id: Optional[str] = None) -> str:
-        """Check a job now and queue its arrival for t_ms."""
+    def schedule_arrival(self, t_ms: int, spec: JobSpec) -> str:
+        """Check a job now and queue its arrival for t_ms; returns the job id it issues."""
         if t_ms < self.clock:
             raise PastTime(t_ms, self.clock)
         self.check_job(spec)
-        job_id = job_id or self.new_job_id()
+        job_id = self._new_job_id()
         self._push(t_ms, _ARRIVAL, job_id, spec)
         return job_id
 
-    def submit_now(self, spec: JobSpec, job_id: Optional[str] = None) -> str:
+    def submit_now(self, spec: JobSpec) -> str:
         """Check a job and process its submission synchronously at the current clock."""
         self.check_job(spec)
-        job_id = job_id or self.new_job_id()
+        job_id = self._new_job_id()
         self._handle_arrival(job_id, spec)
         self._plan_cycle()
         return job_id
@@ -350,7 +352,7 @@ class Simulation:
         """Cancel a job at the current clock (AlreadyTerminal if done)."""
         if job_id in self._run:
             self._credit(job_id)    # a running job keeps the work done up to now
-        state, _freed = self.scheduler.cancel(job_id, self.clock)
+        state, _freed = self.scheduler.cancel(job_id)
         self.records[job_id].end_ms = self.clock
         self._retire(job_id)
         self._emit(SimEventKind.JOB_CANCELLED, "job_id", job_id)
@@ -422,11 +424,11 @@ class Simulation:
 
     def _process_one(self):
         t_ms, _tick, tag, a, b = self._pending[0]
-        if t_ms > self.config.horizon_ms and self.live_jobs():
-            # the event stays pending, so a caller that raises the horizon
-            # and steps again loses no timer
+        if t_ms > HORIZON_MS and self.live_jobs():
+            # refuse before popping: the event stays pending, so the
+            # engine's state after the refusal is the state before it
             raise NonTerminating(
-                f"virtual time {t_ms} exceeds horizon {self.config.horizon_ms} "
+                f"virtual time {t_ms} exceeds horizon {HORIZON_MS} "
                 f"with live jobs: {', '.join(sorted(self.live_jobs())[:10])}"
             )
         heapq.heappop(self._pending)
@@ -486,7 +488,7 @@ class Simulation:
         self._user_load[spec.user_id] = (jobs + 1, nodes + projected_nodes(spec))
         self._emit(SimEventKind.JOB_SUBMITTED, "job_id", job_id)
         try:
-            self.scheduler.enqueue(record, self.clock)
+            self.scheduler.enqueue(record)
         except Unsatisfiable:
             # There is no Queued->Failed edge in the lifecycle table, so a
             # job no acceptable cluster could ever hold is failed here,
@@ -534,7 +536,7 @@ class Simulation:
         if record.state is JobState.QUEUED:
             rs.retries_left -= 1
             record.credited_milli = 0   # restart from scratch on the next attempt
-            self.scheduler.enqueue(record, self.clock)
+            self.scheduler.enqueue(record)
             self._emit(SimEventKind.JOB_QUEUED, "job_id", victim)
         else:
             record.end_ms = self.clock
@@ -640,15 +642,15 @@ class Simulation:
                 self._schedule_finish(job_id)
 
 
-def run_trace(trace, clusters: list[ClusterSpec], config: Optional[SimConfig] = None,
-              catalog=None) -> tuple[EventLog, dict[str, JobRecord]]:
+def run_trace(trace, clusters: list[ClusterSpec],
+              config: Optional[SimConfig] = None) -> tuple[EventLog, dict[str, JobRecord]]:
     """Run a submission trace to completion on the given clusters.
 
     schedule_arrival checks each job, so a bad one raises in trace order
     before any event and any fault; identical inputs produce a
     byte-identical canonical event log.
     """
-    sim = Simulation(clusters, config=config, catalog=catalog)
+    sim = Simulation(clusters, config=config)
     for t_ms, spec in trace.jobs:
         sim.schedule_arrival(t_ms, spec)
     for fault in trace.faults:

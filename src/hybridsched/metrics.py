@@ -341,24 +341,24 @@ class Comparison:
         ])
 
 
-def compare(trace, clusters_a: list[ClusterSpec], clusters_b: list[ClusterSpec],
+def compare(trace, clusters: list[ClusterSpec],
             config_a: Optional[SimConfig] = None, config_b: Optional[SimConfig] = None,
             label_a: str = "A", label_b: str = "B") -> Comparison:
-    """Run one trace under two configurations and report side by side.
+    """Run one trace on one cluster list under two configurations, side by side.
 
     Both sides are measured over the shared window (0, max last event
     time) so busy time is compared against equal availability.
     """
-    log_a, _ = run_trace(trace, clusters_a, config_a)
-    log_b, _ = run_trace(trace, clusters_b, config_b)
+    log_a, _ = run_trace(trace, clusters, config_a)
+    log_b, _ = run_trace(trace, clusters, config_b)
     last_a = log_a.t_ms[-1] if len(log_a) else 0
     last_b = log_b.t_ms[-1] if len(log_b) else 0
     to_ms = max(last_a, last_b, 1)
     window = (0, to_ms)
     return Comparison(
         label_a=label_a, label_b=label_b,
-        utilization_a=utilization(log_a, clusters_a, window),
-        utilization_b=utilization(log_b, clusters_b, window),
+        utilization_a=utilization(log_a, clusters, window),
+        utilization_b=utilization(log_b, clusters, window),
         waits_a=wait_stats(log_a),
         waits_b=wait_stats(log_b),
     )

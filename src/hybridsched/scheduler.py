@@ -161,7 +161,7 @@ class Scheduler:
 
     # -- queue ------------------------------------------------------------
 
-    def enqueue(self, job: JobRecord, now_ms: int) -> QueueEntry:
+    def enqueue(self, job: JobRecord) -> QueueEntry:
         """Insert a Queued job preserving the total order.
 
         A job's first enqueue stores its submit_seq on its record; a
@@ -356,7 +356,7 @@ class Scheduler:
             del owner[n]
         return record.cluster_id, record.node_indices
 
-    def cancel(self, job_id: str, now_ms: int) -> tuple[JobState, tuple[int, ...]]:
+    def cancel(self, job_id: str) -> tuple[JobState, tuple[int, ...]]:
         """Cancel wherever the job currently is; returns (new state, freed nodes)."""
         job = self.records.get(job_id)
         if job is None:

@@ -25,7 +25,7 @@ from typing import Optional
 from . import catalog as catalog_mod
 from . import cloud as cloud_mod
 from . import model
-from .engine import SimConfig, Simulation
+from .engine import HORIZON_MS, SimConfig, Simulation
 from .metrics import utilization, wait_stats
 from .model import ClusterSpec, Elastic, JobState, job_spec_from_obj
 from .model import cluster_spec_from_obj  # noqa: F401 - perfbench/tracer.py wraps it here
@@ -318,21 +318,20 @@ class Service:
 
     def handle_advance(self, req) -> tuple[int, dict]:
         body = req.json()
-        if "until_ms" in body:
-            target, base = body["until_ms"], 0
-        elif "by_ms" in body:
-            target, base = body["by_ms"], self.sim.now_ms
-        else:
-            raise ApiError("validation_failed", "need until_ms or by_ms", 422)
-        if not model.is_integer(target) or base + target < 0:
+        keys = [key for key in ("until_ms", "by_ms") if key in body]
+        if len(keys) != 1:
+            raise ApiError("validation_failed", "need exactly one of until_ms and by_ms", 422)
+        target = body[keys[0]]
+        if not model.is_integer(target) or target < 0:
             raise ApiError("validation_failed", "advance target must be a non-negative integer", 422)
-        if base + target > self.sim.config.horizon_ms:
+        if keys[0] == "by_ms":
+            target += self.sim.now_ms
+        if target > HORIZON_MS:
             # the engine raises NonTerminating past the horizon, mid-step
             raise ApiError("validation_failed",
-                           f"advance target is past the horizon ({self.sim.config.horizon_ms} ms)",
-                           422)
+                           f"advance target is past the horizon ({HORIZON_MS} ms)", 422)
         mark = len(self.sim.log)
-        self.sim.advance_to(base + target)
+        self.sim.advance_to(target)
         return 200, {"now_ms": self.sim.now_ms, "events_fired": len(self.sim.log) - mark}
 
     def _vc_view(self, vc) -> dict:

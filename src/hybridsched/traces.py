@@ -138,10 +138,10 @@ def read_trace(path) -> SubmissionTrace:
 _KIND_POOL = [ResourceKind.CPU, ResourceKind.GPU, ResourceKind.CLOUD, ResourceKind.KNL]
 
 
-def random_clusters(seed: int, max_clusters: int = 4) -> list[ClusterSpec]:
-    """1..max_clusters clusters with distinct ids and mixed kinds."""
+def random_clusters(seed: int) -> list[ClusterSpec]:
+    """1..4 clusters with distinct ids and mixed kinds."""
     rng = random.Random(seed)
-    count = rng.randint(1, max_clusters)
+    count = rng.randint(1, 4)
     kinds = [rng.choice(_KIND_POOL) for _ in range(count)]
     specs = []
     per_kind: dict[ResourceKind, int] = {}
@@ -163,8 +163,7 @@ def random_trace(seed: int, clusters: list[ClusterSpec], n_jobs: int, *,
                  elastic_fraction: float = 0.25,
                  n_faults: int = 0,
                  rigid_only: bool = False,
-                 tight_walltime: bool = False,
-                 user_id: str = "trace") -> SubmissionTrace:
+                 tight_walltime: bool = False) -> SubmissionTrace:
     """A satisfiable random workload for the given topology.
 
     Every generated job fits on at least one cluster of a kind it lists.
@@ -212,7 +211,7 @@ def random_trace(seed: int, clusters: list[ClusterSpec], n_jobs: int, *,
             wall = max(1, rng.randint(base // 2, base * 2))
         jobs.append((t_ms, JobSpec(
             name=f"job{i}",
-            user_id=user_id,
+            user_id="trace",
             kind_preferences=prefs,
             shape=shape,
             work_units=work,

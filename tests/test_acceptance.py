@@ -186,7 +186,7 @@ def test_criterion_05_hybrid_beats_partitioned():
     for i in range(4):
         jobs.append((0, rigid(f"c{i}", 1, 10, 10_000, prefs=(CPU,))))
     trace = SubmissionTrace(jobs=jobs)
-    result = compare(trace, clusters, clusters,
+    result = compare(trace, clusters,
                      config_a=SimConfig(first_preference_only=True),
                      config_b=SimConfig(),
                      label_a="partitioned", label_b="hybrid")

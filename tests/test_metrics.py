@@ -313,7 +313,7 @@ class TestCompare:
     def test_identical_sides_have_zero_delta(self):
         clusters = random_clusters(21)
         trace = random_trace(21, clusters, 20, arrival_span_ms=3_000)
-        cmp = compare(trace, clusters, clusters)
+        cmp = compare(trace, clusters)
         assert cmp.delta_utilization_fixed4 == 0
         assert cmp.utilization_a.window == cmp.utilization_b.window
         obj = cmp.to_obj()
@@ -323,23 +323,29 @@ class TestCompare:
     def test_labels_and_render(self):
         clusters = random_clusters(22)
         trace = random_trace(22, clusters, 10, arrival_span_ms=2_000)
-        cmp = compare(trace, clusters, clusters,
+        cmp = compare(trace, clusters,
                       label_a="baseline", label_b="candidate")
         text = cmp.render_text()
         assert "baseline" in text and "candidate" in text
         assert isinstance(cmp, Comparison)
 
     def test_shared_window_covers_the_longer_run(self):
-        # same trace on a slow vs fast topology: window = slower makespan
-        slow = [cluster("cpu0", CPU, 2, speed=1)]
-        fast = [cluster("cpu0", CPU, 2, speed=4)]
-        trace = SubmissionTrace(jobs=[(0, JobSpec(
-            name="j", user_id="u", kind_preferences=(CPU,),
-            shape=Rigid(node_count=1), work_units=20, walltime_limit_ms=120_000))])
-        cmp = compare(trace, slow, fast)
-        assert cmp.utilization_a.window == (0, 20_000)
-        assert cmp.utilization_b.busy_node_ms == 5_000
-        assert cmp.delta_utilization_fixed4 == fixed4(5_000, 40_000) - fixed4(20_000, 40_000)
+        # one trace with backfill on (A, shorter) and off (B): window = B's makespan
+        clusters = [cluster("cpu0", CPU, 2)]
+        trace = SubmissionTrace(jobs=[(t, JobSpec(
+            name=name, user_id="u", kind_preferences=(CPU,), shape=Rigid(node_count=nodes),
+            work_units=work, walltime_limit_ms=wall))
+            for t, name, nodes, work, wall in [(0, "blocker", 1, 30, 60_000),
+                                               (1, "wide", 2, 10, 60_000),
+                                               (2, "narrow", 1, 10, 10_000)]])
+        cmp = compare(trace, clusters,
+                      config_a=SimConfig(backfill=True), config_b=SimConfig(backfill=False))
+        assert (cmp.waits_a.makespan_ms, cmp.waits_b.makespan_ms) == (35_000, 45_000)
+        assert cmp.utilization_a.window == cmp.utilization_b.window == (0, 45_000)
+        # A is measured over B's longer window: 50,000 of 90,000 node-ms, not of 70,000
+        assert cmp.utilization_a.available_node_ms == 90_000
+        assert cmp.utilization_a.busy_node_ms == 50_000
+        assert cmp.utilization_a.aggregate_utilization == "0.5556"
 
     def test_backfill_cuts_makespan_not_busy(self):
         clusters = [cluster("cpu0", CPU, 2)]
@@ -353,7 +359,7 @@ class TestCompare:
                           shape=Rigid(node_count=1), work_units=30,
                           walltime_limit_ms=60_000)
         trace = SubmissionTrace(jobs=[(0, blocker), (1, wide), (2, narrow)])
-        cmp = compare(trace, clusters, clusters,
+        cmp = compare(trace, clusters,
                       config_a=SimConfig(backfill=False),
                       config_b=SimConfig(backfill=True))
         # narrow slips into the blocker's shadow: finishes sooner

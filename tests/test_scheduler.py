@@ -55,9 +55,9 @@ def mk(specs, **flags):
     return Scheduler(states, records, **flags), records
 
 
-def add(sched, records, rec, now=0):
+def add(sched, records, rec):
     records[rec.job_id] = rec
-    sched.enqueue(rec, now)
+    sched.enqueue(rec)
     return rec
 
 
@@ -86,14 +86,14 @@ class TestQueueOrder:
         a = add(sched, records, rigid("a", 1))
         add(sched, records, rigid("b", 1))
         assert sched.remove_queued("a")
-        sched.enqueue(a, now_ms=500)
+        sched.enqueue(a)
         assert oracles.queue_order(sched) == ["a", "b"]
 
     def test_double_enqueue_rejected(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])
         a = add(sched, records, rigid("a", 1))
         with pytest.raises(DuplicateJob):
-            sched.enqueue(a, 0)
+            sched.enqueue(a)
 
 
 class TestPlacement:
@@ -270,7 +270,7 @@ class TestCancel:
     def test_cancel_queued_removes_entry(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])
         add(sched, records, rigid("a", 1))
-        state, freed = sched.cancel("a", 0)
+        state, freed = sched.cancel("a")
         assert state is JobState.CANCELLED
         assert freed == ()
         assert oracles.queue_order(sched) == []
@@ -280,7 +280,7 @@ class TestCancel:
         add(sched, records, rigid("a", 2))
         sched.plan(0)
         records["a"].state = JobState.RUNNING
-        state, freed = sched.cancel("a", 100)
+        state, freed = sched.cancel("a")
         assert state is JobState.CANCELLED
         assert freed == (0, 1)
         assert sched.clusters["cpu0"].free_count() == 2
@@ -288,14 +288,14 @@ class TestCancel:
     def test_cancel_terminal_raises(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])
         add(sched, records, rigid("a", 1))
-        sched.cancel("a", 0)
+        sched.cancel("a")
         with pytest.raises(AlreadyTerminal):
-            sched.cancel("a", 1)
+            sched.cancel("a")
 
     def test_cancel_unknown_raises(self):
         sched, _records = mk([cluster("cpu0", CPU, 1)])
         with pytest.raises(UnknownJob):
-            sched.cancel("ghost", 0)
+            sched.cancel("ghost")
 
 
 class TestRecordAllocation:
@@ -332,7 +332,7 @@ class TestRecordAllocation:
         rec.state = JobState.RUNNING
         assert placement(records, "a") == ("cpu0", (0, 1))
         assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
-        sched.cancel("a", 100)
+        sched.cancel("a")
         assert sched.clusters["cpu0"].owner == {}
         assert placement(records, "a") == ("cpu0", (0, 1))   # what the result manifest reads
         with pytest.raises(NoAllocation):
@@ -344,7 +344,7 @@ class TestRecordAllocation:
         sched.plan(0)
         rec.state = JobState.RUNNING
         with pytest.raises(DuplicateJob):
-            sched.enqueue(rec, 10)
+            sched.enqueue(rec)
         assert oracles.queue_order(sched) == []
         assert placement(records, "a") == ("cpu0", (0,))
         assert sched.clusters["cpu0"].owner == {0: "a"}
@@ -359,7 +359,7 @@ class TestRecordAllocation:
         add(sched, records, rigid("b", 1))
         sched.plan(5)
         assert sched.clusters["cpu0"].owner == {0: "b"}   # a's old node, another owner
-        sched.enqueue(rec, 10)
+        sched.enqueue(rec)
         assert oracles.queue_order(sched) == ["a"]
         assert sched.plan(10).starts == ("a",)
         assert (placement(records, "a"), rec.start_ms) == (("cpu0", (1,)), 10)
@@ -554,15 +554,15 @@ class TestPlanAgainstReference:
             records[job_id] = record
             if all(ref_clusters[cid][0] < needed for cid in accept):
                 with pytest.raises(Unsatisfiable):
-                    sched.enqueue(record, now)
+                    sched.enqueue(record)
                 continue
-            sched.enqueue(record, now)
+            sched.enqueue(record)
             queued.append(((-spec.priority, seq, job_id),
                            (job_id, needed, spec.walltime_limit_ms, accept)))
         # a requeued job goes back to the position of its first submission
         for job_id, spec, requeued in jobs:
             if requeued and sched.remove_queued(job_id):
-                sched.enqueue(records[job_id], now)
+                sched.enqueue(records[job_id])
         queue = [entry for _key, entry in sorted(queued)]
         assert oracles.queue_order(sched) == [job_id for job_id, *_rest in queue]
 

@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import re
 import socket
 import threading
 import time
@@ -19,6 +20,7 @@ from hypothesis.stateful import (
 )
 
 import oracles
+from test_corpus import check, unsatisfiable
 
 from hybridsched import cloud as cloud_mod
 from hybridsched import engine
@@ -33,6 +35,7 @@ from hybridsched.model import (
     JobState,
     ResourceKind,
     Rigid,
+    cluster_spec_to_obj,
     job_spec_to_obj,
 )
 from hybridsched.scheduler import AlreadyTerminal, UnknownJob
@@ -628,6 +631,20 @@ class TestClock:
         assert call(svc, "POST", "/v1/clock/advance", {"until_ms": -5})[0] == 422
         assert call(svc, "POST", "/v1/clock/advance", {"until_ms": "soon"})[0] == 422
 
+    @pytest.mark.parametrize("now", [0, 1_000])
+    @pytest.mark.parametrize("body", [{"by_ms": -400}, {"until_ms": 5_000, "by_ms": 1},
+                                      {"until_ms": 500, "by_ms": 0}])
+    def test_advance_checks_its_body_at_every_clock(self, svc, now, body):
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": now})
+        status, err = call(svc, "POST", "/v1/clock/advance", body)
+        assert status == 422 and err["error"]["code"] == "validation_failed"
+        assert call(svc, "GET", "/v1/clock")[1]["now_ms"] == now
+
+    def test_past_until_is_a_no_op(self, svc):
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
+        status, body = call(svc, "POST", "/v1/clock/advance", {"until_ms": 400})
+        assert (status, body) == (200, {"now_ms": 1_000, "events_fired": 0})
+
     @pytest.mark.parametrize("body", [{"until_ms": True}, {"by_ms": True},
                                       {"by_ms": "5"}, {"by_ms": 1.5}, {"until_ms": None}])
     def test_advance_needs_an_integer(self, svc, body):
@@ -1157,6 +1174,8 @@ class TestFuzz:
 
 MODEL_SITE = [cluster("cpu0", CPU, 3, speed=10), cluster("cloud0", CLOUD, 4, speed=10)]
 MODEL_USERS = ["u0", "u1", "u2"]
+# a report row the checker finds wrong in a poll at clock 0 (see teardown)
+PADDED_POLL = re.compile(r"\w+ (busy|available|held)_node_ms over \[0,1\): ")
 # the job state each log event leaves its job in
 STATE_AFTER = {"JobSubmitted": "Submitted", "JobQueued": "Queued", "JobStarted": "Running",
                "JobFinished": "Completed", "JobFailed": "Failed", "JobTimedOut": "TimedOut",
@@ -1185,7 +1204,9 @@ def node_spans(events, opens, closes) -> set:
 class ServiceMachine(RuleBasedStateMachine):
     """Users, submits, cancels, clock advances, vclusters and node faults on
     one Service. After each step its answers must agree with the log, read
-    back through the oracles, and with what the model saw it accept."""
+    back through the oracles, and with what the model saw it accept. At
+    teardown the run is drained and its accepted exchanges are replayed
+    by the benchmark's checker, perfbench/check.py."""
 
     users = Bundle("users")
     jobs = Bundle("jobs")
@@ -1200,6 +1221,12 @@ class ServiceMachine(RuleBasedStateMachine):
             clusters=MODEL_SITE, users=[{"user_id": "u0", "quota": self.quota["u0"]}]))
         self.specs = {}       # job_id -> spec object of each job answered 201
         self.holds = {}       # vcluster_id -> [owner, cluster_id, nodes, t0, t1 or None]
+        self.faults = []      # fault objects of the trace format, as injected
+        self.exchanges = []   # accepted requests, in the shape check.check_service reads
+
+    def accepted(self, op, status, body, **extra):
+        self.exchanges.append({"op": op, "clock": self.svc.sim.now_ms, "status": status,
+                               "body": body, **extra})
 
     @initialize(target=users)
     def configured_user(self):
@@ -1257,6 +1284,7 @@ class ServiceMachine(RuleBasedStateMachine):
             assert (status, out["error"]["code"]) == (422, "unroutable_kind"), out
             return multiple()
         assert status == 201 and out["layer"] == ("cloud" if elastic else "hpc"), out
+        self.accepted("submit", status, out)
         self.specs[out["job_id"]] = obj
         return out["job_id"]
 
@@ -1268,12 +1296,14 @@ class ServiceMachine(RuleBasedStateMachine):
             assert (status, out["error"]["code"]) == (409, "already_terminal"), out
         else:
             assert (status, out["state"]) == (202, "Cancelled"), out
+            self.accepted("cancel", status, out, job_id=job_id)
 
     @rule(by_ms=st.integers(0, 300))
     def advance(self, by_ms):
         now = self.svc.sim.now_ms
         status, out = call(self.svc, "POST", "/v1/clock/advance", {"by_ms": by_ms})
         assert (status, out["now_ms"]) == (200, now + by_ms), out
+        self.accepted("advance", status, out, until=now + by_ms)
 
     @rule(target=vclusters, user=users, node_count=st.integers(1, 3))
     def create_vcluster(self, user, node_count):
@@ -1288,6 +1318,7 @@ class ServiceMachine(RuleBasedStateMachine):
             assert out["error"]["code"] == "insufficient_capacity", out
             return multiple()
         assert status == 201 and len(out["node_indices"]) == node_count, out
+        self.accepted("vc_create", status, out, user=user, nodes=node_count)
         self.holds[out["vcluster_id"]] = [user, out["cluster_id"], out["node_indices"],
                                           self.svc.sim.now_ms, None]
         return out["vcluster_id"]
@@ -1300,6 +1331,8 @@ class ServiceMachine(RuleBasedStateMachine):
             assert (status, out["error"]["code"]) == (409, "already_released"), out
         else:
             assert (status, sorted(out["freed_nodes"])) == (200, sorted(hold[2])), out
+            self.accepted("vc_release", status, out, vc={"cluster_id": hold[1],
+                                                        "node_indices": hold[2]}, nodes=hold[2])
             hold[4] = self.svc.sim.now_ms
 
     @rule(site=st.sampled_from(MODEL_SITE), node=st.integers(0, 3),
@@ -1307,8 +1340,11 @@ class ServiceMachine(RuleBasedStateMachine):
     def node_fault(self, site, node, delay_ms, down_ms):
         # at least 1 ms ahead: a fault due now marks its node down before
         # its NodeDown, and only an advance brings both
-        self.svc.sim.inject_node_failure(site.cluster_id, node % site.node_count,
-                                         self.svc.sim.now_ms + delay_ms, down_ms)
+        fault = {"t_ms": self.svc.sim.now_ms + delay_ms, "cluster_id": site.cluster_id,
+                 "node_index": node % site.node_count, "down_duration_ms": down_ms}
+        self.svc.sim.inject_node_failure(fault["cluster_id"], fault["node_index"],
+                                         fault["t_ms"], down_ms)
+        self.faults.append(fault)
 
     @invariant()
     def agrees_with_the_log(self):
@@ -1345,6 +1381,7 @@ class ServiceMachine(RuleBasedStateMachine):
         # /v1/metrics is the per-millisecond scan of the log
         status, metrics = call(self.svc, "GET", "/v1/metrics")
         assert status == 200
+        self.accepted("metrics", status, metrics)
         to_ms = max(self.svc.sim.now_ms, 1)
         holds = [(cid, n, t0, t1) for _owner, cid, nodes, t0, t1 in self.holds.values()
                  for n in nodes]
@@ -1357,6 +1394,44 @@ class ServiceMachine(RuleBasedStateMachine):
                 for c in metrics["utilization"]["clusters"]} == {
             cid: (busy[cid], avail[cid], held_ms[cid]) for cid in busy}
         assert metrics["waits"] == oracles.scan_wait_stats(events)
+
+    def teardown(self):
+        # drain as perfbench/run.py does: release every vcluster, then
+        # advance until every job has ended, and poll the metrics last
+        for vcluster_id, hold in self.holds.items():
+            if hold[4] is None:
+                self.release_vcluster(vcluster_id)
+        for _ in range(10):
+            if not self.svc.sim.live_jobs():
+                break
+            self.advance(60_000)
+        status, metrics = call(self.svc, "GET", "/v1/metrics")
+        self.accepted("metrics", status, metrics)
+        clusters = [cluster_spec_to_obj(c) for c in MODEL_SITE]
+        site = check.Site(clusters, self.specs, self.faults, retry_budget=1)
+        for x in self.exchanges:
+            if x["op"] == "vc_create":
+                site.add_hold(x["body"]["cluster_id"], x["body"]["node_indices"], x["clock"])
+            elif x["op"] == "vc_release":
+                site.end_hold(x["vc"]["cluster_id"], x["vc"]["node_indices"], x["clock"])
+        lines = self.svc.sim.log.canonical_bytes().decode().splitlines()
+        outcome = check.check_service(site, lines, self.exchanges)
+        # The checker does not know that a job no acceptable cluster can
+        # hold fails at arrival. It orders a claim and a hold by their
+        # millisecond, not by the log, so a job that starts and is
+        # cancelled at t looks vcluster-held by a vcluster created later
+        # at t. And it replays a poll against the final log, so a poll at
+        # clock 0, whose window the service pads to [0, 1), is compared
+        # with the starts and holds of the requests that follow it at 0.
+        explained = {f"{job_id}: ends JobFailed without ever starting"
+                     for job_id in unsatisfiable(clusters, self.specs, False, False)}
+        cancels = [(x["job_id"], x["clock"]) for x in self.exchanges if x["op"] == "cancel"]
+        explained |= {f"{job_id}: {x['body']['cluster_id']}/{n} is vcluster-held at t={t}"
+                      for job_id, t in cancels for x in self.exchanges
+                      if x["op"] == "vc_create" and x["clock"] == t
+                      for n in x["body"]["node_indices"]}
+        assert [p for p in outcome.problems
+                if p not in explained and not PADDED_POLL.match(p)] == []
 
 
 TestServiceModel = pytest.mark.extra_seeds(ServiceMachine.TestCase)
