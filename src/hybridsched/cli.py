@@ -85,22 +85,21 @@ def cmd_submit(args) -> int:
     return _finish(args, resp, lambda obj: print(obj["job_id"]))
 
 
-def _render_status(obj):
-    keys = ["job_id", "name", "user_id", "state", "submit_ms", "start_ms", "end_ms",
-            "cluster_id", "node_indices", "worker_history"]
-    for key in keys:
-        if key in obj and obj[key] is not None:
-            print(f"{key}: {obj[key]}")
+def _render_fields(obj):
+    """One `key: value` line per non-null key, in the body's order."""
+    for key, value in obj.items():
+        if value is not None:
+            print(f"{key}: {value}")
 
 
 def cmd_status(args) -> int:
     resp = _request(args, "GET", f"/v1/jobs/{args.job_id}")
-    return _finish(args, resp, _render_status)
+    return _finish(args, resp, _render_fields)
 
 
 def cmd_result(args) -> int:
     resp = _request(args, "GET", f"/v1/jobs/{args.job_id}/result")
-    return _finish(args, resp, _render_status)
+    return _finish(args, resp, _render_fields)
 
 
 def cmd_cancel(args) -> int:

@@ -87,11 +87,16 @@ class Quota:
                 raise BadQuota(f"{name} must be >= 0")
 
 
+_USER_FIELDS = frozenset({"user_id", "display_name", "quota"})
+
+
 def user_from_obj(obj) -> tuple[str, Quota, str]:
     """The one decoder of an outside user entry (a config's or a POST
     /v1/users body) into create_user's arguments; raises BadUser or BadQuota."""
     if not isinstance(obj, dict):
         raise BadUser("user entry must be a JSON object")
+    if not obj.keys() <= _USER_FIELDS:
+        raise BadUser(f"unknown field: {min(obj.keys() - _USER_FIELDS)}")
     user_id = obj.get("user_id")
     if not isinstance(user_id, str) or not user_id:
         raise BadUser("user_id must be a non-empty string")

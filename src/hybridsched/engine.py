@@ -202,7 +202,7 @@ class EventLog:
 HORIZON_MS = 10_000_000_000   # virtual time past which live jobs are NonTerminating
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Tunable policy knobs; defaults give the full hybrid-sharing setup."""
 

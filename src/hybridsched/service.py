@@ -42,13 +42,21 @@ class ServiceConfig:
     listen_addr: str = "127.0.0.1:8080"
     auth_header: str = "X-User-Id"
     mode: str = "sim"                      # "sim" (virtual time) or "realtime"
-    backfill: bool = True
-    hybrid_rigid_on_cloud: bool = False
-    retry_budget: int = 1
+    scheduler: SimConfig = field(default_factory=SimConfig)
     provision_delay_ms: int = 0
     users: list[dict] = field(default_factory=list)
     datasets: list[dict] = field(default_factory=list)
     bandwidth_bytes_per_s: dict[str, int] = field(default_factory=dict)
+
+
+# The keys a config file may hold; any other is refused, and an absent one
+# takes its dataclass default. Each top-level key but clusters and scheduler
+# is a ServiceConfig field, and each scheduler key a SimConfig field but
+# provision_delay_ms, which ServiceConfig keeps for the CloudLayer.
+_CONFIG_KEYS = frozenset({"clusters", "listen_addr", "auth_header", "mode", "scheduler",
+                          "users", "datasets", "bandwidth_bytes_per_s"})
+_SCHEDULER_KEYS = frozenset({"backfill", "hybrid_rigid_on_cloud", "retry_budget",
+                             "provision_delay_ms"})
 
 
 def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
@@ -58,31 +66,24 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
     raw = model.read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    if not raw.keys() <= _CONFIG_KEYS:
+        raise ConfigError(f"unknown field: {min(raw.keys() - _CONFIG_KEYS)}")
     if not isinstance(raw.get("clusters"), list) or not raw["clusters"]:
         raise ConfigError("config must list at least one cluster")
     try:
-        clusters = model.cluster_specs_from_obj(raw["clusters"])
+        clusters = model.cluster_specs_from_obj(raw.pop("clusters"))
     except model.ValidationError as exc:
         raise ConfigError(f"bad cluster entry: {exc}") from exc
-    sched = raw.get("scheduler", {})
+    sched = raw.pop("scheduler", {})
     if not isinstance(sched, dict):
         raise ConfigError("scheduler must be a JSON object")
-    cfg = ServiceConfig(
-        clusters=clusters,
-        listen_addr=raw.get("listen_addr", "127.0.0.1:8080"),
-        auth_header=raw.get("auth_header", "X-User-Id"),
-        mode=raw.get("mode", "sim"),
-        backfill=sched.get("backfill", True),
-        hybrid_rigid_on_cloud=sched.get("hybrid_rigid_on_cloud", False),
-        retry_budget=sched.get("retry_budget", 1),
-        provision_delay_ms=sched.get("provision_delay_ms", 0),
-        users=raw.get("users", []),
-        datasets=raw.get("datasets", []),
-        bandwidth_bytes_per_s=raw.get("bandwidth_bytes_per_s", {}),
-    )
-    addr = env.get("HYBRIDSCHED_ADDR")
-    if addr:
-        cfg.listen_addr = addr
+    if not sched.keys() <= _SCHEDULER_KEYS:
+        raise ConfigError(f"unknown field: scheduler.{min(sched.keys() - _SCHEDULER_KEYS)}")
+    if "provision_delay_ms" in sched:
+        raw["provision_delay_ms"] = sched.pop("provision_delay_ms")
+    if env.get("HYBRIDSCHED_ADDR"):
+        raw["listen_addr"] = env["HYBRIDSCHED_ADDR"]
+    cfg = ServiceConfig(clusters=clusters, scheduler=SimConfig(**sched), **raw)
     if not isinstance(cfg.listen_addr, str) or not cfg.listen_addr.rpartition(":")[2].isdecimal():
         raise ConfigError(f"listen_addr must be a host:port string, got {cfg.listen_addr!r}")
     if not isinstance(cfg.auth_header, str) or not cfg.auth_header:
@@ -90,9 +91,9 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
     if cfg.mode not in ("sim", "realtime"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     for name in ("backfill", "hybrid_rigid_on_cloud"):
-        if not isinstance(getattr(cfg, name), bool):
+        if not isinstance(getattr(cfg.scheduler, name), bool):
             raise ConfigError(f"scheduler.{name} must be true or false")
-    if not model.is_integer(cfg.retry_budget) or cfg.retry_budget < 0:
+    if not model.is_integer(cfg.scheduler.retry_budget) or cfg.scheduler.retry_budget < 0:
         raise ConfigError("scheduler.retry_budget must be a non-negative integer")
     if not model.is_integer(cfg.provision_delay_ms) or cfg.provision_delay_ms < 0:
         raise ConfigError("scheduler.provision_delay_ms must be a non-negative integer")
@@ -102,6 +103,9 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
     if not isinstance(bandwidth, dict) or not all(
             model.is_integer(v) and v >= 0 for v in bandwidth.values()):
         raise ConfigError("bandwidth_bytes_per_s must map cluster ids to non-negative integers")
+    unknown = bandwidth.keys() - {c.cluster_id for c in clusters}
+    if unknown:
+        raise ConfigError(f"bandwidth_bytes_per_s names no configured cluster: {min(unknown)}")
     return cfg
 
 
@@ -203,12 +207,7 @@ class Service:
     def __init__(self, config: ServiceConfig):
         self.catalog = catalog_mod.DatasetCatalog(
             bandwidth_bytes_per_s=config.bandwidth_bytes_per_s)
-        sim_config = SimConfig(
-            retry_budget=config.retry_budget,
-            backfill=config.backfill,
-            hybrid_rigid_on_cloud=config.hybrid_rigid_on_cloud,
-        )
-        self.sim = Simulation(config.clusters, config=sim_config, catalog=self.catalog)
+        self.sim = Simulation(config.clusters, config=config.scheduler, catalog=self.catalog)
         self.cloud = cloud_mod.CloudLayer(self.sim, provision_delay_ms=config.provision_delay_ms)
         for entry in config.users:
             try:
@@ -301,6 +300,7 @@ class Service:
 
     def handle_create_vcluster(self, req) -> tuple[int, dict]:
         body = req.json()
+        _refuse_unknown(body, {"user_id", "node_count", "image"})
         owner = req.header(self.config.auth_header) or _str_field(body, "user_id")
         vc = self.cloud.provision_vcluster(owner, body.get("node_count", 0),
                                            _str_field(body, "image"))
@@ -318,13 +318,13 @@ class Service:
 
     def handle_advance(self, req) -> tuple[int, dict]:
         body = req.json()
-        keys = [key for key in ("until_ms", "by_ms") if key in body]
-        if len(keys) != 1:
+        _refuse_unknown(body, {"until_ms", "by_ms"})
+        if len(body) != 1:
             raise ApiError("validation_failed", "need exactly one of until_ms and by_ms", 422)
-        target = body[keys[0]]
+        [(key, target)] = body.items()
         if not model.is_integer(target) or target < 0:
             raise ApiError("validation_failed", "advance target must be a non-negative integer", 422)
-        if keys[0] == "by_ms":
+        if key == "by_ms":
             target += self.sim.now_ms
         if target > HORIZON_MS:
             # the engine raises NonTerminating past the horizon, mid-step
@@ -379,6 +379,11 @@ class Service:
         if any(p.match(path) for _m, p, _n in _ROUTES):
             return 405, {"error": {"code": "method_not_allowed", "message": method}}
         return 404, {"error": {"code": "no_such_route", "message": path}}
+
+
+def _refuse_unknown(body: dict, known: set) -> None:
+    if not body.keys() <= known:
+        raise ApiError("validation_failed", f"unknown field: {min(body.keys() - known)}", 422)
 
 
 def _str_field(body: dict, name: str) -> str:

@@ -5,16 +5,22 @@ work: literal tables, per-millisecond scans, a time-stepped FIFO loop.
 Oracles consume primitives (parsed JSON lines, tuples, ints) so a bug in
 the package cannot leak into its own check. The wire decoders at the
 end are the one exception: they are the package's earlier decoders,
-kept to check the current ones against, and build its value types.
+kept to check the current ones against, and build its value types (the
+earlier service config decoder builds the earlier config type, which
+held three scheduler settings of its own).
 """
 
 import heapq
 import json
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
+from hybridsched import model
 from hybridsched.catalog import BadDatasetName, CatalogError, DuplicateDataset
-from hybridsched.model import Elastic, JobSpec, MalformedSpec, ResourceKind, Rigid
+from hybridsched.model import ClusterSpec, Elastic, JobSpec, MalformedSpec, ResourceKind, Rigid
+from hybridsched.service import ConfigError
 from hybridsched.traces import FaultDirective, MalformedTrace, SubmissionTrace
 
 
@@ -640,3 +646,76 @@ def reference_trace_from_obj(obj) -> SubmissionTrace:
             raise MalformedTrace("fault cluster_id must be a string")
         faults.append(FaultDirective(**entry))
     return SubmissionTrace(jobs=jobs, faults=faults, rng_seed=rng_seed)
+
+
+@dataclass
+class ReferenceServiceConfig:
+    clusters: list[ClusterSpec]
+    listen_addr: str = "127.0.0.1:8080"
+    auth_header: str = "X-User-Id"
+    mode: str = "sim"                      # "sim" (virtual time) or "realtime"
+    backfill: bool = True
+    hybrid_rigid_on_cloud: bool = False
+    retry_budget: int = 1
+    provision_delay_ms: int = 0
+    users: list[dict] = field(default_factory=list)
+    datasets: list[dict] = field(default_factory=list)
+    bandwidth_bytes_per_s: dict[str, int] = field(default_factory=dict)
+
+
+def reference_load_config(path, env: Optional[dict] = None) -> ReferenceServiceConfig:
+    """Read a JSON config file; HYBRIDSCHED_ADDR overrides the listen address.
+
+    Unknown keys, and bandwidths of clusters the config does not list,
+    are kept and never read.
+    """
+    import os
+    env = os.environ if env is None else env
+    raw = model.read_json(path, ConfigError)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    if not isinstance(raw.get("clusters"), list) or not raw["clusters"]:
+        raise ConfigError("config must list at least one cluster")
+    try:
+        clusters = model.cluster_specs_from_obj(raw["clusters"])
+    except model.ValidationError as exc:
+        raise ConfigError(f"bad cluster entry: {exc}") from exc
+    sched = raw.get("scheduler", {})
+    if not isinstance(sched, dict):
+        raise ConfigError("scheduler must be a JSON object")
+    cfg = ReferenceServiceConfig(
+        clusters=clusters,
+        listen_addr=raw.get("listen_addr", "127.0.0.1:8080"),
+        auth_header=raw.get("auth_header", "X-User-Id"),
+        mode=raw.get("mode", "sim"),
+        backfill=sched.get("backfill", True),
+        hybrid_rigid_on_cloud=sched.get("hybrid_rigid_on_cloud", False),
+        retry_budget=sched.get("retry_budget", 1),
+        provision_delay_ms=sched.get("provision_delay_ms", 0),
+        users=raw.get("users", []),
+        datasets=raw.get("datasets", []),
+        bandwidth_bytes_per_s=raw.get("bandwidth_bytes_per_s", {}),
+    )
+    addr = env.get("HYBRIDSCHED_ADDR")
+    if addr:
+        cfg.listen_addr = addr
+    if not isinstance(cfg.listen_addr, str) or not cfg.listen_addr.rpartition(":")[2].isdecimal():
+        raise ConfigError(f"listen_addr must be a host:port string, got {cfg.listen_addr!r}")
+    if not isinstance(cfg.auth_header, str) or not cfg.auth_header:
+        raise ConfigError("auth_header must be a non-empty string")
+    if cfg.mode not in ("sim", "realtime"):
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    for name in ("backfill", "hybrid_rigid_on_cloud"):
+        if not isinstance(getattr(cfg, name), bool):
+            raise ConfigError(f"scheduler.{name} must be true or false")
+    if not model.is_integer(cfg.retry_budget) or cfg.retry_budget < 0:
+        raise ConfigError("scheduler.retry_budget must be a non-negative integer")
+    if not model.is_integer(cfg.provision_delay_ms) or cfg.provision_delay_ms < 0:
+        raise ConfigError("scheduler.provision_delay_ms must be a non-negative integer")
+    if not isinstance(cfg.users, list):
+        raise ConfigError("users must be a list")
+    bandwidth = cfg.bandwidth_bytes_per_s
+    if not isinstance(bandwidth, dict) or not all(
+            model.is_integer(v) and v >= 0 for v in bandwidth.values()):
+        raise ConfigError("bandwidth_bytes_per_s must map cluster ids to non-negative integers")
+    return cfg

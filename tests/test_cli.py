@@ -88,6 +88,8 @@ class TestRemoteCommands:
         assert main(["--server", server, "result", "j000000"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "job_id: j000000" in out
+        assert "terminal: Completed" in out
+        assert "duration_ms: 10000" in out
 
     def test_status_renders_fields(self, server, tmp_path, capsys):
         main(["--server", server, "submit", "--file", spec_file(tmp_path, nodes=2)])
@@ -300,6 +302,15 @@ class TestServe:
         ("users", [{"user_id": "u", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
                                               "max_vcluster_nodes": 0}}] * 2,
          "user 'u' already exists"),
+        # a key the decoder does not know is refused, not dropped
+        ("schedular", {"backfill": False}, "unknown field: schedular"),
+        ("scheduler", {"backfil": False}, "unknown field: scheduler.backfil"),
+        ("scheduler", {"first_preference_only": True},
+         "unknown field: scheduler.first_preference_only"),
+        ("bandwidth_bytes_per_s", {"cpuO": 1000}, "names no configured cluster: cpuO"),
+        ("users", [{"user_id": "u", "dispaly_name": "U",
+                    "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
+                              "max_vcluster_nodes": 0}}], "unknown field: dispaly_name"),
     ])
     def test_bad_config_exits_2_before_binding(self, tmp_path, capsys, monkeypatch,
                                               key, value, message):

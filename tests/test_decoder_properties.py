@@ -31,7 +31,8 @@ from hybridsched.model import (
     job_spec_from_obj,
     job_spec_to_obj,
 )
-from hybridsched.service import ConfigError, Service, load_config
+from hybridsched.engine import SimConfig
+from hybridsched.service import ConfigError, Service, ServiceConfig, load_config
 from hybridsched.traces import (
     FaultDirective,
     MalformedTrace,
@@ -423,26 +424,77 @@ class TestFileBoundary:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=60), st.data())
     def test_service_config(self, seed, data):
-        clusters, _trace = site(seed)
-        config = {
-            "clusters": clusters,
-            "listen_addr": "127.0.0.1:0",
-            "mode": "sim",
-            "scheduler": {"backfill": True, "hybrid_rigid_on_cloud": False,
-                          "retry_budget": 1, "provision_delay_ms": 0},
-            "users": [{"user_id": "u", "display_name": "U",
-                       "quota": {"max_concurrent_jobs": 2, "max_nodes_in_use": 4,
-                                 "max_vcluster_nodes": 2}}],
-            "datasets": [{"name": "d", "size_bytes": 10}],
-            "bandwidth_bytes_per_s": {clusters[0]["cluster_id"]: 1000},
-        }
-        mutate_some(config, data)
         with tempfile.TemporaryDirectory() as work:
-            path = os.path.join(work, "service.json")
-            with open(path, "wb") as fh:
-                fh.write(encode(config, data))
+            path, _config = write_service_config(seed, data, work)
             try:
                 Service(load_config(path, env={}))
                 event("built")
             except ConfigError:
                 event("ConfigError")
+
+    # about 4% of the documents carry a stray key the earlier decoder
+    # takes; at 400 examples a decoder that dropped unknown top-level keys
+    # fails under 6 of 8 seeds (CI runs five)
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.data())
+    def test_service_config_against_the_earlier_decoder(self, seed, data):
+        """Equal values or both refused, save one difference: a key the
+        decoder does not know, or a bandwidth of an unlisted cluster, which
+        only the earlier decoder let through."""
+        with tempfile.TemporaryDirectory() as work:
+            path, config = write_service_config(seed, data, work)
+            new, earlier = decoded(load_config, path), decoded(oracles.reference_load_config, path)
+        if earlier is None:
+            event("both refuse")
+            assert new is None
+            return
+        # the earlier decoder took the file, so it was config's JSON, with
+        # a valid cluster list and, if present, scheduler and bandwidth objects
+        known = {c.cluster_id for c in earlier.clusters}
+        stray = ((config.keys() - CONFIG_KEYS)
+                 | (config.get("scheduler", {}).keys() - SCHEDULER_KEYS)
+                 | (config.get("bandwidth_bytes_per_s", {}).keys() - known))
+        if stray:
+            event("only the earlier decoder accepts")
+            assert new is None, stray
+            return
+        event("equal values")
+        fields = dict(vars(earlier))
+        scheduler = SimConfig(**{name: fields.pop(name) for name in
+                                 ("backfill", "hybrid_rigid_on_cloud", "retry_budget")})
+        assert new == ServiceConfig(**fields, scheduler=scheduler)
+
+
+CONFIG_KEYS = {"clusters", "listen_addr", "auth_header", "mode", "scheduler", "users",
+               "datasets", "bandwidth_bytes_per_s"}
+SCHEDULER_KEYS = {"backfill", "hybrid_rigid_on_cloud", "retry_budget", "provision_delay_ms"}
+
+
+def write_service_config(seed: int, data, work: str) -> tuple[str, dict]:
+    """A good service config for the site of seed, mutated, written to a file in work."""
+    clusters, _trace = site(seed)
+    config = {
+        "clusters": clusters,
+        "listen_addr": "127.0.0.1:0",
+        "mode": "sim",
+        "scheduler": {"backfill": True, "hybrid_rigid_on_cloud": False,
+                      "retry_budget": 1, "provision_delay_ms": 0},
+        "users": [{"user_id": "u", "display_name": "U",
+                   "quota": {"max_concurrent_jobs": 2, "max_nodes_in_use": 4,
+                             "max_vcluster_nodes": 2}}],
+        "datasets": [{"name": "d", "size_bytes": 10}],
+        "bandwidth_bytes_per_s": {clusters[0]["cluster_id"]: 1000},
+    }
+    mutate_some(config, data)
+    path = os.path.join(work, "service.json")
+    with open(path, "wb") as fh:
+        fh.write(encode(config, data))
+    return path, config
+
+
+def decoded(load, path):
+    """load's config from path, or None if it refuses the file."""
+    try:
+        return load(path, env={})
+    except ConfigError:
+        return None

@@ -277,7 +277,7 @@ class TestResultManifest:
             b'"work_units": 10, "cluster_id": "cpu0", "node_indices": [0]}')
 
     def test_failed_after_node_loss(self):
-        svc = Service(base_config(retry_budget=0))
+        svc = Service(base_config(scheduler=engine.SimConfig(retry_budget=0)))
         call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=3, work=40))
         call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
         call(svc, "POST", "/v1/jobs", elastic_obj(name="e2", lo=1, hi=3, work=40))
@@ -531,7 +531,8 @@ class TestUsers:
         assert "max_nodes_in_use must be an integer" in err["error"]["message"]
 
     @pytest.mark.parametrize("field, value", [("user_id", ""), ("user_id", 5),
-                                              ("user_id", ["bob"]), ("display_name", [1])])
+                                              ("user_id", ["bob"]), ("display_name", [1]),
+                                              ("dispaly_name", "Bob")])
     def test_bad_user_fields(self, svc, field, value):
         body = {"user_id": "bob", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
                                             "max_vcluster_nodes": 0}}
@@ -613,6 +614,14 @@ class TestVClusters:
         status, err = call(svc, "POST", "/v1/vclusters", body)
         assert status == 422 and err["error"]["code"] == "validation_failed"
 
+    def test_unknown_field(self, svc):
+        status, err = call(svc, "POST", "/v1/vclusters",
+                           {"user_id": "u", "node_count": 1, "imgae": "astro:1"})
+        assert (status, err["error"]) == (
+            422, {"code": "validation_failed", "message": "unknown field: imgae"})
+        _status, listing = call(svc, "GET", "/v1/vclusters")
+        assert listing["vclusters"] == []
+
 
 class TestClock:
     def test_clock_and_advance(self, svc):
@@ -633,7 +642,8 @@ class TestClock:
 
     @pytest.mark.parametrize("now", [0, 1_000])
     @pytest.mark.parametrize("body", [{"by_ms": -400}, {"until_ms": 5_000, "by_ms": 1},
-                                      {"until_ms": 500, "by_ms": 0}])
+                                      {"until_ms": 500, "by_ms": 0},
+                                      {"by_ms": 5, "untill_ms": 100}])
     def test_advance_checks_its_body_at_every_clock(self, svc, now, body):
         call(svc, "POST", "/v1/clock/advance", {"until_ms": now})
         status, err = call(svc, "POST", "/v1/clock/advance", body)
@@ -775,15 +785,14 @@ class TestConfigFile:
     def test_full_round_trip(self, tmp_path):
         cfg = load_config(self.write(tmp_path, self.good_obj()), env={})
         assert cfg.listen_addr == "127.0.0.1:9099"
-        assert cfg.backfill is False
-        assert cfg.retry_budget == 2
+        assert cfg.scheduler == engine.SimConfig(backfill=False, retry_budget=2)
         assert cfg.clusters[0].cluster_id == "cpu0"
         svc = Service(cfg)
         assert svc.catalog.names() == ["d"]
         assert [u.user_id for u in svc.cloud.list_users()] == ["u"]
         # the catalog and the cloud layer are the one copy of the datasets
         # and users; the caller's config is kept
-        assert svc.config.datasets == [] and svc.config.backfill is False
+        assert svc.config.datasets == [] and svc.config.scheduler.backfill is False
         assert svc.config.users == []
         assert cfg.datasets == [{"name": "d", "size_bytes": 10}]
         assert cfg.users == self.good_obj()["users"]
@@ -845,6 +854,11 @@ class TestConfigFile:
         obj["scheduler"][name] = value
         with pytest.raises(ConfigError, match=f"scheduler.{name} must be true or false"):
             load_config(self.write(tmp_path, obj), env={})
+
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        obj = {"clusters": self.good_obj()["clusters"], "scheduler": {}}
+        cfg = load_config(self.write(tmp_path, obj), env={})
+        assert cfg == ServiceConfig(clusters=cfg.clusters)
 
     def test_env_listen_addr_is_checked_too(self, tmp_path):
         with pytest.raises(ConfigError, match="listen_addr"):
@@ -1233,7 +1247,8 @@ class ServiceMachine(RuleBasedStateMachine):
         return "u0"
 
     @rule(target=users, user_id=st.sampled_from(MODEL_USERS), quota=quotas,
-          extra=st.sampled_from([None, "extra_quota_key", "no_user_id", "display_name"]))
+          extra=st.sampled_from([None, "extra_quota_key", "no_user_id", "display_name",
+                                 "unknown_key"]))
     def create_user(self, user_id, quota, extra):
         body = {"user_id": user_id, "quota": dict(quota)}
         if extra == "extra_quota_key":
@@ -1242,6 +1257,8 @@ class ServiceMachine(RuleBasedStateMachine):
             del body["user_id"]
         elif extra == "display_name":
             body["display_name"] = 5
+        elif extra == "unknown_key":
+            body["dispaly_name"] = "U"
         status, out = call(self.svc, "POST", "/v1/users", body)
         if extra is not None:
             assert (status, out["error"]["code"]) == (422, "validation_failed"), out
