@@ -31,6 +31,18 @@ class BadDatasetName(CatalogError):
     pass
 
 
+_ENTRY_FIELDS = frozenset({"name", "size_bytes"})
+
+
+def _entry_shape_error(entry) -> str:
+    """Why register_datasets turned an entry away before reading its values."""
+    if type(entry) is not dict:
+        return "dataset entry must be a JSON object"
+    if not entry.keys() <= _ENTRY_FIELDS:
+        return f"unknown field: {min(entry.keys() - _ENTRY_FIELDS)}"
+    return f"missing field: {min(_ENTRY_FIELDS - entry.keys())}"
+
+
 class DatasetCatalog:
     """Name -> size in memory, filled through register_datasets."""
 
@@ -42,17 +54,25 @@ class DatasetCatalog:
         return sorted(self._size)
 
     def register_datasets(self, entries) -> None:
-        """Register each {"name", "size_bytes"} entry in order. A bad entry
-        raises its own error, and the entries before it stay registered."""
+        """Decode and register each {"name", "size_bytes"} entry in order. A bad
+        entry raises its own error, and the entries before it stay registered."""
+        sizes = self._size
         for entry in entries:
-            name, size_bytes = entry["name"], entry["size_bytes"]
+            # two keys whose lookups succeed are exactly these two; inline,
+            # since a call per entry shows in Service setup
+            if type(entry) is not dict or len(entry) != 2:
+                raise CatalogError(_entry_shape_error(entry))
+            try:
+                name, size_bytes = entry["name"], entry["size_bytes"]
+            except KeyError:
+                raise CatalogError(_entry_shape_error(entry)) from None
             if not isinstance(name, str) or not name:
                 raise BadDatasetName("dataset name must be a non-empty string")
             if type(size_bytes) is not int or size_bytes < 0:
                 raise CatalogError("size_bytes must be a non-negative integer")
-            if name in self._size:
+            if name in sizes:
                 raise DuplicateDataset(name)
-            self._size[name] = size_bytes
+            sizes[name] = size_bytes
 
     def resolve(self, refs) -> None:
         """Check that every name is registered: the first unknown one raises MissingDataset."""

@@ -21,7 +21,6 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Optional
 
 from .model import (
@@ -32,6 +31,7 @@ from .model import (
     JobState,
     LifecycleEvent,
     ResourceKind,
+    SimConfig,
     projected_nodes,
     reject_duplicate_clusters,
     transition,
@@ -174,42 +174,8 @@ class EventLog:
         for seq, (t_ms, kind, payload) in enumerate(self.rows()):
             fh.write((canonical_line(t_ms, seq, kind, payload) + "\n").encode("utf-8"))
 
-    @classmethod
-    def parse_lines(cls, lines) -> "EventLog":
-        """Rebuild a log from canonical lines.
-
-        Raises ValueError on a line whose seq is not its position.
-        """
-        log = cls()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if obj["seq"] != len(log):
-                raise ValueError(f"event seq {obj['seq']} at position {len(log)}")
-            payload = tuple(chain.from_iterable(sorted(
-                (k, v) for k, v in obj.items() if k not in ("t", "seq", "kind"))))
-            log.append(obj["t"], SimEventKind(obj["kind"]), payload)
-        return log
-
-    @classmethod
-    def read(cls, path) -> "EventLog":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse_lines(fh)
-
 
 HORIZON_MS = 10_000_000_000   # virtual time past which live jobs are NonTerminating
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Tunable policy knobs; defaults give the full hybrid-sharing setup."""
-
-    retry_budget: int = 1
-    backfill: bool = True
-    hybrid_rigid_on_cloud: bool = False
-    first_preference_only: bool = False
 
 
 class SimulationError(Exception):
@@ -271,12 +237,7 @@ class Simulation:
         reject_duplicate_clusters(clusters)
         states = {s.cluster_id: ClusterState(s) for s in sorted(clusters, key=lambda s: s.cluster_id)}
         self.records: dict[str, JobRecord] = {}
-        self.scheduler = Scheduler(
-            states, self.records,
-            backfill=self.config.backfill,
-            hybrid_rigid_on_cloud=self.config.hybrid_rigid_on_cloud,
-            first_preference_only=self.config.first_preference_only,
-        )
+        self.scheduler = Scheduler(states, self.records, self.config)
         # elastic jobs run only on cloud pools, so only these can rescale
         self._cloud_ids = [cid for cid, cs in states.items()
                            if cs.spec.kind is ResourceKind.CLOUD]

@@ -162,6 +162,19 @@ class ClusterSpec:
     speed_factor: int
 
 
+@dataclass(frozen=True)
+class SimConfig:
+    """Tunable policy knobs; defaults give the full hybrid-sharing setup.
+
+    The engine reads retry_budget and the scheduler the three flags.
+    """
+
+    retry_budget: int = 1
+    backfill: bool = True
+    hybrid_rigid_on_cloud: bool = False
+    first_preference_only: bool = False
+
+
 @dataclass(slots=True)
 class JobRecord:
     """Mutable per-job record tracked by the platform.

@@ -24,6 +24,7 @@ from .model import (
     JobState,
     LifecycleEvent,
     ResourceKind,
+    SimConfig,
     transition,
 )
 
@@ -144,13 +145,10 @@ class Scheduler:
     """
 
     def __init__(self, clusters: dict[str, ClusterState], records: dict[str, JobRecord],
-                 *, backfill: bool = True, hybrid_rigid_on_cloud: bool = False,
-                 first_preference_only: bool = False):
+                 config: SimConfig):
         self.clusters = clusters
         self.records = records
-        self.backfill = backfill
-        self.hybrid_rigid_on_cloud = hybrid_rigid_on_cloud
-        self.first_preference_only = first_preference_only
+        self.config = config
         self._queue_keys: list[tuple] = []
         self._queue_entries: dict[str, QueueEntry] = {}
         self._submit_seq = 0
@@ -212,9 +210,9 @@ class Scheduler:
         if isinstance(spec.shape, Elastic):
             return (ResourceKind.CLOUD,)
         prefs = spec.kind_preferences
-        if self.first_preference_only:
+        if self.config.first_preference_only:
             prefs = prefs[:1]
-        if not self.hybrid_rigid_on_cloud:
+        if not self.config.hybrid_rigid_on_cloud:
             prefs = tuple(k for k in prefs if k is not ResourceKind.CLOUD)
         return prefs
 
@@ -272,7 +270,7 @@ class Scheduler:
                 if reservation is not None:
                     continue
                 reservation = self._reserve(entry, now_ms, free)
-                if reservation is None or not self.backfill:
+                if reservation is None or not self.config.backfill:
                     # no bounded start for the head (nodes down or held),
                     # or no backfill: nothing may pass it
                     break

@@ -84,8 +84,11 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
     if env.get("HYBRIDSCHED_ADDR"):
         raw["listen_addr"] = env["HYBRIDSCHED_ADDR"]
     cfg = ServiceConfig(clusters=clusters, scheduler=SimConfig(**sched), **raw)
-    if not isinstance(cfg.listen_addr, str) or not cfg.listen_addr.rpartition(":")[2].isdecimal():
-        raise ConfigError(f"listen_addr must be a host:port string, got {cfg.listen_addr!r}")
+    port = cfg.listen_addr.rpartition(":")[2] if isinstance(cfg.listen_addr, str) else ""
+    # at most five digits: this also keeps int() off a digit string too long to convert
+    if not (port.isascii() and port.isdecimal() and len(port) <= 5 and int(port) <= 65535):
+        raise ConfigError("listen_addr must be a host:port string with a port of 0-65535, "
+                          f"got {cfg.listen_addr!r}")
     if not isinstance(cfg.auth_header, str) or not cfg.auth_header:
         raise ConfigError("auth_header must be a non-empty string")
     if cfg.mode not in ("sim", "realtime"):
@@ -99,6 +102,8 @@ def load_config(path, env: Optional[dict] = None) -> ServiceConfig:
         raise ConfigError("scheduler.provision_delay_ms must be a non-negative integer")
     if not isinstance(cfg.users, list):
         raise ConfigError("users must be a list")
+    if not isinstance(cfg.datasets, list):
+        raise ConfigError("datasets must be a list")
     bandwidth = cfg.bandwidth_bytes_per_s
     if not isinstance(bandwidth, dict) or not all(
             model.is_integer(v) and v >= 0 for v in bandwidth.values()):
@@ -216,9 +221,7 @@ class Service:
                 raise ConfigError(f"bad user entry {entry!r}: {exc}") from exc
         try:
             self.catalog.register_datasets(config.datasets)
-        except KeyError as exc:
-            raise ConfigError(f"dataset entry is missing {exc}") from exc
-        except (catalog_mod.CatalogError, TypeError) as exc:
+        except catalog_mod.CatalogError as exc:
             raise ConfigError(f"bad dataset entry: {exc}") from exc
         # the catalog and the cloud layer are the one resident copy of the
         # datasets and users; the caller's config object is left as it was

@@ -7,7 +7,9 @@ the package cannot leak into its own check. The wire decoders at the
 end are the one exception: they are the package's earlier decoders,
 kept to check the current ones against, and build its value types (the
 earlier service config decoder builds the earlier config type, which
-held three scheduler settings of its own).
+held three scheduler settings of its own). `log_from_events` is a helper,
+not an oracle: it turns parsed log lines into an `EventLog` for tests
+that hand a log to the package.
 """
 
 import heapq
@@ -19,6 +21,7 @@ from typing import Optional
 
 from hybridsched import model
 from hybridsched.catalog import BadDatasetName, CatalogError, DuplicateDataset
+from hybridsched.engine import EventLog, SimEventKind
 from hybridsched.model import ClusterSpec, Elastic, JobSpec, MalformedSpec, ResourceKind, Rigid
 from hybridsched.service import ConfigError
 from hybridsched.traces import FaultDirective, MalformedTrace, SubmissionTrace
@@ -68,6 +71,24 @@ def staging_oracle(size_bytes, bandwidth_bytes_per_s):
     if not bandwidth_bytes_per_s:
         return 0
     return math.ceil(Fraction(1000 * size_bytes, bandwidth_bytes_per_s))
+
+
+DATASET_FIELDS = {"name", "size_bytes"}
+
+
+def reference_dataset_entry(entry):
+    """(name, size_bytes) of a config dataset entry, or the catalog's error
+    for its shape: not an object, then an unknown key, then a missing one,
+    each naming the least such key."""
+    if not isinstance(entry, dict):
+        raise CatalogError("dataset entry must be a JSON object")
+    unknown = sorted(set(entry) - DATASET_FIELDS)
+    if unknown:
+        raise CatalogError(f"unknown field: {unknown[0]}")
+    missing = sorted(DATASET_FIELDS - set(entry))
+    if missing:
+        raise CatalogError(f"missing field: {missing[0]}")
+    return entry["name"], entry["size_bytes"]
 
 
 def reference_register_dataset(sizes, name, size_bytes):
@@ -122,6 +143,17 @@ def log_events(log):
     """An EventLog's events as plain dicts ("t", "seq", "kind", payload keys),
     read back from its canonical bytes: the one way tests read a log."""
     return parse_log(log.canonical_bytes().splitlines())
+
+
+def log_from_events(events):
+    """An EventLog built through EventLog.append from parse_log's dicts, each
+    payload flattened in alphabetical key order; each seq must be its position."""
+    log = EventLog()
+    for position, event in enumerate(events):
+        assert event["seq"] == position, (event, position)
+        payload = sorted((k, v) for k, v in event.items() if k not in ("t", "seq", "kind"))
+        log.append(event["t"], SimEventKind(event["kind"]), tuple(x for kv in payload for x in kv))
+    return log
 
 
 TERMINAL_KINDS = {"JobFinished", "JobFailed", "JobTimedOut", "JobCancelled"}

@@ -11,7 +11,7 @@ from hybridsched.catalog import (
     DuplicateDataset,
     MissingDataset,
 )
-from oracles import reference_register_dataset, staging_oracle
+from oracles import reference_dataset_entry, reference_register_dataset, staging_oracle
 
 
 def register(cat, name, size_bytes):
@@ -51,6 +51,21 @@ class TestRegisterResolve:
         with pytest.raises(CatalogError, match="integer"):
             register(cat, "d", size)
         assert cat.names() == []
+
+    @pytest.mark.parametrize("entry, message", [
+        (["d", 1], "dataset entry must be a JSON object"),
+        ("d", "dataset entry must be a JSON object"),
+        ({"name": "d", "size_bytes": 1, "sise_bytes": 5}, "unknown field: sise_bytes"),
+        ({"name": "d", "sise_bytes": 5}, "unknown field: sise_bytes"),
+        ({"size_bytes": 1}, "missing field: name"),
+        ({}, "missing field: name"),
+    ])
+    def test_entry_shape_refused_with_our_message(self, entry, message):
+        cat = DatasetCatalog()
+        with pytest.raises(CatalogError) as err:
+            cat.register_datasets([{"name": "a", "size_bytes": 1}, entry])
+        assert str(err.value) == message
+        assert cat.names() == ["a"]
 
     def test_resolve_accepts_a_name_given_twice(self):
         cat = DatasetCatalog()
@@ -135,6 +150,9 @@ BAD_ENTRY = st.one_of(
     st.integers(), st.none(), st.text(max_size=2), st.lists(st.integers(), max_size=2),
     st.fixed_dictionaries({"name": NAMES}),
     st.fixed_dictionaries({"size_bytes": st.integers(0, 9)}),
+    # an unknown key beside both fields, or in place of one
+    st.builds(dict, GOOD_ENTRY, sise_bytes=st.integers(0, 9)),
+    st.fixed_dictionaries({"name": NAMES, "sise_bytes": st.integers(0, 9)}),
     st.fixed_dictionaries({"name": NAMES, "size_bytes": st.one_of(
         st.booleans(), st.floats(), st.text(max_size=2),
         st.integers(max_value=-1), st.none())}),
@@ -153,12 +171,13 @@ MALFORMED = [
     {"name": None, "size_bytes": 1}, {"name": ["z"], "size_bytes": 1},
     {"name": b"z", "size_bytes": 1}, {"name": "x", "size_bytes": 1},
     {"name": _Name("z"), "size_bytes": 1},
+    {"name": "z", "size_bytes": 1, "sise_bytes": 5}, {"name": "z", "sise_bytes": 1},
 ]
 
 
 def _register_one_by_one(sizes, entries):
     for entry in entries:
-        reference_register_dataset(sizes, entry["name"], entry["size_bytes"])
+        reference_register_dataset(sizes, *reference_dataset_entry(entry))
 
 
 def _error_of(register_all):

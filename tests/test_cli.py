@@ -289,7 +289,7 @@ class TestServe:
         ("datasets", [{"name": "d", "size_bytes": 1.5}], "size_bytes"),
         ("datasets", [{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}],
          "already registered"),
-        ("datasets", [{"size_bytes": 1}], "missing 'name'"),
+        ("datasets", [{"size_bytes": 1}], "missing field: name"),
         ("users", 5, "users must be a list"),
         ("scheduler", 5, "scheduler must be a JSON object"),
         ("scheduler", {"backfill": "false"}, "scheduler.backfill must be true or false"),
@@ -311,6 +311,13 @@ class TestServe:
         ("users", [{"user_id": "u", "dispaly_name": "U",
                     "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
                               "max_vcluster_nodes": 0}}], "unknown field: dispaly_name"),
+        ("datasets", {}, "datasets must be a list"),
+        ("datasets", [{"name": "d", "size_bytes": 1, "sise_bytes": 5}],
+         "unknown field: sise_bytes"),
+        # bind() would raise OverflowError on the first; the second, an
+        # Arabic-Indic three, would bind port 3
+        ("listen_addr", "127.0.0.1:70000", "port of 0-65535"),
+        ("listen_addr", "127.0.0.1:\u0663", "port of 0-65535"),
     ])
     def test_bad_config_exits_2_before_binding(self, tmp_path, capsys, monkeypatch,
                                               key, value, message):

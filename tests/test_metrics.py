@@ -31,7 +31,7 @@ def cluster(cid, kind, nodes, speed=1):
 
 
 def log_of(*lines):
-    return EventLog.parse_lines(list(lines))
+    return oracles.log_from_events(oracles.parse_log(lines))
 
 
 def submitted(t, seq, jid):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from hybridsched.model import (
@@ -12,6 +12,7 @@ from hybridsched.model import (
     JobState,
     ResourceKind,
     Rigid,
+    SimConfig,
 )
 from hybridsched.scheduler import (
     AlreadyTerminal,
@@ -52,7 +53,7 @@ def elastic(job_id, lo, hi, wall=10_000, work=10):
 def mk(specs, **flags):
     states = {c.cluster_id: ClusterState(c) for c in specs}
     records = {}
-    return Scheduler(states, records, **flags), records
+    return Scheduler(states, records, SimConfig(**flags)), records
 
 
 def add(sched, records, rec):
@@ -496,11 +497,30 @@ def plan_inputs(draw):
     return now, clusters, jobs
 
 
+def _rigid_spec(name, kind, nodes, wall):
+    return JobSpec(name=name, user_id="u", kind_preferences=(kind,), shape=Rigid(node_count=nodes),
+                   work_units=10, walltime_limit_ms=wall)
+
+
+# H reserves cpu0 nodes 0-4 at t=100, which leaves cpu0 node 5 outside the
+# reservation; S starts on gpu0, and must not be charged to cpu0's spare
+# nodes, so L (too long to finish before t=100) still starts on node 5
+RESERVED_SPARE_SITE = (
+    0,
+    [("cpu0", CPU, [("busy", 100)] * 2 + [("free", 100)] * 4),
+     ("gpu0", GPU, [("busy", 1000)] * 6 + [("free", 1000)] * 2)],
+    [("H", _rigid_spec("H", CPU, 5, 50), False),
+     ("S", _rigid_spec("S", GPU, 1, 50), False),
+     ("L", _rigid_spec("L", CPU, 1, 500), False)],
+)
+
+
 @pytest.mark.extra_seeds
 class TestPlanAgainstReference:
     """plan() returns what the straight queue walk in oracles returns."""
 
     @given(plan_inputs())
+    @example(RESERVED_SPARE_SITE)
     @settings(max_examples=250, deadline=None)
     def test_same_decision_as_reference_plan(self, drawn):
         # one drawn site at three clock readings, before every node's

@@ -840,6 +840,12 @@ class TestConfigFile:
         ("auth_header", 5, "auth_header must be a non-empty string"),
         ("auth_header", "", "auth_header must be a non-empty string"),
         ("mode", 5, "unknown mode 5"),
+        # a port is 0-65535 in ASCII digits: bind() would raise OverflowError
+        # on the first, and the second, an Arabic-Indic three, would bind port 3
+        ("listen_addr", "127.0.0.1:70000", "port of 0-65535"),
+        ("listen_addr", "127.0.0.1:\u0663", "port of 0-65535"),
+        ("listen_addr", "127.0.0.1:65536", "port of 0-65535"),
+        ("listen_addr", "127.0.0.1:000080", "port of 0-65535"),
     ])
     def test_rejects_wrongly_typed_top_level_fields(self, tmp_path, key, value, message):
         obj = self.good_obj()
@@ -863,6 +869,17 @@ class TestConfigFile:
     def test_env_listen_addr_is_checked_too(self, tmp_path):
         with pytest.raises(ConfigError, match="listen_addr"):
             load_config(self.write(tmp_path, self.good_obj()), env={"HYBRIDSCHED_ADDR": "nohost"})
+
+    @pytest.mark.parametrize("addr", ["0.0.0.0:70000", "0.0.0.0:\u0663", "0.0.0.0:" + "9" * 5000])
+    def test_env_port_out_of_range_is_refused(self, tmp_path, addr):
+        with pytest.raises(ConfigError, match="port of 0-65535"):
+            load_config(self.write(tmp_path, self.good_obj()), env={"HYBRIDSCHED_ADDR": addr})
+
+    @pytest.mark.parametrize("port", ["0", "65535", "08080"])
+    def test_ports_at_the_bounds_are_taken(self, tmp_path, port):
+        obj = self.good_obj()
+        obj["listen_addr"] = f"127.0.0.1:{port}"
+        assert load_config(self.write(tmp_path, obj), env={}).listen_addr == obj["listen_addr"]
 
     @pytest.mark.parametrize("value", [-1, "1", 1.5, True, None])
     def test_rejects_bad_retry_budget(self, tmp_path, value):
@@ -921,21 +938,22 @@ class TestConfigFile:
         ([{"name": "d", "size_bytes": True}], "non-negative integer"),
         ([{"name": "d", "size_bytes": "10"}], "non-negative integer"),
         ([{"name": "d", "size_bytes": -1}], "non-negative integer"),
-        ([{"name": "d"}], "missing 'size_bytes'"),
-        ([{"size_bytes": 1}], "missing 'name'"),
-        (["d"], "bad dataset entry"),
-        (5, "bad dataset entry"),
+        ([{"name": "d"}], "missing field: size_bytes"),
+        ([{"size_bytes": 1}], "missing field: name"),
+        (["d"], "bad dataset entry: dataset entry must be a JSON object"),
+        # a key beside the two fields is refused, not dropped
+        ([{"name": "d", "size_bytes": 1, "sise_bytes": 5}], "unknown field: sise_bytes"),
         ([{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}],
          "'d' already registered"),
         # more than one bad entry: the first in file order is reported
         ([{"name": "", "size_bytes": 1}, {"name": "e"}], "non-empty string"),
         ([{"name": "d"}, {"name": "e", "size_bytes": 1}, {"name": "e", "size_bytes": 2}],
-         "missing 'size_bytes'"),
+         "missing field: size_bytes"),
         ([{"name": "d", "size_bytes": 1}, {"name": "d", "size_bytes": 2}, {"size_bytes": 3}],
          "'d' already registered"),
         ([{"name": "d", "size_bytes": -1}, "e", {"name": 5, "size_bytes": 1}],
          "non-negative integer"),
-        (["e", {"name": "", "size_bytes": 1}], "string indices must be integers"),
+        (["e", {"name": "", "size_bytes": 1}], "dataset entry must be a JSON object"),
         ([{"name": "d", "size_bytes": 1}, {"name": ["d"], "size_bytes": 1}, {"name": "d"}],
          "non-empty string"),
     ])
@@ -945,6 +963,13 @@ class TestConfigFile:
         config = load_config(self.write(tmp_path, obj), env={})
         with pytest.raises(ConfigError, match=message):
             Service(config)
+
+    @pytest.mark.parametrize("datasets", [5, {}, "", {"d": 5}, None])
+    def test_rejects_datasets_that_are_not_a_list(self, tmp_path, datasets):
+        obj = self.good_obj()
+        obj["datasets"] = datasets
+        with pytest.raises(ConfigError, match="^datasets must be a list$"):
+            load_config(self.write(tmp_path, obj), env={})
 
 
 class TestReferenceCounting:
