@@ -153,9 +153,8 @@ def cmd_simulate(args) -> int:
         clusters = cluster_specs_from_obj(read_json(args.clusters, MalformedSpec))
     except (OSError, ValidationError) as exc:
         return _fail(f"bad clusters file {args.clusters}: {exc}")
-    config = SimConfig()
     try:
-        log, records = run_trace(trace, clusters, config)
+        log, records = run_trace(trace, clusters)
     except NonTerminating as exc:
         return _fail(f"simulation did not terminate: {exc}", EXIT_GUARD)
     except ValidationError as exc:
@@ -174,9 +173,11 @@ def cmd_simulate(args) -> int:
     print(f"log written to {args.out}")
     print(report.render_text())
     if args.compare_baseline:
-        baseline = SimConfig(first_preference_only=True)
-        result = compare(trace, clusters, config_a=baseline, config_b=config,
-                         label_a="partitioned", label_b="hybrid")
+        try:
+            baseline, _ = run_trace(trace, clusters, SimConfig(first_preference_only=True))
+        except NonTerminating as exc:   # waiting for a first preference can pass the horizon
+            return _fail(f"baseline simulation did not terminate: {exc}", EXIT_GUARD)
+        result = compare(baseline, log, clusters, label_a="partitioned", label_b="hybrid")
         print()
         print(result.render_text())
     return EXIT_OK

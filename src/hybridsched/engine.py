@@ -451,10 +451,7 @@ class Simulation:
         try:
             self.scheduler.enqueue(record)
         except Unsatisfiable:
-            # There is no Queued->Failed edge in the lifecycle table, so a
-            # job no acceptable cluster could ever hold is failed here,
-            # before it enters the queue.
-            record.state = JobState.FAILED
+            record.state = transition(record.state, LifecycleEvent.ERRORED)
             record.end_ms = self.clock
             self._retire(job_id)
             self._emit(SimEventKind.JOB_FAILED, "job_id", job_id)
@@ -535,7 +532,6 @@ class Simulation:
         """Run a job that plan placed (on its record): Running, JobStarted, timer armed."""
         record = self.records[job_id]
         cs = self.scheduler.clusters[record.cluster_id]
-        record.state = transition(record.state, LifecycleEvent.SCHEDULED)
         record.state = transition(record.state, LifecycleEvent.STARTED)
         self._run[job_id].credit_from_ms = (
             self.clock + self._staging_delay(record.spec, cs.spec))

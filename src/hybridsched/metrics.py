@@ -3,9 +3,9 @@
 Everything here is exact integer arithmetic over the canonical log: busy
 node-time from allocation segments, available node-time net of downtime
 and vcluster holds, wait/turnaround statistics with nearest-rank
-percentiles, and side-by-side comparisons of two configurations run on
-the same trace. Ratios are rendered to four decimals by integer
-arithmetic (half-up); no floats are involved anywhere.
+percentiles, and side-by-side comparisons of two runs of the same
+trace. Ratios are rendered to four decimals by integer arithmetic
+(half-up); no floats are involved anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import EventLog, SimConfig, SimEventKind, TERMINAL_EVENT_KINDS, payload_get, run_trace
+from .engine import EventLog, SimEventKind, TERMINAL_EVENT_KINDS, payload_get
 from .model import ClusterSpec
 
 
@@ -301,7 +301,7 @@ def wait_stats(log: EventLog) -> WaitStats:
 
 @dataclass(frozen=True)
 class Comparison:
-    """Two configurations run on one trace, plus deltas (B minus A)."""
+    """Two runs of one trace, plus deltas (B minus A)."""
 
     label_a: str
     label_b: str
@@ -341,16 +341,13 @@ class Comparison:
         ])
 
 
-def compare(trace, clusters: list[ClusterSpec],
-            config_a: Optional[SimConfig] = None, config_b: Optional[SimConfig] = None,
+def compare(log_a: EventLog, log_b: EventLog, clusters: list[ClusterSpec],
             label_a: str = "A", label_b: str = "B") -> Comparison:
-    """Run one trace on one cluster list under two configurations, side by side.
+    """Replay two finished logs of one trace on one cluster list, side by side.
 
     Both sides are measured over the shared window (0, max last event
     time) so busy time is compared against equal availability.
     """
-    log_a, _ = run_trace(trace, clusters, config_a)
-    log_b, _ = run_trace(trace, clusters, config_b)
     last_a = log_a.t_ms[-1] if len(log_a) else 0
     last_b = log_b.t_ms[-1] if len(log_b) else 0
     to_ms = max(last_a, last_b, 1)

@@ -37,7 +37,9 @@ class ResourceKind(str, Enum):
 
 
 class JobState(str, Enum):
-    """Lifecycle states of a job.
+    """Lifecycle states of a job, one per Job* event kind: a job is in the
+    state its last JobSubmitted, JobQueued, JobStarted, JobFinished,
+    JobFailed, JobTimedOut or JobCancelled event names.
 
     Completed, Failed, Cancelled and TimedOut are terminal: once reached,
     no event moves the job anywhere else.
@@ -45,7 +47,6 @@ class JobState(str, Enum):
 
     SUBMITTED = "Submitted"
     QUEUED = "Queued"
-    DISPATCHED = "Dispatched"
     RUNNING = "Running"
     COMPLETED = "Completed"
     FAILED = "Failed"
@@ -66,7 +67,6 @@ class LifecycleEvent(str, Enum):
     """Events that drive the job state machine."""
 
     VALIDATED = "Validated"
-    SCHEDULED = "Scheduled"
     STARTED = "Started"
     FINISHED = "Finished"
     ERRORED = "Errored"
@@ -302,18 +302,16 @@ def validate_job(spec: JobSpec, known_kinds: set[ResourceKind]) -> JobSpec:
     return spec
 
 
-# Lifecycle table. NodeLost from Running goes back to Queued while the
-# retry budget lasts, to Failed once it is exhausted.
+# Lifecycle table: the moves the engine makes, and no others. NodeLost
+# from Running goes back to Queued while the retry budget lasts, to
+# Failed once it is exhausted.
 _TRANSITIONS: dict[tuple[JobState, LifecycleEvent], JobState] = {
     (JobState.SUBMITTED, LifecycleEvent.VALIDATED): JobState.QUEUED,
-    (JobState.QUEUED, LifecycleEvent.SCHEDULED): JobState.DISPATCHED,
-    (JobState.DISPATCHED, LifecycleEvent.STARTED): JobState.RUNNING,
+    (JobState.SUBMITTED, LifecycleEvent.ERRORED): JobState.FAILED,
+    (JobState.QUEUED, LifecycleEvent.STARTED): JobState.RUNNING,
     (JobState.RUNNING, LifecycleEvent.FINISHED): JobState.COMPLETED,
-    (JobState.RUNNING, LifecycleEvent.ERRORED): JobState.FAILED,
     (JobState.RUNNING, LifecycleEvent.WALLTIME_EXCEEDED): JobState.TIMED_OUT,
-    (JobState.SUBMITTED, LifecycleEvent.CANCEL_REQUESTED): JobState.CANCELLED,
     (JobState.QUEUED, LifecycleEvent.CANCEL_REQUESTED): JobState.CANCELLED,
-    (JobState.DISPATCHED, LifecycleEvent.CANCEL_REQUESTED): JobState.CANCELLED,
     (JobState.RUNNING, LifecycleEvent.CANCEL_REQUESTED): JobState.CANCELLED,
 }
 

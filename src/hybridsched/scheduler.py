@@ -364,7 +364,7 @@ class Scheduler:
         freed: tuple[int, ...] = ()
         if job.state is JobState.QUEUED:
             self.remove_queued(job_id)
-        elif job.state in (JobState.DISPATCHED, JobState.RUNNING):
+        elif job.state is JobState.RUNNING:
             _, freed = self.release(job_id)
         job.state = transition(job.state, LifecycleEvent.CANCEL_REQUESTED)
         return job.state, freed

@@ -29,22 +29,19 @@ from hybridsched.traces import FaultDirective, MalformedTrace, SubmissionTrace
 
 # --- lifecycle table, hand-walked ------------------------------------------
 
-STATES = ("Submitted", "Queued", "Dispatched", "Running",
+STATES = ("Submitted", "Queued", "Running",
           "Completed", "Failed", "Cancelled", "TimedOut")
-EVENTS = ("Validated", "Scheduled", "Started", "Finished",
+EVENTS = ("Validated", "Started", "Finished",
           "Errored", "CancelRequested", "WalltimeExceeded", "NodeLost")
 
 # None = invalid pair. "NodeLost" from Running depends on the retry
 # budget and is resolved by transition_oracle below.
 TRANSITION_TABLE = {
     ("Submitted", "Validated"): "Queued",
-    ("Submitted", "CancelRequested"): "Cancelled",
-    ("Queued", "Scheduled"): "Dispatched",
+    ("Submitted", "Errored"): "Failed",
+    ("Queued", "Started"): "Running",
     ("Queued", "CancelRequested"): "Cancelled",
-    ("Dispatched", "Started"): "Running",
-    ("Dispatched", "CancelRequested"): "Cancelled",
     ("Running", "Finished"): "Completed",
-    ("Running", "Errored"): "Failed",
     ("Running", "WalltimeExceeded"): "TimedOut",
     ("Running", "CancelRequested"): "Cancelled",
     ("Running", "NodeLost"): "budget",

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, rendering, --json passthrough, offline simulate."""
 
+import hashlib
 import json
 import pathlib
 import socket
@@ -13,6 +14,7 @@ import requests
 import hybridsched
 from hybridsched import cli as cli_mod
 from hybridsched.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_REMOTE, main
+from hybridsched.engine import Simulation
 from hybridsched.model import (
     ClusterSpec,
     JobSpec,
@@ -33,6 +35,7 @@ from hybridsched.traces import (
 )
 
 CPU = ResourceKind.CPU
+GPU = ResourceKind.GPU
 
 
 def cluster(cid, kind, nodes, speed=1):
@@ -198,6 +201,22 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "partitioned" in out and "hybrid" in out
 
+    def test_compare_baseline_runs_two_simulations(self, tmp_path, capsys, monkeypatch):
+        # the hybrid run's own log is replayed; only the baseline is run again
+        trace_path, clusters_path = self.write_inputs(tmp_path, seed=9, n_jobs=300)
+        runs = []
+        run = Simulation.run_to_quiescence
+        monkeypatch.setattr(Simulation, "run_to_quiescence",
+                            lambda sim: runs.append(sim) or run(sim))
+        out = tmp_path / "o.jsonl"
+        assert main(["simulate", "--trace", trace_path, "--clusters", clusters_path,
+                     "--out", str(out), "--compare-baseline"]) == EXIT_OK
+        assert len(runs) == 2
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        # the bytes the three-run form printed for this input
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "6cf30ca83527b7dfbdefc284927a448146445ca40b6cc114810c7b4a0f6235fd")
+
     def test_bad_inputs_exit_2(self, tmp_path, capsys):
         trace_path, clusters_path = self.write_inputs(tmp_path)
         assert main(["simulate", "--trace", str(tmp_path / "none.json"),
@@ -281,6 +300,27 @@ class TestSimulate:
                      "--out", str(tmp_path / "o.jsonl")])
         assert code == EXIT_GUARD
         assert "did not terminate" in capsys.readouterr().err
+
+    def test_a_baseline_past_the_horizon_exits_3(self, tmp_path, capsys):
+        # flex runs on cpu0 in the hybrid run; pinned to gpu0 it waits for
+        # the blocker and would finish at 1.1e10 ms, past the horizon
+        def job(name, prefs, work):
+            return JobSpec(name=name, user_id="u", kind_preferences=prefs,
+                           shape=Rigid(node_count=1), work_units=work,
+                           walltime_limit_ms=3 * 10**10)
+        trace_path = tmp_path / "trace.json"
+        write_trace(SubmissionTrace(jobs=[(0, job("blocker", (GPU,), 6 * 10**6)),
+                                          (1, job("flex", (GPU, CPU), 5 * 10**6))]), trace_path)
+        clusters_path = tmp_path / "clusters.json"
+        clusters_path.write_text(json.dumps(
+            [cluster_spec_to_obj(c) for c in (cluster("gpu0", GPU, 1), cluster("cpu0", CPU, 1))]))
+        out = tmp_path / "o.jsonl"
+        code = main(["simulate", "--trace", str(trace_path), "--clusters", str(clusters_path),
+                     "--out", str(out), "--compare-baseline"])
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.startswith("hsctl: baseline simulation did not terminate") and err.count("\n") == 1
+        assert out.exists()
 
 
 class TestServe:

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import log_events
-from hybridsched import engine
+from hybridsched import engine, model
+from hybridsched import scheduler as scheduler_mod
 from hybridsched.catalog import DatasetCatalog, MissingDataset
 from hybridsched.cloud import CloudLayer, Quota
 from hybridsched.engine import (
@@ -34,6 +35,7 @@ from hybridsched.model import (
     Elastic,
     JobSpec,
     JobState,
+    LifecycleEvent,
     ResourceKind,
     Rigid,
     UnknownKind,
@@ -407,6 +409,79 @@ class TestCancellation:
         assert sim.records["j000001"].state is JobState.CANCELLED
         sim.run_to_quiescence()
         assert sim.records["j000000"].state is JobState.COMPLETED
+
+
+# Each job state is the one its last Job* event names.
+STATE_OF_EVENT = {
+    SimEventKind.JOB_SUBMITTED: JobState.SUBMITTED,
+    SimEventKind.JOB_QUEUED: JobState.QUEUED,
+    SimEventKind.JOB_STARTED: JobState.RUNNING,
+    SimEventKind.JOB_FINISHED: JobState.COMPLETED,
+    SimEventKind.JOB_FAILED: JobState.FAILED,
+    SimEventKind.JOB_TIMED_OUT: JobState.TIMED_OUT,
+    SimEventKind.JOB_CANCELLED: JobState.CANCELLED,
+}
+
+
+class TestLifecycleRows:
+    """Every row of the lifecycle table is a move some run makes, and the
+    table is the only way a job's state changes."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        moves = set()
+
+        def spy(state, event, *, retries_left=1):
+            nxt = model.transition(state, event, retries_left=retries_left)
+            moves.add((state, event, nxt))
+            return nxt
+        monkeypatch.setattr(engine, "transition", spy)
+        monkeypatch.setattr(scheduler_mod, "transition", spy)
+        return moves
+
+    def runs(self):
+        """(log, records) of seeded traces with faults, hybrid off and on, and of
+        one run that cancels a queued and a running job."""
+        for seed in range(1, 13):
+            clusters = random_clusters(seed)
+            trace = random_trace(seed, clusters, 150, n_faults=6)
+            for hybrid in (False, True):
+                yield run_trace(trace, clusters, SimConfig(hybrid_rigid_on_cloud=hybrid))
+        sim = Simulation([cluster("cpu0", CPU, 1)])
+        sim.submit_now(rigid("a", 1, 10, 30_000))
+        sim.submit_now(rigid("b", 1, 1, 30_000))
+        sim.advance_to(500)
+        sim.cancel_now("j000001")
+        sim.cancel_now("j000000")
+        sim.run_to_quiescence()
+        yield sim.log, sim.records
+
+    def test_each_state_is_named_by_one_job_event_kind(self):
+        assert sorted(STATE_OF_EVENT.values()) == sorted(JobState)
+        assert sorted(s.value for s in JobState) == sorted(oracles.STATES)
+
+    def test_no_row_is_dead(self, taken):
+        for _ in self.runs():
+            pass
+        rows = {(state, event) for state, event, _ in taken}
+        assert rows - {(JobState.RUNNING, LifecycleEvent.NODE_LOST)} == set(model._TRANSITIONS)
+        node_lost = {nxt for state, event, nxt in taken if event is LifecycleEvent.NODE_LOST}
+        assert node_lost == {JobState.QUEUED, JobState.FAILED}
+
+    def test_job_events_walk_the_table_to_the_final_state(self, taken):
+        for log, records in self.runs():
+            moves = {(state, nxt) for state, _, nxt in taken}
+            seen = {}
+            for e in log_events(log):
+                kind = SimEventKind(e["kind"])
+                if kind in STATE_OF_EVENT:
+                    seen.setdefault(e["job_id"], []).append(STATE_OF_EVENT[kind])
+            assert seen.keys() == records.keys()
+            for job_id, states in seen.items():
+                assert states[0] is JobState.SUBMITTED
+                for before, after in zip(states, states[1:]):
+                    assert (before, after) in moves, (job_id, states)
+                assert states[-1] is records[job_id].state
 
 
 class TestStepping:

@@ -309,11 +309,16 @@ class TestWaitStats:
             oracles.log_events(sim.log))
 
 
+def two_logs(trace, clusters, config_a=None, config_b=None):
+    """The logs of one trace run under two configurations, for compare."""
+    return run_trace(trace, clusters, config_a)[0], run_trace(trace, clusters, config_b)[0]
+
+
 class TestCompare:
     def test_identical_sides_have_zero_delta(self):
         clusters = random_clusters(21)
         trace = random_trace(21, clusters, 20, arrival_span_ms=3_000)
-        cmp = compare(trace, clusters)
+        cmp = compare(*two_logs(trace, clusters), clusters)
         assert cmp.delta_utilization_fixed4 == 0
         assert cmp.utilization_a.window == cmp.utilization_b.window
         obj = cmp.to_obj()
@@ -323,7 +328,7 @@ class TestCompare:
     def test_labels_and_render(self):
         clusters = random_clusters(22)
         trace = random_trace(22, clusters, 10, arrival_span_ms=2_000)
-        cmp = compare(trace, clusters,
+        cmp = compare(*two_logs(trace, clusters), clusters,
                       label_a="baseline", label_b="candidate")
         text = cmp.render_text()
         assert "baseline" in text and "candidate" in text
@@ -338,8 +343,8 @@ class TestCompare:
             for t, name, nodes, work, wall in [(0, "blocker", 1, 30, 60_000),
                                                (1, "wide", 2, 10, 60_000),
                                                (2, "narrow", 1, 10, 10_000)]])
-        cmp = compare(trace, clusters,
-                      config_a=SimConfig(backfill=True), config_b=SimConfig(backfill=False))
+        cmp = compare(*two_logs(trace, clusters, SimConfig(backfill=True),
+                                SimConfig(backfill=False)), clusters)
         assert (cmp.waits_a.makespan_ms, cmp.waits_b.makespan_ms) == (35_000, 45_000)
         assert cmp.utilization_a.window == cmp.utilization_b.window == (0, 45_000)
         # A is measured over B's longer window: 50,000 of 90,000 node-ms, not of 70,000
@@ -359,9 +364,8 @@ class TestCompare:
                           shape=Rigid(node_count=1), work_units=30,
                           walltime_limit_ms=60_000)
         trace = SubmissionTrace(jobs=[(0, blocker), (1, wide), (2, narrow)])
-        cmp = compare(trace, clusters,
-                      config_a=SimConfig(backfill=False),
-                      config_b=SimConfig(backfill=True))
+        cmp = compare(*two_logs(trace, clusters, SimConfig(backfill=False),
+                                SimConfig(backfill=True)), clusters)
         # narrow slips into the blocker's shadow: finishes sooner
         assert cmp.waits_b.makespan_ms < cmp.waits_a.makespan_ms
         assert cmp.waits_b.mean_wait_ms < cmp.waits_a.mean_wait_ms

@@ -108,8 +108,8 @@ class TestValidateJob:
 class TestTransitions:
     def test_happy_path(self):
         s = JobState.SUBMITTED
-        for ev in (LifecycleEvent.VALIDATED, LifecycleEvent.SCHEDULED,
-                   LifecycleEvent.STARTED, LifecycleEvent.FINISHED):
+        for ev in (LifecycleEvent.VALIDATED, LifecycleEvent.STARTED,
+                   LifecycleEvent.FINISHED):
             s = transition(s, ev)
         assert s is JobState.COMPLETED
 
@@ -129,7 +129,7 @@ class TestTransitions:
                     transition(state, ev)
 
     def test_full_matrix_against_oracle(self):
-        # all 64 pairs, both budget levels for the one budget-dependent cell
+        # all 49 pairs, both budget levels for the one budget-dependent cell
         for state in JobState:
             for ev in LifecycleEvent:
                 for budget in (0, 1):
