@@ -130,8 +130,8 @@ class EventLog:
     """Append-only event record with a byte-stable canonical form.
 
     Events are kept as three parallel columns (t_ms, kind, flat payload
-    tuple); an event's seq is its position, so an entry costs three list
-    slots and no object of its own.
+    tuple); an event's seq is its position. A payload may be shared: the
+    engine logs a job's node tuple and its one identity row as it holds them.
     """
 
     def __init__(self):
@@ -203,6 +203,7 @@ class PastTime(SimulationError):
 class _RunState:
     """Timer and crediting state of one live job; its placement and work are on its JobRecord."""
 
+    ident: tuple = ()             # ("job_id", job_id): every job-only row of the job logs it
     epoch: int = 0
     retries_left: int = 1
     credit_from_ms: int = 0       # crediting starts here (start + staging)
@@ -264,8 +265,8 @@ class Simulation:
     def clusters(self) -> dict[str, ClusterState]:
         return self.scheduler.clusters
 
-    def _emit(self, kind: SimEventKind, *payload):
-        """Log an event now; payload is (k1, v1, k2, v2, ...), keys in alphabetical order."""
+    def _emit(self, kind: SimEventKind, payload: tuple):
+        """Log an event now; payload, (k1, v1, ...) keys alphabetical, is kept as given."""
         self.log.append(self.clock, kind, payload)
 
     def _push(self, t_ms: int, tag: int, a, b):
@@ -315,8 +316,7 @@ class Simulation:
             self._credit(job_id)    # a running job keeps the work done up to now
         state, _freed = self.scheduler.cancel(job_id)
         self.records[job_id].end_ms = self.clock
-        self._retire(job_id)
-        self._emit(SimEventKind.JOB_CANCELLED, "job_id", job_id)
+        self._emit(SimEventKind.JOB_CANCELLED, self._retire(job_id))
         self._plan_cycle()
         return state
 
@@ -344,14 +344,14 @@ class Simulation:
                 raise SimulationError(f"node {n} on {cluster_id} is not free")
         cs.held.update(nodes)
         self._emit(SimEventKind.NODES_HELD,
-                   "cluster_id", cluster_id, "node_indices", sorted(nodes))
+                   ("cluster_id", cluster_id, "node_indices", tuple(sorted(nodes))))
 
     def release_hold(self, cluster_id: str, nodes: tuple[int, ...]):
         """Return carved-out nodes to scheduler visibility, log NodesReleased, replan."""
         cs = self.scheduler.clusters[cluster_id]
         cs.held.difference_update(nodes)
         self._emit(SimEventKind.NODES_RELEASED,
-                   "cluster_id", cluster_id, "node_indices", sorted(nodes))
+                   ("cluster_id", cluster_id, "node_indices", tuple(sorted(nodes))))
         self._plan_cycle()
 
     # -- time -------------------------------------------------------------
@@ -421,20 +421,21 @@ class Simulation:
         rs = self._run.get(job_id)      # None once the job has ended
         return rs is not None and rs.epoch == epoch
 
-    def _retire(self, job_id: str):
+    def _retire(self, job_id: str) -> tuple:
         """The one terminal hook: drop a job's live state; its JobRecord keeps the results.
 
-        Every transition into a terminal state calls it, after the job has
-        released its nodes and before its terminal event is logged.
+        Every transition into a terminal state calls it, after the job has released
+        its nodes; the terminal event logs the job's identity row, which it returns.
         """
         record = self.records[job_id]
-        del self._run[job_id]
+        ident = self._run.pop(job_id).ident
         user = record.spec.user_id
         jobs, nodes = self._user_load[user]
         if jobs == 1:
             del self._user_load[user]
         else:
             self._user_load[user] = (jobs - 1, nodes - projected_nodes(record.spec))
+        return ident
 
     # -- event handlers ---------------------------------------------------
 
@@ -444,20 +445,19 @@ class Simulation:
         if isinstance(spec.shape, Elastic):
             record.worker_history = []
         self.records[job_id] = record
-        self._run[job_id] = _RunState(retries_left=self.config.retry_budget)
+        self._run[job_id] = rs = _RunState(("job_id", job_id), retries_left=self.config.retry_budget)
         jobs, nodes = self._user_load.get(spec.user_id, (0, 0))
         self._user_load[spec.user_id] = (jobs + 1, nodes + projected_nodes(spec))
-        self._emit(SimEventKind.JOB_SUBMITTED, "job_id", job_id)
+        self._emit(SimEventKind.JOB_SUBMITTED, rs.ident)
         try:
             self.scheduler.enqueue(record)
         except Unsatisfiable:
             record.state = transition(record.state, LifecycleEvent.ERRORED)
             record.end_ms = self.clock
-            self._retire(job_id)
-            self._emit(SimEventKind.JOB_FAILED, "job_id", job_id)
+            self._emit(SimEventKind.JOB_FAILED, self._retire(job_id))
             return
         record.state = transition(record.state, LifecycleEvent.VALIDATED)
-        self._emit(SimEventKind.JOB_QUEUED, "job_id", job_id)
+        self._emit(SimEventKind.JOB_QUEUED, rs.ident)
 
     def _end_run(self, job_id: str, event: LifecycleEvent, kind: SimEventKind):
         """A running job's timer fired: it finished or hit its walltime."""
@@ -466,8 +466,7 @@ class Simulation:
         record.state = transition(record.state, event)
         record.end_ms = self.clock
         self.scheduler.release(job_id)
-        self._retire(job_id)
-        self._emit(kind, "job_id", job_id)
+        self._emit(kind, self._retire(job_id))
 
     def _handle_node_down(self, cluster_id: str, node_index: int):
         # Faults may overlap or touch on one node: only the first opens the
@@ -480,7 +479,7 @@ class Simulation:
         self._down_depth[key] = 1
         cs = self.scheduler.clusters[cluster_id]
         cs.down.add(node_index)
-        self._emit(SimEventKind.NODE_DOWN, "cluster_id", cluster_id, "node_index", node_index)
+        self._emit(SimEventKind.NODE_DOWN, ("cluster_id", cluster_id, "node_index", node_index))
         victim = cs.owner.get(node_index)
         if victim is None:
             return
@@ -495,11 +494,10 @@ class Simulation:
             rs.retries_left -= 1
             record.credited_milli = 0   # restart from scratch on the next attempt
             self.scheduler.enqueue(record)
-            self._emit(SimEventKind.JOB_QUEUED, "job_id", victim)
+            self._emit(SimEventKind.JOB_QUEUED, rs.ident)
         else:
             record.end_ms = self.clock
-            self._retire(victim)
-            self._emit(SimEventKind.JOB_FAILED, "job_id", victim)
+            self._emit(SimEventKind.JOB_FAILED, self._retire(victim))
 
     def _handle_node_up(self, cluster_id: str, node_index: int):
         key = (cluster_id, node_index)
@@ -512,7 +510,7 @@ class Simulation:
         del self._down_depth[key]
         cs = self.scheduler.clusters[cluster_id]
         cs.down.discard(node_index)
-        self._emit(SimEventKind.NODE_UP, "cluster_id", cluster_id, "node_index", node_index)
+        self._emit(SimEventKind.NODE_UP, ("cluster_id", cluster_id, "node_index", node_index))
 
     # -- the plan cycle ---------------------------------------------------
 
@@ -535,14 +533,14 @@ class Simulation:
         record.state = transition(record.state, LifecycleEvent.STARTED)
         self._run[job_id].credit_from_ms = (
             self.clock + self._staging_delay(record.spec, cs.spec))
-        nodes = list(record.node_indices)
+        nodes = record.node_indices     # the scheduler replaces it at a resize, never mutates it
         if isinstance(record.spec.shape, Elastic):
             record.worker_history.append((self.clock, len(nodes)))
-            self._emit(SimEventKind.JOB_STARTED, "cluster_id", record.cluster_id,
-                       "job_id", job_id, "node_indices", nodes, "workers", len(nodes))
+            self._emit(SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
+                       "job_id", job_id, "node_indices", nodes, "workers", len(nodes)))
         else:
-            self._emit(SimEventKind.JOB_STARTED, "cluster_id", record.cluster_id,
-                       "job_id", job_id, "node_indices", nodes)
+            self._emit(SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
+                       "job_id", job_id, "node_indices", nodes))
         self._schedule_finish(job_id)
 
     def _staging_delay(self, spec: JobSpec, cluster: ClusterSpec) -> int:
@@ -594,8 +592,8 @@ class Simulation:
                 new_nodes = self.scheduler.apply_worker_count(job_id, target)
                 workers = len(new_nodes)
                 records[job_id].worker_history.append((self.clock, workers))
-                self._emit(SimEventKind.RESCALE_APPLIED, "cluster_id", cid, "job_id", job_id,
-                           "node_indices", list(new_nodes), "workers", workers)
+                self._emit(SimEventKind.RESCALE_APPLIED, ("cluster_id", cid, "job_id", job_id,
+                           "node_indices", new_nodes, "workers", workers))
                 self._schedule_finish(job_id)
 
 

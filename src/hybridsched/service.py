@@ -416,6 +416,14 @@ def _request_timeout() -> ApiError:
     return ApiError("request_timeout", f"request not sent in {REQUEST_TIMEOUT_S} s", 408)
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits only; int() alone also takes
+    spaces, '+', '_' and other scripts' digits. Anything else raises ValueError."""
+    if not (text.isascii() and text.removeprefix("-").isdecimal()):
+        raise ValueError(text)
+    return int(text)    # also ValueError past int()'s digit limit
+
+
 class _Request:
     def __init__(self, environ):
         self.environ = environ
@@ -424,7 +432,7 @@ class _Request:
     def body(self) -> bytes:
         if self._body is None:
             try:
-                length = int(self.environ.get("CONTENT_LENGTH") or 0)
+                length = _ascii_int(self.environ.get("CONTENT_LENGTH") or "0")
             except ValueError:
                 length = 0
             if length > MAX_BODY_BYTES:
@@ -456,7 +464,7 @@ class _Request:
         if not raw:
             return None
         try:
-            return int(raw[0])
+            return _ascii_int(raw[0])
         except ValueError:
             raise ApiError("validation_failed", f"{name} must be an integer", 422)
 

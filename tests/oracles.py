@@ -144,11 +144,13 @@ def log_events(log):
 
 def log_from_events(events):
     """An EventLog built through EventLog.append from parse_log's dicts, each
-    payload flattened in alphabetical key order; each seq must be its position."""
+    payload flattened in alphabetical key order with each list value made a
+    tuple, as the engine logs node lists; each seq must be its position."""
     log = EventLog()
     for position, event in enumerate(events):
         assert event["seq"] == position, (event, position)
-        payload = sorted((k, v) for k, v in event.items() if k not in ("t", "seq", "kind"))
+        payload = sorted((k, tuple(v) if isinstance(v, list) else v)
+                         for k, v in event.items() if k not in ("t", "seq", "kind"))
         log.append(event["t"], SimEventKind(event["kind"]), tuple(x for kv in payload for x in kv))
     return log
 

@@ -15,6 +15,7 @@ from hybridsched import scheduler as scheduler_mod
 from hybridsched.catalog import DatasetCatalog, MissingDataset
 from hybridsched.cloud import CloudLayer, Quota
 from hybridsched.engine import (
+    TERMINAL_EVENT_KINDS,
     EventLog,
     NonTerminating,
     PastTime,
@@ -762,7 +763,9 @@ class TestCompactEvents:
                 del obj[key]
             assert obj, payload
             for key, value in obj.items():
-                assert payload_get(payload, key) == value, (payload, key)
+                got = payload_get(payload, key)
+                # a node list is a tuple in the row and a JSON list once parsed
+                assert (list(got) if isinstance(got, tuple) else got) == value, (payload, key)
             assert payload_get(payload, "no_such_key") is None
 
     def test_get_skips_a_value_equal_to_a_key_name(self):
@@ -776,6 +779,44 @@ class TestCompactEvents:
         log = _pinned_cloud_elastic()
         parsed = oracles.log_from_events(log_events(log))
         assert list(parsed.rows()) == list(log.rows())
+
+
+JOB_ONLY_KINDS = TERMINAL_EVENT_KINDS | {SimEventKind.JOB_SUBMITTED, SimEventKind.JOB_QUEUED}
+
+
+def assert_rows_share(log, records):
+    """The log's rows hold what the engine holds, with nothing copied at emit."""
+    assert not [p for p in log.payload if any(isinstance(v, list) for v in p)]
+    # every job-only row of a job is one ("job_id", job_id) tuple
+    job_only = [p for kind, p in zip(log.kind, log.payload) if kind in JOB_ONLY_KINDS]
+    assert all(p == ("job_id", payload_get(p, "job_id")) for p in job_only)
+    assert len({id(p) for p in job_only}) == len(records)
+    # the last row that placed a job (a rigid job's JobStarted) holds its
+    # record's node tuple itself
+    placed = {}
+    for kind, p in zip(log.kind, log.payload):
+        if kind in (SimEventKind.JOB_STARTED, SimEventKind.RESCALE_APPLIED):
+            placed[payload_get(p, "job_id")] = payload_get(p, "node_indices")
+    assert placed
+    for job_id, nodes in placed.items():
+        assert nodes is records[job_id].node_indices, job_id
+
+
+class TestSharedRows:
+    def test_a_seeded_elastic_run_with_faults(self):
+        kinds, requeued = set(), 0
+        for seed in (1, 2, 3):
+            clusters = random_clusters(seed)
+            trace = random_trace(seed, clusters, 150, elastic_fraction=0.6, n_faults=6)
+            log, records = run_trace(trace, clusters, SimConfig(hybrid_rigid_on_cloud=True))
+            assert_rows_share(log, records)
+            kinds.update(log.kind)
+            queued = [payload_get(p, "job_id") for _t_ms, kind, p in log.rows()
+                      if kind is SimEventKind.JOB_QUEUED]
+            requeued += len(queued) - len(set(queued))
+        # rescales, node losses, requeues and failures all took their turn
+        assert requeued and {SimEventKind.RESCALE_APPLIED, SimEventKind.NODE_DOWN,
+                             SimEventKind.JOB_FAILED} <= kinds
 
 
 # the payload keys each kind is logged with, in canonical (alphabetical)

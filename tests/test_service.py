@@ -21,6 +21,7 @@ from hypothesis.stateful import (
 
 import oracles
 from test_corpus import check, unsatisfiable
+from test_engine import assert_rows_share
 
 from hybridsched import cloud as cloud_mod
 from hybridsched import engine
@@ -175,7 +176,10 @@ class TestSubmit:
         assert out["status"].startswith("422")
         assert json.loads(payload)["error"]["code"] == "validation_failed"
 
-    @pytest.mark.parametrize("length", ["-1", "-100", "nope"])
+    # Arabic-Indic, fullwidth, '+', '_' and spaced lengths of the 15-byte
+    # body: int() alone reads each as 15, so the body would be read
+    @pytest.mark.parametrize("length", ["-1", "-100", "nope", "\u0661\u0665", "\uff11\uff15",
+                                        "+15", "1_5", " 15 "])
     def test_bad_content_length_reads_no_body(self, svc, length):
         # a negative length must not read the input to EOF, which on a
         # live socket blocks until the client hangs up
@@ -487,6 +491,15 @@ class TestIntrospection:
         assert body["utilization"]["aggregate"]["busy_node_ms"] == 0
         status, err = call(svc, "GET", "/v1/metrics", query="window_ms=soon")
         assert status == 422 and err["error"]["code"] == "validation_failed"
+        # int() alone reads each of these as a number: Arabic-Indic 3,
+        # fullwidth 5, an underscore, a plus (also as a query-string space)
+        # and surrounding spaces. Only an optional '-' and ASCII digits count.
+        for raw in ("%D9%A3", "%EF%BC%95", "1_000", "+5", "%2B5", "%205%20", "-"):
+            status, err = call(svc, "GET", "/v1/metrics", query="window_ms=" + raw)
+            assert (status, err["error"]) == (422, {
+                "code": "validation_failed", "message": "window_ms must be an integer"}), raw
+        status, err = call(svc, "GET", "/v1/metrics", query="window_ms=-0005")
+        assert err["error"]["message"] == "window_ms must be non-negative"
 
     def test_negative_metrics_window_rejected(self, svc):
         call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_000})
@@ -575,6 +588,24 @@ class TestVClusters:
         assert status == 409 and err["error"]["code"] == "already_released"
         status, err = call(svc, "DELETE", "/v1/vclusters/vc9999")
         assert status == 404 and err["error"]["code"] == "unknown_vcluster"
+
+    def test_rows_share_what_the_engine_holds(self, svc):
+        status, vc = call(svc, "POST", "/v1/vclusters",
+                          {"user_id": "u", "node_count": 2, "image": "i"})
+        assert status == 201
+        jobs = [call(svc, "POST", "/v1/jobs", obj)[1]["job_id"] for obj in (
+            rigid_obj(nodes=4, work=40), rigid_obj(nodes=4), rigid_obj(nodes=4),
+            elastic_obj(hi=2, work=40), elastic_obj(hi=2, work=40))]
+        call(svc, "POST", "/v1/clock/advance", {"by_ms": 1_000})
+        assert call(svc, "DELETE", "/v1/jobs/%s" % jobs[0])[1]["state"] == "Cancelled"
+        assert call(svc, "DELETE", "/v1/jobs/%s" % jobs[2])[1]["state"] == "Cancelled"
+        call(svc, "DELETE", "/v1/vclusters/%s" % vc["vcluster_id"])   # the elastic jobs grow
+        call(svc, "POST", "/v1/clock/advance", {"by_ms": 100_000})
+        kinds = set(svc.sim.log.kind)
+        assert {engine.SimEventKind.NODES_HELD, engine.SimEventKind.NODES_RELEASED,
+                engine.SimEventKind.JOB_CANCELLED, engine.SimEventKind.RESCALE_APPLIED} <= kinds
+        assert not svc.sim.live_jobs()
+        assert_rows_share(svc.sim.log, svc.sim.records)
 
     def test_owner_from_body_when_no_header(self, svc):
         status, vc = call(svc, "POST", "/v1/vclusters",
