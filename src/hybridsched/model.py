@@ -574,17 +574,28 @@ def reject_duplicate_clusters(specs) -> None:
         seen.add(spec.cluster_id)
 
 
-def parse_json(raw: bytes, error):
-    """Decode outside JSON bytes as UTF-8; bytes that are not JSON raise error(message)."""
+def parse_json(raw: bytes, error, object_hook=None):
+    """Decode outside JSON bytes as UTF-8; bytes that are not JSON raise error(message).
+
+    object_hook is passed on to json.loads. Its frames can pass the
+    recursion limit in a document that parses without it, so such a
+    document is parsed again without it.
+    """
     try:
-        return json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+        try:
+            return json.loads(text, object_hook=object_hook)
+        except RecursionError:
+            if object_hook is None:
+                raise
+            return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad UTF-8, bad JSON and integers past the
         # interpreter's digit limit; RecursionError, nesting too deep
         raise error(f"not valid JSON: {exc}") from exc
 
 
-def read_json(path, error):
+def read_json(path, error, object_hook=None):
     """Read and parse a JSON file, the one place the package reads one; OSError passes through."""
     with open(path, "rb") as fh:
-        return parse_json(fh.read(), error)
+        return parse_json(fh.read(), error, object_hook)

@@ -410,10 +410,15 @@ _REASONS = {
 # so one stalled client would hold up every other one
 REQUEST_TIMEOUT_S = 5
 MAX_BODY_BYTES = 1 << 20     # a larger Content-Length gets 413, its body unread
+_MAX_BODY_DIGITS = len(str(MAX_BODY_BYTES))
 
 
 def _request_timeout() -> ApiError:
     return ApiError("request_timeout", f"request not sent in {REQUEST_TIMEOUT_S} s", 408)
+
+
+def _body_too_large() -> ApiError:
+    return ApiError("body_too_large", f"body over {MAX_BODY_BYTES} bytes", 413)
 
 
 def _ascii_int(text: str) -> int:
@@ -431,12 +436,18 @@ class _Request:
 
     def body(self) -> bytes:
         if self._body is None:
+            text = self.environ.get("CONTENT_LENGTH") or "0"
+            if text.isascii() and text.isdecimal():
+                # by its digit count first: int() refuses over 4,300 digits
+                text = text.lstrip("0") or "0"
+                if len(text) > _MAX_BODY_DIGITS:
+                    raise _body_too_large()
             try:
-                length = _ascii_int(self.environ.get("CONTENT_LENGTH") or "0")
+                length = _ascii_int(text)
             except ValueError:
                 length = 0
             if length > MAX_BODY_BYTES:
-                raise ApiError("body_too_large", f"body over {MAX_BODY_BYTES} bytes", 413)
+                raise _body_too_large()
             # a negative length would read to EOF and block on a live socket
             try:
                 self._body = self.environ["wsgi.input"].read(length) if length > 0 else b""
@@ -460,11 +471,12 @@ class _Request:
 
     def query_int(self, name: str) -> Optional[int]:
         from urllib.parse import parse_qs
-        raw = parse_qs(self.environ.get("QUERY_STRING", "")).get(name)
-        if not raw:
+        values = parse_qs(self.environ.get("QUERY_STRING", ""), keep_blank_values=True).get(name)
+        if values is None:
             return None
         try:
-            return _ascii_int(raw[0])
+            [text] = values     # a repeated name is refused as a blank one is
+            return _ascii_int(text)
         except ValueError:
             raise ApiError("validation_failed", f"{name} must be an integer", 422)
 

@@ -100,10 +100,12 @@ def trace_from_obj(obj) -> SubmissionTrace:
     for entry in obj.get("jobs", ()):
         if not isinstance(entry, dict) or entry.keys() != _JOB_ENTRY_FIELDS:
             raise MalformedTrace("each job entry needs exactly t_ms and spec")
-        try:
-            spec = job_spec_from_obj(entry["spec"])
-        except MalformedSpec as exc:
-            raise MalformedTrace(str(exc)) from exc
+        spec = entry["spec"]
+        if type(spec) is not JobSpec:       # not decoded already by _decode_job_spec
+            try:
+                spec = job_spec_from_obj(spec)
+            except MalformedSpec as exc:
+                raise MalformedTrace(str(exc)) from exc
         t_ms = entry["t_ms"]
         if type(t_ms) is not int and not is_integer(t_ms):
             raise MalformedTrace("job t_ms must be an integer")
@@ -127,8 +129,20 @@ def write_trace(trace: SubmissionTrace, path):
         fh.write("\n")
 
 
+def _decode_job_spec(obj: dict) -> dict:
+    """json.loads object hook: decode the spec of each {t_ms, spec} object as it closes,
+    so that the whole parsed tree of a trace is never held at once. Only a spec that
+    decodes is replaced: trace_from_obj meets every error, in its own order, as parsed."""
+    if len(obj) == 2 and "spec" in obj and "t_ms" in obj:
+        try:
+            obj["spec"] = job_spec_from_obj(obj["spec"])
+        except ValueError:
+            pass
+    return obj
+
+
 def read_trace(path) -> SubmissionTrace:
-    return trace_from_obj(read_json(path, MalformedTrace))
+    return trace_from_obj(read_json(path, MalformedTrace, _decode_job_spec))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ the package cannot leak into its own check. The wire decoders at the
 end are the one exception: they are the package's earlier decoders,
 kept to check the current ones against, and build its value types (the
 earlier service config decoder builds the earlier config type, which
-held three scheduler settings of its own). `log_from_events` is a helper,
-not an oracle: it turns parsed log lines into an `EventLog` for tests
-that hand a log to the package.
+held three scheduler settings of its own). `log_from_events` and
+`outcome` are helpers, not oracles: the first turns parsed log lines
+into an `EventLog` for tests that hand a log to the package, the second
+gives what a decoder and its reference decoder must agree on.
 """
 
+import copy
 import heapq
 import json
 import math
@@ -140,6 +142,14 @@ def log_events(log):
     """An EventLog's events as plain dicts ("t", "seq", "kind", payload keys),
     read back from its canonical bytes: the one way tests read a log."""
     return parse_log(log.canonical_bytes().splitlines())
+
+
+def outcome(decode, document):
+    """decode's value on a copy of document, or its error's type, message and cause type."""
+    try:
+        return "value", decode(copy.deepcopy(document))
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
 
 
 def log_from_events(events):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import oracles
+from oracles import outcome
 
 from hybridsched import cli
 from hybridsched.model import (
@@ -39,6 +40,7 @@ from hybridsched.traces import (
     SubmissionTrace,
     random_clusters,
     random_trace,
+    read_trace,
     trace_from_obj,
     trace_to_obj,
 )
@@ -296,13 +298,6 @@ def mutate(document, data) -> None:
         container[key] = data.draw(VALUES_FOR.get(key, VALUES))
 
 
-def outcome(decode, document):
-    try:
-        return "value", decode(copy.deepcopy(document))
-    except Exception as exc:
-        return type(exc), str(exc), type(exc.__cause__)
-
-
 @pytest.mark.extra_seeds
 class TestAgainstEarlierDecoders:
     """Every input is accepted as an equal value, or rejected with the same error and message."""
@@ -383,6 +378,37 @@ def mutate_some(document, data) -> None:
         mutate(document, data)
 
 
+ENTRY_PLACES = ["document", "shape body", "spec", "faults", "spec field"]
+
+
+def misplace_entry(document: dict, data) -> dict:
+    """Copy a {t_ms, spec} job entry where no decoder takes one; return the document.
+
+    The entry is one of the document's own, or a new one if it has none.
+    read_trace decodes the spec of such an object as it is parsed, so the
+    copy must change no outcome.
+    """
+    jobs = document["jobs"]
+    entry = copy.deepcopy(data.draw(st.sampled_from(jobs)) if jobs else
+                          {"t_ms": 0, "spec": job_spec_to_obj(data.draw(specs))})
+    place = data.draw(st.sampled_from(ENTRY_PLACES if jobs else ["document", "faults"]))
+    event(f"entry copied to the {place}")
+    if place == "document":
+        return entry
+    if place == "faults":
+        document["faults"].insert(data.draw(st.integers(0, len(document["faults"]))), entry)
+        return document
+    target = data.draw(st.sampled_from(jobs))
+    if place == "shape body":
+        [tag] = target["spec"]["shape"]
+        target["spec"]["shape"][tag] = entry
+    elif place == "spec":
+        target["spec"] = entry
+    else:
+        target["spec"][data.draw(st.sampled_from(sorted(SPEC_FIELD_TYPES)))] = entry
+    return document
+
+
 def site(seed: int):
     clusters = random_clusters(seed)
     trace = random_trace(seed, clusters, 6, arrival_span_ms=3_000, n_faults=2,
@@ -420,6 +446,23 @@ class TestFileBoundary:
             assert os.path.exists(out) == (code == cli.EXIT_OK)
             if code != cli.EXIT_OK:
                 assert stderr.getvalue().startswith("hsctl: "), stderr.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces, st.booleans(), st.data())
+    def test_read_trace_against_the_reference_decoder(self, trace, misplace, data):
+        """The decoded trace or the first error, as the reference decoder gives it
+        on the parsed document, with or without a job entry out of place."""
+        document = trace_to_obj(trace)
+        if misplace:
+            document = misplace_entry(document, data)
+        mutate_some(document, data)
+        raw = json.dumps(document)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "trace.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(raw)
+            got = outcome(read_trace, path)
+        assert got == outcome(oracles.reference_trace_from_obj, json.loads(raw))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=60), st.data())

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import json
 import random
 import tracemalloc
 
@@ -42,7 +43,14 @@ from hybridsched.model import (
     UnknownKind,
     ValidationError,
 )
-from hybridsched.traces import FaultDirective, SubmissionTrace, random_clusters, random_trace
+from hybridsched.traces import (
+    FaultDirective,
+    SubmissionTrace,
+    random_clusters,
+    random_trace,
+    read_trace,
+    trace_to_obj,
+)
 
 CPU = ResourceKind.CPU
 GPU = ResourceKind.GPU
@@ -684,6 +692,23 @@ class TestDeterminismAndLog:
         finally:
             tracemalloc.stop()
         assert peak < 2 * len(data), (peak, len(data))
+
+    def test_read_trace_peak_stays_under_five_times_its_file(self, tmp_path):
+        # each job's spec is decoded as the JSON parser closes its entry,
+        # so the parsed tree of the whole trace is never held at once;
+        # a tree parsed whole first peaks at about 8x the file
+        trace = random_trace(9, random_clusters(9), 2000, n_faults=20)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace_to_obj(trace), separators=(",", ":")))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            read = read_trace(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == trace
+        assert peak <= 5 * size, (peak, size)
 
     def test_seq_strictly_increasing(self):
         clusters = random_clusters(9)

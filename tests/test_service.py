@@ -195,6 +195,27 @@ class TestSubmit:
                                                 "message": "empty request body"}
         assert call(svc, "GET", "/v1/clock")[1]["now_ms"] == 0
 
+    # int() refuses more than 4,300 digits, so each of these lengths was
+    # once read as no body: an all-digit length is read by its digit count
+    # once its leading zeros are gone
+    @pytest.mark.parametrize("length, status", [
+        ("9" * 5000, 413), ("99999999", 413), ("1" + "0" * 4999, 413),
+        ("0" * 5000 + "15", 200), ("0" * 4998 + "15", 200), ("0", 422)],
+        ids=["5000_nines", "8_nines", "1e4999", "15_in_5002_digits", "15_in_5000_digits",
+             "zero"])
+    def test_long_content_length(self, svc, length, status):
+        environ = {
+            "REQUEST_METHOD": "POST", "PATH_INFO": "/v1/clock/advance",
+            "QUERY_STRING": "", "CONTENT_LENGTH": length,
+            "wsgi.input": io.BytesIO(b'{"by_ms": 1000}'),
+        }
+        out = {}
+        payload = b"".join(svc.wsgi_app(environ, lambda s, h: out.update(status=s)))
+        assert out["status"].startswith(str(status)), (out, payload)
+        if status == 413:
+            assert json.loads(payload)["error"]["code"] == "body_too_large"
+        assert call(svc, "GET", "/v1/clock")[1]["now_ms"] == (1000 if status == 200 else 0)
+
     def test_auth_header_must_match_spec(self, svc):
         status, err = call(svc, "POST", "/v1/jobs", rigid_obj(),
                            headers={"X-User-Id": "someone-else"})
@@ -498,6 +519,13 @@ class TestIntrospection:
             status, err = call(svc, "GET", "/v1/metrics", query="window_ms=" + raw)
             assert (status, err["error"]) == (422, {
                 "code": "validation_failed", "message": "window_ms must be an integer"}), raw
+        # a blank value, a bare name and a repeated name, whose first value
+        # alone is valid, are refused too: the client sent a window
+        for query in ("window_ms=", "window_ms", "window_ms=5&window_ms=x",
+                      "window_ms=5&window_ms=5"):
+            status, err = call(svc, "GET", "/v1/metrics", query=query)
+            assert (status, err["error"]) == (422, {
+                "code": "validation_failed", "message": "window_ms must be an integer"}), query
         status, err = call(svc, "GET", "/v1/metrics", query="window_ms=-0005")
         assert err["error"]["message"] == "window_ms must be non-negative"
 

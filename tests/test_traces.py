@@ -5,7 +5,18 @@ import random
 
 import pytest
 
-from hybridsched.model import Elastic, JobSpec, ResourceKind, Rigid, job_duration_ms
+import oracles
+from oracles import outcome
+
+from hybridsched.model import (
+    Elastic,
+    JobSpec,
+    ResourceKind,
+    Rigid,
+    job_duration_ms,
+    job_spec_to_obj,
+    read_json,
+)
 from hybridsched.traces import (
     FaultDirective,
     MalformedTrace,
@@ -95,6 +106,80 @@ class TestCodec:
         obj[field] = value
         with pytest.raises(MalformedTrace, match=message):
             trace_from_obj(obj)
+
+
+def entry(t_ms=0, name="e", kinds=("cpu",)):
+    """A job entry whose spec decodes."""
+    obj = job_spec_to_obj(spec(name))
+    obj["kind_preferences"] = list(kinds)
+    return {"t_ms": t_ms, "spec": obj}
+
+
+def one_job(**changes):
+    """A one-job trace document whose job's spec has the given fields replaced."""
+    document = trace_to_obj(SubmissionTrace(jobs=[(0, spec())]))
+    document["jobs"][0]["spec"].update(changes)
+    return document
+
+
+# read_trace decodes the spec of every {t_ms, spec} object as the parser
+# closes it. Wherever else such an object stands, the trace must still get
+# the first error the reference decoder gives on the parsed document.
+MISPLACED_ENTRIES = {
+    "as_the_document": entry(),
+    "as_rng_seed": {"rng_seed": entry()},
+    "as_jobs": {"jobs": entry()},
+    "in_faults": {"faults": [entry()]},
+    "as_a_rigid_shape_body": one_job(shape={"rigid": entry()}),
+    "as_an_elastic_shape_body": one_job(shape={"elastic": entry()}),
+    "as_the_shape": one_job(shape=entry()),
+    "as_another_entrys_spec": {"jobs": [{"t_ms": 0, "spec": entry()}]},
+    "as_a_name": one_job(name=entry()),
+    "in_kind_preferences": one_job(kind_preferences=["cpu", entry()]),
+    "in_dataset_refs": one_job(dataset_refs=[entry()]),
+    "as_work_units": one_job(work_units=entry()),
+    "beside_a_bad_t_ms": {"jobs": [entry(), {"t_ms": "soon", "spec": entry()["spec"]}]},
+    "before_an_unknown_kind": {"jobs": [entry(), entry(kinds=("tpu",)), {"t_ms": 0}]},
+    "with_a_bad_spec_and_t_ms": {"jobs": [{"t_ms": "soon", "spec": {"name": "n"}}]},
+    "well_formed": {"jobs": [entry(5, "b"), entry(0, "a")], "rng_seed": 3},
+}
+
+
+class TestReadTraceDecodesEachEntryAsItCloses:
+    @pytest.mark.parametrize("document", MISPLACED_ENTRIES.values(), ids=MISPLACED_ENTRIES)
+    def test_against_the_reference_decoder(self, tmp_path, document):
+        data = json.dumps(document)
+        path = tmp_path / "trace.json"
+        path.write_text(data)
+        expected = outcome(oracles.reference_trace_from_obj, json.loads(data))
+        assert outcome(read_trace, path) == expected
+
+    def test_nesting_near_the_recursion_limit(self, tmp_path):
+        # the object hook's frames can pass the limit where a parse without
+        # it does not; such a file must still reach trace_from_obj
+        def read_without_the_hook(path):
+            return trace_from_obj(read_json(path, MalformedTrace))
+
+        def write(depth, inner="{}"):
+            path.write_text('{"rng_seed": ' + "[" * depth + inner + "]" * depth + "}")
+
+        def too_deep():
+            return outcome(read_without_the_hook, path)[1].startswith("not valid JSON")
+
+        path = tmp_path / "trace.json"
+        shallow, deep = 1, 100_000      # the least nesting too deep to parse lies between
+        while deep - shallow > 1:
+            middle = (shallow + deep) // 2
+            write(middle)
+            shallow, deep = (shallow, middle) if too_deep() else (middle, deep)
+        messages = set()
+        for depth in range(deep - 50, deep + 5):
+            for inner in ("{}", json.dumps(entry())):
+                write(depth, inner)
+                got = outcome(read_trace, path)
+                assert got == outcome(read_without_the_hook, path), depth
+                messages.add(got[1].split(":")[0])
+        assert messages == {"trace rng_seed must be an integer", "not valid JSON"}
 
 
 class TestOrdering:
