@@ -574,15 +574,15 @@ def reject_duplicate_clusters(specs) -> None:
         seen.add(spec.cluster_id)
 
 
-def parse_json(raw: bytes, error, object_hook=None):
-    """Decode outside JSON bytes as UTF-8; bytes that are not JSON raise error(message).
+def parse_json(raw, error, object_hook=None):
+    """Decode outside JSON, bytes as UTF-8 or text already decoded; bad input raises error(message).
 
     object_hook is passed on to json.loads. Its frames can pass the
     recursion limit in a document that parses without it, so such a
     document is parsed again without it.
     """
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         try:
             return json.loads(text, object_hook=object_hook)
         except RecursionError:
@@ -596,6 +596,14 @@ def parse_json(raw: bytes, error, object_hook=None):
 
 
 def read_json(path, error, object_hook=None):
-    """Read and parse a JSON file, the one place the package reads one; OSError passes through."""
+    """Read and parse a JSON file, the one place the package reads one; OSError passes through.
+
+    The bytes read are decoded at once and never bound to a name, so
+    they are freed before the parse starts.
+    """
     with open(path, "rb") as fh:
-        return parse_json(fh.read(), error, object_hook)
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"not valid JSON: {exc}") from exc
+    return parse_json(text, error, object_hook)

@@ -68,27 +68,6 @@ class Unsatisfiable(SchedulerError):
 
 
 @dataclass(frozen=True, slots=True)
-class QueueEntry:
-    """One queued job. Queue order is (-priority, submit_seq, job_id).
-
-    needed, wall_ms and accept are the plan cycle's per-job facts, fixed
-    at enqueue: nodes to start, walltime, and acceptable cluster ids in
-    preference scan order. They leave the scheduler with the entry.
-    """
-
-    job_id: str
-    priority: int
-    submit_seq: int
-    needed: int
-    wall_ms: int
-    accept: tuple[str, ...]
-
-    @property
-    def sort_key(self) -> tuple:
-        return (-self.priority, self.submit_seq, self.job_id)
-
-
-@dataclass(frozen=True, slots=True)
 class Reservation:
     """Earliest guaranteed start for the blocked head of the queue."""
 
@@ -149,8 +128,12 @@ class Scheduler:
         self.clusters = clusters
         self.records = records
         self.config = config
-        self._queue_keys: list[tuple] = []
-        self._queue_entries: dict[str, QueueEntry] = {}
+        # one entry per queued job, kept sorted: (-priority, submit_seq,
+        # job_id, needed, wall_ms, accept). The first three fields are
+        # unique, so sorting never compares the rest, the plan cycle's facts
+        # fixed at enqueue: nodes to start, walltime, and acceptable cluster
+        # ids in preference scan order
+        self._queue: list[tuple] = []
         self._submit_seq = 0
         # cluster ids per kind, lexicographic, fixed at construction
         self._by_kind: dict[ResourceKind, list[str]] = {}
@@ -159,7 +142,7 @@ class Scheduler:
 
     # -- queue ------------------------------------------------------------
 
-    def enqueue(self, job: JobRecord) -> QueueEntry:
+    def enqueue(self, job: JobRecord) -> None:
         """Insert a Queued job preserving the total order.
 
         A job's first enqueue stores its submit_seq on its record; a
@@ -168,7 +151,7 @@ class Scheduler:
         queues nothing, when no acceptable cluster owns enough nodes.
         """
         job_id = job.job_id
-        if job_id in self._queue_entries or self._holds_nodes(job):
+        if self._queue_index(job) is not None or self._holds_nodes(job):
             raise DuplicateJob(job_id)
         needed = job.spec.needed_nodes()
         accept = self._acceptable_clusters(self.effective_preferences(job.spec))
@@ -178,23 +161,28 @@ class Scheduler:
         if seq is None:
             seq = job.submit_seq = self._submit_seq
             self._submit_seq += 1
-        entry = QueueEntry(job_id, job.spec.priority, seq, needed,
-                           job.spec.walltime_limit_ms, accept)
-        bisect.insort(self._queue_keys, entry.sort_key)
-        self._queue_entries[job_id] = entry
-        return entry
+        bisect.insort(self._queue, (-job.spec.priority, seq, job_id, needed,
+                                    job.spec.walltime_limit_ms, accept))
+
+    def _queue_index(self, job: JobRecord) -> Optional[int]:
+        """Position of the job's entry in the queue, or None if it is not queued."""
+        if job.submit_seq is None:   # never queued
+            return None
+        queue = self._queue
+        i = bisect.bisect_left(queue, (-job.spec.priority, job.submit_seq, job.job_id))
+        return i if i < len(queue) and queue[i][2] == job.job_id else None
 
     def remove_queued(self, job_id: str) -> bool:
-        entry = self._queue_entries.pop(job_id, None)
-        if entry is None:
+        record = self.records.get(job_id)
+        i = None if record is None else self._queue_index(record)
+        if i is None:
             return False
-        idx = bisect.bisect_left(self._queue_keys, entry.sort_key)
-        del self._queue_keys[idx]
+        del self._queue[i]
         return True
 
     def queue_length(self) -> int:
         """Jobs queued. Kept only for perfbench/tracer.py, which reads it on every plan."""
-        return len(self._queue_keys)
+        return len(self._queue)
 
     # -- helpers ----------------------------------------------------------
 
@@ -243,14 +231,10 @@ class Scheduler:
         free_len = {cid: cs.free_count() for cid, cs in self.clusters.items()}
         free_total = sum(free_len.values())
 
-        entries = self._queue_entries
-        for key in self._queue_keys:
+        for _prio, _seq, job_id, needed, wall, accept in self._queue:
             if free_total == 0 and reservation is not None:
                 break   # no node anywhere, head already protected: nothing can start
-            entry = entries[key[2]]
-            needed = entry.needed
-            wall = entry.wall_ms
-            for cid in entry.accept:
+            for cid in accept:
                 if cid == res_cid and now_ms + wall > res_start:
                     if res_usable >= needed:
                         nodes = self._free(cid, free)
@@ -269,7 +253,7 @@ class Scheduler:
             else:
                 if reservation is not None:
                     continue
-                reservation = self._reserve(entry, now_ms, free)
+                reservation = self._reserve(job_id, needed, wall, accept, now_ms, free)
                 if reservation is None or not self.config.backfill:
                     # no bounded start for the head (nodes down or held),
                     # or no backfill: nothing may pass it
@@ -280,7 +264,6 @@ class Scheduler:
                 res_usable = sum(1 for n in self._free(res_cid, free)
                                  if n not in reserved_set)
                 continue
-            job_id = entry.job_id
             owner = self.clusters[cid].owner
             for n in chosen:
                 owner[n] = job_id
@@ -301,7 +284,8 @@ class Scheduler:
             cache[cid] = self.clusters[cid].free_nodes()
         return cache[cid]
 
-    def _reserve(self, entry: QueueEntry, now_ms: int, free_cache) -> Optional[Reservation]:
+    def _reserve(self, head_id: str, needed: int, wall: int, accept: tuple[str, ...],
+                 now_ms: int, free_cache) -> Optional[Reservation]:
         """Earliest time enough nodes free up on any acceptable cluster.
 
         Availability of a busy node is its owner's kill deadline (start
@@ -309,16 +293,15 @@ class Scheduler:
         bounded time. Ties between clusters go to preference scan order.
         """
         best: Optional[tuple[int, str, tuple[int, ...]]] = None
-        needed = entry.needed
         records = self.records
-        for cid in entry.accept:
+        for cid in accept:
             cs = self.clusters[cid]
             if cs.spec.node_count < needed:
                 continue
             # (avail_time, node); down and held nodes are never available
             avail = [(now_ms, n) for n in self._free(cid, free_cache)]
-            for n, job_id in cs.owner.items():   # this cycle's starts included
-                record = records[job_id]
+            for n, owner_id in cs.owner.items():   # this cycle's starts included
+                record = records[owner_id]
                 avail.append((record.start_ms + record.spec.walltime_limit_ms, n))
             if len(avail) < needed:
                 continue
@@ -330,8 +313,8 @@ class Scheduler:
         if best is None:
             return None
         start, cid, chosen = best
-        return Reservation(job_id=entry.job_id, cluster_id=cid, node_indices=chosen,
-                           start_ms=start, expected_end_ms=start + entry.wall_ms)
+        return Reservation(job_id=head_id, cluster_id=cid, node_indices=chosen,
+                           start_ms=start, expected_end_ms=start + wall)
 
     # -- releases and cancellation ---------------------------------------
 

@@ -399,9 +399,7 @@ class FifoOracle:
 
 def queue_order(sched):
     """Job ids in a Scheduler's queue order, the order plan walks."""
-    order = [key[2] for key in sched._queue_keys]
-    assert sorted(order) == sorted(sched._queue_entries), "queue keys and entries disagree"
-    return order
+    return [entry[2] for entry in sched._queue]
 
 
 def reference_plan(clusters, queue, now_ms, backfill=True):

@@ -693,10 +693,13 @@ class TestDeterminismAndLog:
             tracemalloc.stop()
         assert peak < 2 * len(data), (peak, len(data))
 
-    def test_read_trace_peak_stays_under_five_times_its_file(self, tmp_path):
+    def test_read_trace_peak_stays_under_four_times_its_file(self, tmp_path):
         # each job's spec is decoded as the JSON parser closes its entry,
-        # so the parsed tree of the whole trace is never held at once;
-        # a tree parsed whole first peaks at about 8x the file
+        # so the parsed tree of the whole trace is never held at once (a
+        # tree parsed whole first peaks at about 8x the file), and the
+        # file's bytes are decoded as soon as they are read, so they are
+        # not held through the parse (holding them peaks at 4.2-4.5x);
+        # this trace peaks at 3.2-3.5x on Python 3.10-3.13
         trace = random_trace(9, random_clusters(9), 2000, n_faults=20)
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(trace_to_obj(trace), separators=(",", ":")))
@@ -708,7 +711,7 @@ class TestDeterminismAndLog:
         finally:
             tracemalloc.stop()
         assert read == trace
-        assert peak <= 5 * size, (peak, size)
+        assert peak <= 4 * size, (peak, size)
 
     def test_seq_strictly_increasing(self):
         clusters = random_clusters(9)
@@ -1036,10 +1039,23 @@ class TestBoundedState:
         assert set(sim._run) == live
         assert sorted(sim.live_jobs()) == sorted(live)
         sched = sim.scheduler
-        assert all(entry.submit_seq == sim.records[j].submit_seq
-                   for j, entry in sched._queue_entries.items())
-        assert set(sched._queue_entries) == {
-            j for j in live if sim.records[j].state is JobState.QUEUED}
+        # the queue is one sorted list with one entry per Queued live job,
+        # and each entry holds the facts its record and the routing rule give
+        queue = sched._queue
+        assert queue == sorted(queue)
+        assert sorted(entry[2] for entry in queue) == sorted(
+            j for j in live if sim.records[j].state is JobState.QUEUED)
+        for neg_priority, seq, job_id, needed, wall_ms, accept in queue:
+            spec = sim.records[job_id].spec
+            shape = spec.shape
+            assert (neg_priority, seq, needed, wall_ms) == (
+                -spec.priority, sim.records[job_id].submit_seq,
+                shape.min_workers if isinstance(shape, Elastic) else shape.node_count,
+                spec.walltime_limit_ms), job_id
+            assert accept == tuple(
+                cid for kind in sched.effective_preferences(spec)
+                for cid in sorted(sched.clusters)
+                if sched.clusters[cid].spec.kind is kind), job_id
         # a job holds nodes exactly while it is Running, and each cluster's
         # owner map is exactly the inverse of the Running records' placements
         owners = {cid: {} for cid in sched.clusters}

@@ -15,9 +15,15 @@ down, a 2-node cloud pool whose nodes are each free, busy to t=5 or held,
 and every queue of one to three of six jobs (rigid jobs that list cpu,
 cloud or both, and elastic ones), planned at t=0, 1 and 2 with backfill
 on and off under each setting of hybrid_rigid_on_cloud and
-first_preference_only. Tier-1 runs the base scope; run the wide one with
+first_preference_only. Its 2-node pools never leave a free node outside a
+reservation on the reserved cluster, so the pool3 scope repeats it with
+a 3-node cloud pool, where a head that reserves two of them can leave the
+third for a job that would still run at the reservation start.
 
-    PYTHONPATH=src python tests/test_exhaustive.py
+Tier-1 runs the base scope; run the wide and pool3 scopes, or either one,
+with
+
+    PYTHONPATH=src python tests/test_exhaustive.py [wide] [pool3]
 """
 
 import itertools
@@ -51,7 +57,8 @@ WIDE_JOBS = (test_scheduler.rigid("a", 1, wall=4, prefs=(CPU, CLOUD)),
              test_scheduler.elastic("e", 1, 2, wall=5),
              test_scheduler.elastic("f", 2, 2, wall=4))
 WIDE_SPECS = {(i, k): job.spec for i in range(3) for k, job in enumerate(WIDE_JOBS)}
-WIDE_SITES = 4**2 * 3**2 * (6 + 6**2 + 6**3)
+# cloud pool size of each wide scope
+CLOUD_NODES = {"wide": 2, "pool3": 3}
 
 
 def sites():
@@ -64,12 +71,13 @@ def sites():
             yield clusters, jobs
 
 
-def wide_sites():
-    """Every (clusters, jobs) site of the wide scope, 144 node states x 258 queues."""
+def wide_sites(cloud_nodes=2):
+    """Every (clusters, jobs) site of a wide scope, 16 x 3**cloud_nodes node states x 258 queues."""
     queues = [q for length in (1, 2, 3)
               for q in itertools.product(range(len(WIDE_JOBS)), repeat=length)]
     for cpu, cloud in itertools.product(itertools.product(WIDE_CPU_STATES, repeat=2),
-                                        itertools.product(WIDE_CLOUD_STATES, repeat=2)):
+                                        itertools.product(WIDE_CLOUD_STATES,
+                                                          repeat=cloud_nodes)):
         clusters = [("cloud0", CLOUD, list(cloud)), ("cpu0", CPU, list(cpu))]
         for queue in queues:
             yield clusters, [(f"q{i}", WIDE_SPECS[i, k], False) for i, k in enumerate(queue)]
@@ -107,13 +115,16 @@ if __name__ == "__main__":
     routing = [dict(hybrid_rigid_on_cloud=hybrid, first_preference_only=first_only)
                for hybrid, first_only in itertools.product((False, True), repeat=2)]
     failed = False
-    for backfill in (True, False):
-        t0 = time.perf_counter()
-        checked, failures = plan_every_site(backfill, wide_sites, (0, 1, 2), routing)
-        assert checked == WIDE_SITES * 4 * 3, checked
-        print(f"wide scope, backfill {'on' if backfill else 'off'}: {checked} plans, "
-              f"{len(failures)} differ, {time.perf_counter() - t0:.1f} s")
-        for failure in failures[:5]:
-            print("  ", failure)
-        failed = failed or bool(failures)
+    for name in sys.argv[1:] or list(CLOUD_NODES):
+        cloud_nodes = CLOUD_NODES[name]
+        for backfill in (True, False):
+            t0 = time.perf_counter()
+            checked, failures = plan_every_site(backfill, lambda: wide_sites(cloud_nodes),
+                                                (0, 1, 2), routing)
+            assert checked == 4**2 * 3**cloud_nodes * (6 + 6**2 + 6**3) * 4 * 3, checked
+            print(f"{name} scope, backfill {'on' if backfill else 'off'}: {checked} plans, "
+                  f"{len(failures)} differ, {time.perf_counter() - t0:.1f} s")
+            for failure in failures[:5]:
+                print("  ", failure)
+            failed = failed or bool(failures)
     sys.exit(1 if failed else 0)

@@ -37,7 +37,7 @@ from hybridsched.model import (
     transition,
     validate_job,
 )
-from hybridsched.scheduler import DispatchDecision, QueueEntry, Reservation
+from hybridsched.scheduler import DispatchDecision, Reservation
 
 ALL_KINDS = {ResourceKind.CPU, ResourceKind.GPU, ResourceKind.KNL, ResourceKind.CLOUD}
 
@@ -279,7 +279,6 @@ class TestSlottedRecords:
         spec(),
         ClusterSpec(cluster_id="c", kind=ResourceKind.CPU, node_count=2, cores_per_node=8,
                     speed_factor=1),
-        QueueEntry(job_id="j", priority=0, submit_seq=0, needed=1, wall_ms=1, accept=("c",)),
         Reservation(job_id="j", cluster_id="c", node_indices=(0,), start_ms=0,
                     expected_end_ms=1),
         DispatchDecision(starts=(), reservation=None),

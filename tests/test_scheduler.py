@@ -96,6 +96,33 @@ class TestQueueOrder:
         with pytest.raises(DuplicateJob):
             sched.enqueue(a)
 
+    def test_remove_queued_of_a_job_never_queued(self):
+        sched, records = mk([cluster("cpu0", CPU, 1)])
+        add(sched, records, rigid("a", 1))
+        assert not sched.remove_queued("ghost")
+        with pytest.raises(Unsatisfiable):
+            add(sched, records, rigid("huge", 2))
+        assert records["huge"].submit_seq is None
+        assert not sched.remove_queued("huge")
+        assert oracles.queue_order(sched) == ["a"]
+
+    def test_cancel_of_a_requeued_job_removes_its_entry(self):
+        # b runs, loses its node and goes back to its old place before c,
+        # behind x, which outranks both; cancelling b must take out its
+        # entry and no other
+        sched, records = mk([cluster("cpu0", CPU, 2)])
+        add(sched, records, rigid("a", 1))
+        b = add(sched, records, rigid("b", 1))
+        add(sched, records, rigid("c", 1))
+        assert sched.plan(0).starts == ("a", "b")
+        sched.release("b")
+        sched.enqueue(b)
+        add(sched, records, rigid("x", 2, priority=1))
+        assert oracles.queue_order(sched) == ["x", "b", "c"]
+        assert sched.cancel("b") == (JobState.CANCELLED, ())
+        assert oracles.queue_order(sched) == ["x", "c"]
+        assert not sched.remove_queued("b")
+
 
 class TestPlacement:
     def test_first_fit_ascending(self):
