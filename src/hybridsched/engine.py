@@ -239,9 +239,6 @@ class Simulation:
         states = {s.cluster_id: ClusterState(s) for s in sorted(clusters, key=lambda s: s.cluster_id)}
         self.records: dict[str, JobRecord] = {}
         self.scheduler = Scheduler(states, self.records, self.config)
-        # elastic jobs run only on cloud pools, so only these can rescale
-        self._cloud_ids = [cid for cid, cs in states.items()
-                           if cs.spec.kind is ResourceKind.CLOUD]
         self.log = EventLog()
         self.clock = 0
         self._pending: list[tuple] = []     # heap of (t_ms, tick, tag, a, b)
@@ -254,7 +251,6 @@ class Simulation:
         self._down_depth: dict[tuple[str, int], int] = {}   # faults open per node
         # t_ms -> (cluster, node) of faults due then; kept while t_ms >= clock
         self._fault_starts: dict[int, list[tuple[str, int]]] = {}
-        self._known_kinds = {s.kind for s in clusters}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -289,7 +285,7 @@ class Simulation:
 
     def check_job(self, spec: JobSpec):
         """The one spec check (configured kinds, then catalog refs); it changes nothing."""
-        validate_job(spec, self._known_kinds)
+        validate_job(spec, self.scheduler.by_kind)
         if self.catalog is not None and spec.dataset_refs:
             self.catalog.resolve(spec.dataset_refs)
 
@@ -314,7 +310,7 @@ class Simulation:
         """Cancel a job at the current clock (AlreadyTerminal if done)."""
         if job_id in self._run:
             self._credit(job_id)    # a running job keeps the work done up to now
-        state, _freed = self.scheduler.cancel(job_id)
+        state = self.scheduler.cancel(job_id)
         self.records[job_id].end_ms = self.clock
         self._emit(SimEventKind.JOB_CANCELLED, self._retire(job_id))
         self._plan_cycle()
@@ -442,8 +438,6 @@ class Simulation:
     def _handle_arrival(self, job_id: str, spec: JobSpec):
         """Record and queue a job whose spec check_job passed at its door."""
         record = JobRecord(job_id=job_id, spec=spec, submit_ms=self.clock)
-        if isinstance(spec.shape, Elastic):
-            record.worker_history = []
         self.records[job_id] = record
         self._run[job_id] = rs = _RunState(("job_id", job_id), retries_left=self.config.retry_budget)
         jobs, nodes = self._user_load.get(spec.user_id, (0, 0))
@@ -535,7 +529,6 @@ class Simulation:
             self.clock + self._staging_delay(record.spec, cs.spec))
         nodes = record.node_indices     # the scheduler replaces it at a resize, never mutates it
         if isinstance(record.spec.shape, Elastic):
-            record.worker_history.append((self.clock, len(nodes)))
             self._emit(SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
                        "job_id", job_id, "node_indices", nodes, "workers", len(nodes)))
         else:
@@ -583,17 +576,16 @@ class Simulation:
         """Refit every running elastic job to its fair share, shrinks first."""
         reservation = decision.reservation
         records = self.records
-        for cid in self._cloud_ids:
+        # elastic jobs run only on cloud pools, so only these can rescale
+        for cid in self.scheduler.by_kind.get(ResourceKind.CLOUD, ()):
             targets = self.scheduler.elastic_targets(cid, reservation)
             shrinks = [(j, t) for j, t in targets if t < len(records[j].node_indices)]
             grows = [(j, t) for j, t in targets if t > len(records[j].node_indices)]
             for job_id, target in shrinks + grows:
                 self._credit(job_id)   # at the old worker count
                 new_nodes = self.scheduler.apply_worker_count(job_id, target)
-                workers = len(new_nodes)
-                records[job_id].worker_history.append((self.clock, workers))
                 self._emit(SimEventKind.RESCALE_APPLIED, ("cluster_id", cid, "job_id", job_id,
-                           "node_indices", new_nodes, "workers", workers))
+                           "node_indices", new_nodes, "workers", len(new_nodes)))
                 self._schedule_finish(job_id)
 
 

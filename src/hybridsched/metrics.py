@@ -316,19 +316,6 @@ class Comparison:
         qb = fixed4(self.utilization_b.busy_node_ms, self.utilization_b.available_node_ms)
         return qb - qa
 
-    def to_obj(self) -> dict:
-        return {
-            "a": {"label": self.label_a, "utilization": self.utilization_a.to_obj(),
-                  "waits": self.waits_a.to_obj()},
-            "b": {"label": self.label_b, "utilization": self.utilization_b.to_obj(),
-                  "waits": self.waits_b.to_obj()},
-            "delta": {
-                "utilization": format_fixed4(self.delta_utilization_fixed4),
-                "mean_wait_ms": self.waits_b.mean_wait_ms - self.waits_a.mean_wait_ms,
-                "makespan_ms": self.waits_b.makespan_ms - self.waits_a.makespan_ms,
-            },
-        }
-
     def render_text(self) -> str:
         ua, ub, wa, wb = self.utilization_a, self.utilization_b, self.waits_a, self.waits_b
         return format_table([

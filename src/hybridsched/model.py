@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Container, Optional, Union
 
 
 class ResourceKind(str, Enum):
@@ -184,8 +184,8 @@ class JobRecord:
     sorted tuple) and start_ms at each start, node_indices at each
     resize. They stay when the job gives up its nodes, as its last
     placement; whether it holds them now is ClusterState.owner's to say.
-    worker_history records (time_ms, worker_count) changes of an elastic
-    job in a list of its own; rigid jobs keep the shared empty tuple.
+    A job's worker history is not kept here: its JobStarted and
+    RescaleApplied rows in the event log are the one record of it.
     credited_milli is the engine's, reset by a requeue. submit_seq, the
     scheduler's, is set at the first enqueue and kept through a requeue.
     """
@@ -198,7 +198,6 @@ class JobRecord:
     end_ms: Optional[int] = None
     cluster_id: Optional[str] = None
     node_indices: tuple[int, ...] = ()
-    worker_history: Sequence[tuple[int, int]] = ()
     credited_milli: int = 0
     submit_seq: Optional[int] = None
 
@@ -264,10 +263,10 @@ class InvalidTransition(Exception):
 # --- operations -----------------------------------------------------------
 
 
-def validate_job(spec: JobSpec, known_kinds: set[ResourceKind]) -> JobSpec:
+def validate_job(spec: JobSpec, known_kinds: Container[ResourceKind]) -> JobSpec:
     """Check every JobSpec invariant; return the spec unchanged if it holds.
 
-    known_kinds is the set of kinds offered by at least one configured
+    known_kinds holds the kinds offered by at least one configured
     cluster; a preference outside it is rejected as UnknownKind.
     """
     if not spec.kind_preferences:

@@ -135,10 +135,10 @@ class Scheduler:
         # ids in preference scan order
         self._queue: list[tuple] = []
         self._submit_seq = 0
-        # cluster ids per kind, lexicographic, fixed at construction
-        self._by_kind: dict[ResourceKind, list[str]] = {}
+        # cluster ids per kind, lexicographic, fixed at construction; the engine reads it too
+        self.by_kind: dict[ResourceKind, list[str]] = {}
         for cid in sorted(clusters):
-            self._by_kind.setdefault(clusters[cid].spec.kind, []).append(cid)
+            self.by_kind.setdefault(clusters[cid].spec.kind, []).append(cid)
 
     # -- queue ------------------------------------------------------------
 
@@ -205,7 +205,7 @@ class Scheduler:
         return prefs
 
     def _acceptable_clusters(self, prefs: tuple[ResourceKind, ...]) -> tuple[str, ...]:
-        return tuple(cid for kind in prefs for cid in self._by_kind.get(kind, ()))
+        return tuple(cid for kind in prefs for cid in self.by_kind.get(kind, ()))
 
     # -- planning ---------------------------------------------------------
 
@@ -337,20 +337,19 @@ class Scheduler:
             del owner[n]
         return record.cluster_id, record.node_indices
 
-    def cancel(self, job_id: str) -> tuple[JobState, tuple[int, ...]]:
-        """Cancel wherever the job currently is; returns (new state, freed nodes)."""
+    def cancel(self, job_id: str) -> JobState:
+        """Cancel wherever the job currently is; returns its new state."""
         job = self.records.get(job_id)
         if job is None:
             raise UnknownJob(job_id)
         if job.state.terminal:
             raise AlreadyTerminal(job_id, job.state)
-        freed: tuple[int, ...] = ()
         if job.state is JobState.QUEUED:
             self.remove_queued(job_id)
         elif job.state is JobState.RUNNING:
-            _, freed = self.release(job_id)
+            self.release(job_id)
         job.state = transition(job.state, LifecycleEvent.CANCEL_REQUESTED)
-        return job.state, freed
+        return job.state
 
     # -- elastic fair share ------------------------------------------------
 

@@ -197,6 +197,13 @@ def segments_from_log(events, end_ms):
     return segs
 
 
+def worker_history(events, job_id):
+    """(t, workers) of each JobStarted/RescaleApplied row of one job, from a
+    scan of the whole parsed log; workers is the row's node count."""
+    return [(ev["t"], len(ev["node_indices"])) for ev in events
+            if ev["kind"] in ("JobStarted", "RescaleApplied") and ev["job_id"] == job_id]
+
+
 def down_spans_from_log(events, end_ms):
     """(cluster_id, node) -> list of [t0, t1) down intervals."""
     spans = {}

@@ -285,10 +285,12 @@ def test_criterion_07_elastic_bounds_and_conservation():
             specs.append(spec)
             sim.schedule_arrival(rng.randint(0, 2_000), spec)
         sim.run_to_quiescence()
+        events = oracles.log_events(sim.log)
         for rec in sim.records.values():
             jobs_seen += 1
             shape = rec.spec.shape
-            for _t, w in rec.worker_history:
+            history = oracles.worker_history(events, rec.job_id)
+            for _t, w in history:
                 if not shape.min_workers <= w <= shape.max_workers:
                     bound_violations += 1
             # an ended job's run state is gone; its record keeps the facts
@@ -296,7 +298,7 @@ def test_criterion_07_elastic_bounds_and_conservation():
             if rec.state is not JobState.COMPLETED:
                 conservation_violations += 1
             elif not (required <= rec.credited_milli
-                      < required + speed * rec.worker_history[-1][1]):
+                      < required + speed * history[-1][1]):
                 conservation_violations += 1
     report("criterion 7: elastic worker bounds and work conservation",
            bound_violations == 0 and conservation_violations == 0,

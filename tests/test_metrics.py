@@ -321,9 +321,10 @@ class TestCompare:
         cmp = compare(*two_logs(trace, clusters), clusters)
         assert cmp.delta_utilization_fixed4 == 0
         assert cmp.utilization_a.window == cmp.utilization_b.window
-        obj = cmp.to_obj()
-        assert obj["delta"]["utilization"] == "0.0000"
-        assert obj["delta"]["makespan_ms"] == 0
+        assert cmp.waits_b.makespan_ms - cmp.waits_a.makespan_ms == 0
+        rows = {line.split()[0]: line.split()[1:] for line in cmp.render_text().splitlines()}
+        assert rows["utilization"][-1] == "0.0000"
+        assert rows["makespan_ms"] == [str(cmp.waits_a.makespan_ms)] * 2 + ["0"]
 
     def test_labels_and_render(self):
         clusters = random_clusters(22)

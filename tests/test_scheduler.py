@@ -119,7 +119,8 @@ class TestQueueOrder:
         sched.enqueue(b)
         add(sched, records, rigid("x", 2, priority=1))
         assert oracles.queue_order(sched) == ["x", "b", "c"]
-        assert sched.cancel("b") == (JobState.CANCELLED, ())
+        assert sched.cancel("b") is JobState.CANCELLED
+        assert sched.clusters["cpu0"].owner == {0: "a"}   # b held no node to free
         assert oracles.queue_order(sched) == ["x", "c"]
         assert not sched.remove_queued("b")
 
@@ -298,9 +299,8 @@ class TestCancel:
     def test_cancel_queued_removes_entry(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])
         add(sched, records, rigid("a", 1))
-        state, freed = sched.cancel("a")
-        assert state is JobState.CANCELLED
-        assert freed == ()
+        assert sched.cancel("a") is JobState.CANCELLED
+        assert sched.clusters["cpu0"].owner == {}
         assert oracles.queue_order(sched) == []
 
     def test_cancel_running_frees_nodes(self):
@@ -308,10 +308,10 @@ class TestCancel:
         add(sched, records, rigid("a", 2))
         sched.plan(0)
         records["a"].state = JobState.RUNNING
-        state, freed = sched.cancel("a")
-        assert state is JobState.CANCELLED
-        assert freed == (0, 1)
-        assert sched.clusters["cpu0"].free_count() == 2
+        assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
+        assert sched.cancel("a") is JobState.CANCELLED
+        assert sched.clusters["cpu0"].owner == {}
+        assert sched.clusters["cpu0"].free_nodes() == [0, 1]
 
     def test_cancel_terminal_raises(self):
         sched, records = mk([cluster("cpu0", CPU, 1)])

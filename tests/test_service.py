@@ -45,10 +45,12 @@ from hybridsched.service import (
     ERROR_TABLE,
     Service,
     ServiceConfig,
+    job_view,
     load_config,
     make_service_server,
     map_exception,
 )
+from hybridsched.traces import random_trace
 
 CPU = ResourceKind.CPU
 CLOUD = ResourceKind.CLOUD
@@ -121,6 +123,11 @@ def elastic_obj(name="e", lo=1, hi=2, work=5, wall=60_000, user="u"):
     return job_spec_to_obj(spec)
 
 
+def history_of(events, job_id):
+    """The oracle's worker history of one job, in the status view's form."""
+    return [{"t_ms": t, "workers": w} for t, w in oracles.worker_history(events, job_id)]
+
+
 @pytest.fixture
 def svc():
     return Service(base_config())
@@ -149,6 +156,7 @@ class TestSubmit:
         assert status == 201 and body["layer"] == "cloud"
         _status, view = call(svc, "GET", "/v1/jobs/%s" % body["job_id"])
         assert view["worker_history"][0]["workers"] == 1
+        assert view["worker_history"] == history_of(oracles.log_events(svc.sim.log), body["job_id"])
 
     def test_result_before_terminal_conflicts(self, svc):
         _s, body = call(svc, "POST", "/v1/jobs", rigid_obj())
@@ -274,6 +282,86 @@ class TestStatusCancel:
         assert status == 202 and out["state"] == "Cancelled"
         status, err = call(svc, "DELETE", "/v1/jobs/%s" % job_id)
         assert status == 409 and err["error"]["code"] == "already_terminal"
+
+
+class TestWorkerHistory:
+    """An elastic job's status-view history is read from its log rows."""
+
+    @staticmethod
+    def history(svc, job_id):
+        status, view = call(svc, "GET", f"/v1/jobs/{job_id}")
+        assert status == 200
+        assert view["worker_history"] == history_of(oracles.log_events(svc.sim.log), job_id)
+        return [(h["t_ms"], h["workers"]) for h in view["worker_history"]]
+
+    def test_a_requeued_job_spans_both_attempts(self, svc):
+        _s, body = call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=4, work=40))
+        job_id = body["job_id"]
+        svc.sim.inject_node_failure("cloud0", 0, 1_000, 500)
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 1_200})
+        assert svc.sim.records[job_id].start_ms == 1_000     # requeued, then restarted
+        assert self.history(svc, job_id) == [(0, 1), (0, 4), (1_000, 1), (1_000, 3)]
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 60_000})
+        assert svc.sim.records[job_id].state is JobState.COMPLETED
+        assert self.history(svc, job_id) == [(0, 1), (0, 4), (1_000, 1), (1_000, 3),
+                                             (1_500, 4)]
+
+    def test_a_job_cancelled_while_queued_has_none(self, svc):
+        # the pool is full at the millisecond the second job is submitted
+        # and cancelled, so the first job's JobStarted row is in its window
+        _s, first = call(svc, "POST", "/v1/jobs", elastic_obj(lo=4, hi=4))
+        _s, second = call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=4))
+        status, out = call(svc, "DELETE", "/v1/jobs/%s" % second["job_id"])
+        assert (status, out["state"]) == (202, "Cancelled")
+        assert self.history(svc, second["job_id"]) == []
+        assert self.history(svc, first["job_id"]) == [(0, 4)]
+
+    def test_a_rescale_at_the_last_millisecond_is_kept(self, svc):
+        # the newcomer takes the free node and the fair share shrinks the
+        # first job at 100, the millisecond it is cancelled
+        _s, first = call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=3, work=100))
+        call(svc, "POST", "/v1/clock/advance", {"until_ms": 100})
+        _s, second = call(svc, "POST", "/v1/jobs", elastic_obj(lo=1, hi=4, work=100))
+        call(svc, "DELETE", "/v1/jobs/%s" % first["job_id"])
+        assert svc.sim.records[first["job_id"]].end_ms == 100
+        assert self.history(svc, first["job_id"]) == [(0, 1), (0, 3), (100, 2)]
+        assert self.history(svc, second["job_id"]) == [(100, 1), (100, 2), (100, 4)]
+
+    def test_status_view_is_the_log_scan_on_random_runs(self):
+        # seeded runs with node faults, viewed every second of virtual time
+        # (a live job's rows run to the log's end) and once all have ended
+        requeued = failed = 0
+        for seed in range(8):
+            clusters = [cluster("cloud0", CLOUD, 6, speed=2), cluster("cloud1", CLOUD, 4),
+                        cluster("cpu0", CPU, 3)]
+            trace = random_trace(seed, clusters, 40, arrival_span_ms=8_000,
+                                 elastic_fraction=0.7, n_faults=8)
+            sim = engine.Simulation(clusters)
+            for t_ms, spec in trace.jobs:
+                sim.schedule_arrival(t_ms, spec)
+            for f in trace.faults:
+                sim.inject_node_failure(f.cluster_id, f.node_index, f.t_ms, f.down_duration_ms)
+            until = 0
+            while True:
+                sim.advance_to(until)
+                events = oracles.log_events(sim.log)
+                for job_id, record in sim.records.items():
+                    if isinstance(record.spec.shape, Elastic):
+                        assert (job_view(record, sim.log)["worker_history"]
+                                == history_of(events, job_id)), (seed, until, job_id)
+                if until > trace.jobs[-1][0] and not sim.live_jobs():
+                    break
+                until += 1_000
+            kinds = {}
+            for ev in events:
+                if ev.get("job_id") in sim.records:
+                    kinds.setdefault(ev["job_id"], []).append(ev["kind"])
+            for job_id, seen in kinds.items():
+                if isinstance(sim.records[job_id].spec.shape, Elastic) and "JobStarted" in seen:
+                    after = seen[seen.index("JobStarted"):]
+                    requeued += "JobQueued" in after
+                    failed += "JobFailed" in after
+        assert requeued > 0 and failed > 0, (requeued, failed)
 
 
 class TestResultManifest:
@@ -1454,6 +1542,11 @@ class ServiceMachine(RuleBasedStateMachine):
         views = {job_id: call(self.svc, "GET", f"/v1/jobs/{job_id}")[1] for job_id in self.specs}
         # each job's wire state is the one its log events leave it in
         assert {job_id: view["state"] for job_id, view in views.items()} == states
+
+        # each elastic job's worker history is its JobStarted/RescaleApplied rows
+        for job_id, view in views.items():
+            if "elastic" in self.specs[job_id]["shape"]:
+                assert view["worker_history"] == history_of(events, job_id)
 
         # no node is in two placements, and none is down or held
         held = node_spans(events, "NodesHeld", "NodesReleased")
