@@ -199,6 +199,19 @@ class PastTime(SimulationError):
         super().__init__(f"cannot schedule at {at_ms}; clock already at {now_ms}")
 
 
+class UnknownJob(SimulationError):
+    def __init__(self, job_id: str):
+        self.job_id = job_id
+        super().__init__(f"unknown job {job_id}")
+
+
+class AlreadyTerminal(SimulationError):
+    def __init__(self, job_id: str, state: JobState):
+        self.job_id = job_id
+        self.state = state
+        super().__init__(f"job {job_id} is already terminal ({state.value})")
+
+
 @dataclass(slots=True)
 class _RunState:
     """Timer and crediting state of one live job; its placement and work are on its JobRecord."""
@@ -307,14 +320,26 @@ class Simulation:
         return job_id
 
     def cancel_now(self, job_id: str) -> JobState:
-        """Cancel a job at the current clock (AlreadyTerminal if done)."""
-        if job_id in self._run:
-            self._credit(job_id)    # a running job keeps the work done up to now
-        state = self.scheduler.cancel(job_id)
-        self.records[job_id].end_ms = self.clock
-        self._emit(SimEventKind.JOB_CANCELLED, self._retire(job_id))
+        """Cancel a job at the current clock and replan; returns its new state.
+
+        UnknownJob if no job has the id, AlreadyTerminal if it has ended. A
+        running job keeps the work done up to now and frees its nodes, which
+        its record still names; a queued job leaves the queue.
+        """
+        record = self.records.get(job_id)
+        if record is None:
+            raise UnknownJob(job_id)
+        if record.state.terminal:
+            raise AlreadyTerminal(job_id, record.state)
+        if record.state is JobState.RUNNING:
+            self._credit(job_id)
+            self.scheduler.release(job_id)
+        else:
+            self.scheduler.remove_queued(job_id)
+        record.state = transition(record.state, LifecycleEvent.CANCEL_REQUESTED)
+        self._retire(job_id, SimEventKind.JOB_CANCELLED)
         self._plan_cycle()
-        return state
+        return record.state
 
     def inject_node_failure(self, cluster_id: str, node_index: int, at_ms: int, down_ms: int):
         """Schedule a NodeDown/NodeUp pair for one node."""
@@ -417,13 +442,15 @@ class Simulation:
         rs = self._run.get(job_id)      # None once the job has ended
         return rs is not None and rs.epoch == epoch
 
-    def _retire(self, job_id: str) -> tuple:
-        """The one terminal hook: drop a job's live state; its JobRecord keeps the results.
+    def _retire(self, job_id: str, kind: SimEventKind):
+        """The one terminal path: stamp end_ms, drop the live state, log the `kind` row.
 
-        Every transition into a terminal state calls it, after the job has released
-        its nodes; the terminal event logs the job's identity row, which it returns.
+        Every transition into a terminal state calls it, after the job has
+        taken its terminal state and released its nodes; its JobRecord keeps
+        the results, and the terminal row logs the job's identity row.
         """
         record = self.records[job_id]
+        record.end_ms = self.clock
         ident = self._run.pop(job_id).ident
         user = record.spec.user_id
         jobs, nodes = self._user_load[user]
@@ -431,7 +458,7 @@ class Simulation:
             del self._user_load[user]
         else:
             self._user_load[user] = (jobs - 1, nodes - projected_nodes(record.spec))
-        return ident
+        self._emit(kind, ident)
 
     # -- event handlers ---------------------------------------------------
 
@@ -447,8 +474,7 @@ class Simulation:
             self.scheduler.enqueue(record)
         except Unsatisfiable:
             record.state = transition(record.state, LifecycleEvent.ERRORED)
-            record.end_ms = self.clock
-            self._emit(SimEventKind.JOB_FAILED, self._retire(job_id))
+            self._retire(job_id, SimEventKind.JOB_FAILED)
             return
         record.state = transition(record.state, LifecycleEvent.VALIDATED)
         self._emit(SimEventKind.JOB_QUEUED, rs.ident)
@@ -458,9 +484,8 @@ class Simulation:
         record = self.records[job_id]
         self._credit(job_id)
         record.state = transition(record.state, event)
-        record.end_ms = self.clock
         self.scheduler.release(job_id)
-        self._emit(kind, self._retire(job_id))
+        self._retire(job_id, kind)
 
     def _handle_node_down(self, cluster_id: str, node_index: int):
         # Faults may overlap or touch on one node: only the first opens the
@@ -490,8 +515,7 @@ class Simulation:
             self.scheduler.enqueue(record)
             self._emit(SimEventKind.JOB_QUEUED, rs.ident)
         else:
-            record.end_ms = self.clock
-            self._emit(SimEventKind.JOB_FAILED, self._retire(victim))
+            self._retire(victim, SimEventKind.JOB_FAILED)
 
     def _handle_node_up(self, cluster_id: str, node_index: int):
         key = (cluster_id, node_index)
@@ -551,8 +575,6 @@ class Simulation:
         """Advance work credit for a running job up to the current clock."""
         rs = self._run[job_id]
         record = self.records[job_id]
-        if record.state is not JobState.RUNNING:
-            return
         if self.clock > rs.credit_from_ms:
             record.credited_milli += self._work_rate(record) * (self.clock - rs.credit_from_ms)
             rs.credit_from_ms = self.clock

@@ -10,7 +10,7 @@ trace. Ratios are rendered to four decimals by integer arithmetic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .engine import EventLog, SimEventKind, TERMINAL_EVENT_KINDS, payload_get
@@ -33,15 +33,14 @@ def fixed4(numer: int, denom: int) -> int:
     return (numer * 10000 * 2 + denom) // (denom * 2)
 
 
-def format_ratio(numer: int, denom: int) -> str:
-    q = fixed4(numer, denom)
-    return f"{q // 10000}.{q % 10000:04d}"
-
-
 def format_fixed4(q: int) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     return f"{sign}{q // 10000}.{q % 10000:04d}"
+
+
+def format_ratio(numer: int, denom: int) -> str:
+    return format_fixed4(fixed4(numer, denom))
 
 
 def format_table(rows) -> str:
@@ -238,16 +237,7 @@ class WaitStats:
     makespan_ms: int
 
     def to_obj(self) -> dict:
-        return {
-            "n_jobs": self.n_jobs,
-            "n_started": self.n_started,
-            "n_never_started": self.n_never_started,
-            "mean_wait_ms": self.mean_wait_ms,
-            "median_wait_ms": self.median_wait_ms,
-            "p95_wait_ms": self.p95_wait_ms,
-            "mean_turnaround_ms": self.mean_turnaround_ms,
-            "makespan_ms": self.makespan_ms,
-        }
+        return asdict(self)
 
 
 def nearest_rank(sorted_values: list[int], pct: int) -> int:

@@ -179,15 +179,17 @@ class SimConfig:
 class JobRecord:
     """Mutable per-job record tracked by the platform.
 
-    The one per-job home of a job's placement and credited work. Only
-    the scheduler writes the placement: cluster_id, node_indices (a
+    The one per-job home of a job's lifecycle, placement and credited
+    work, each field with one writer. The engine writes state, submit_ms,
+    end_ms and credited_milli (reset by a requeue). The scheduler writes
+    the placement: cluster_id, node_indices (a
     sorted tuple) and start_ms at each start, node_indices at each
     resize. They stay when the job gives up its nodes, as its last
     placement; whether it holds them now is ClusterState.owner's to say.
-    A job's worker history is not kept here: its JobStarted and
-    RescaleApplied rows in the event log are the one record of it.
-    credited_milli is the engine's, reset by a requeue. submit_seq, the
-    scheduler's, is set at the first enqueue and kept through a requeue.
+    submit_seq, also the scheduler's, is set at the first enqueue and
+    kept through a requeue. A job's worker history is not kept here: its
+    JobStarted and RescaleApplied rows in the event log are the one
+    record of it.
     """
 
     job_id: str

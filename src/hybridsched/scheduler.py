@@ -16,17 +16,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    ClusterSpec,
-    Elastic,
-    JobRecord,
-    JobSpec,
-    JobState,
-    LifecycleEvent,
-    ResourceKind,
-    SimConfig,
-    transition,
-)
+from .model import ClusterSpec, Elastic, JobRecord, JobSpec, ResourceKind, SimConfig
+from .model import transition  # noqa: F401 - perfbench/tracer.py wraps it here
 
 
 class SchedulerError(Exception):
@@ -43,19 +34,6 @@ class NoAllocation(SchedulerError):
     def __init__(self, job_id: str):
         self.job_id = job_id
         super().__init__(f"job {job_id} holds no live allocation")
-
-
-class AlreadyTerminal(SchedulerError):
-    def __init__(self, job_id: str, state: JobState):
-        self.job_id = job_id
-        self.state = state
-        super().__init__(f"job {job_id} is already terminal ({state.value})")
-
-
-class UnknownJob(SchedulerError):
-    def __init__(self, job_id: str):
-        self.job_id = job_id
-        super().__init__(f"unknown job {job_id}")
 
 
 class Unsatisfiable(SchedulerError):
@@ -117,10 +95,11 @@ class Scheduler:
     """Single-writer scheduler over a set of cluster states.
 
     Owns the queue and all placement decisions, and is the one writer of
-    a JobRecord's placement (cluster_id, node_indices, start_ms) and of
-    ClusterState.owner; the simulation engine
-    (or the live service) drives it through one serialized command
-    stream and turns its decisions into lifecycle events.
+    a JobRecord's placement (cluster_id, node_indices, start_ms) and
+    submit_seq and of ClusterState.owner. It neither reads nor writes a
+    job's lifecycle state: the simulation engine drives it through one
+    serialized command stream, turns its decisions into lifecycle
+    events, and asks it to release or dequeue a job that ends.
     """
 
     def __init__(self, clusters: dict[str, ClusterState], records: dict[str, JobRecord],
@@ -316,7 +295,7 @@ class Scheduler:
         return Reservation(job_id=head_id, cluster_id=cid, node_indices=chosen,
                            start_ms=start, expected_end_ms=start + wall)
 
-    # -- releases and cancellation ---------------------------------------
+    # -- releases ---------------------------------------------------------
 
     def _holds_nodes(self, record: JobRecord) -> bool:
         """Whether ClusterState.owner gives the job the nodes its record names."""
@@ -329,39 +308,24 @@ class Scheduler:
             raise NoAllocation(job_id)
         return record
 
-    def release(self, job_id: str) -> tuple[str, tuple[int, ...]]:
-        """Free a job's nodes; returns (cluster_id, nodes), which its record keeps."""
+    def release(self, job_id: str) -> None:
+        """Free a job's nodes; its record keeps naming them as its last placement."""
         record = self._placed_record(job_id)
         owner = self.clusters[record.cluster_id].owner
         for n in record.node_indices:
             del owner[n]
-        return record.cluster_id, record.node_indices
-
-    def cancel(self, job_id: str) -> JobState:
-        """Cancel wherever the job currently is; returns its new state."""
-        job = self.records.get(job_id)
-        if job is None:
-            raise UnknownJob(job_id)
-        if job.state.terminal:
-            raise AlreadyTerminal(job_id, job.state)
-        if job.state is JobState.QUEUED:
-            self.remove_queued(job_id)
-        elif job.state is JobState.RUNNING:
-            self.release(job_id)
-        job.state = transition(job.state, LifecycleEvent.CANCEL_REQUESTED)
-        return job.state
 
     # -- elastic fair share ------------------------------------------------
 
     def running_elastic_on(self, cid: str) -> list[str]:
-        """Running elastic job ids on a cloud cluster, by submission order."""
-        out = []
-        for job_id in set(self.clusters[cid].owner.values()):
-            job = self.records[job_id]
-            if isinstance(job.spec.shape, Elastic) and job.state is JobState.RUNNING:
-                out.append(job_id)
-        out.sort(key=lambda j: self.records[j].submit_seq)
-        return out
+        """Elastic job ids holding nodes on a cloud cluster, by submission order.
+
+        A job holds nodes exactly while it runs, so these are the running ones.
+        """
+        records = self.records
+        jobs = {j for j in self.clusters[cid].owner.values()
+                if isinstance(records[j].spec.shape, Elastic)}
+        return sorted(jobs, key=lambda j: records[j].submit_seq)
 
     def elastic_targets(self, cid: str, reservation: Optional[Reservation] = None
                         ) -> list[tuple[str, int]]:

@@ -27,10 +27,10 @@ from . import catalog as catalog_mod
 from . import cloud as cloud_mod
 from . import model
 from .engine import HORIZON_MS, SimConfig, SimEventKind, Simulation, payload_get
+from .engine import AlreadyTerminal, UnknownJob
 from .metrics import utilization, wait_stats
 from .model import ClusterSpec, Elastic, JobState, job_spec_from_obj
 from .model import cluster_spec_from_obj  # noqa: F401 - perfbench/tracer.py wraps it here
-from .scheduler import AlreadyTerminal, UnknownJob
 
 
 class ConfigError(ValueError):

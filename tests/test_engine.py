@@ -17,6 +17,7 @@ from hybridsched.catalog import DatasetCatalog, MissingDataset
 from hybridsched.cloud import CloudLayer, Quota
 from hybridsched.engine import (
     TERMINAL_EVENT_KINDS,
+    AlreadyTerminal,
     EventLog,
     NonTerminating,
     PastTime,
@@ -24,6 +25,7 @@ from hybridsched.engine import (
     SimEvent,
     SimEventKind,
     Simulation,
+    UnknownJob,
     UnknownNode,
     canonical_line,
     payload_get,
@@ -414,10 +416,63 @@ class TestCancellation:
         sim = Simulation([cluster("cpu0", CPU, 1)])
         sim.submit_now(rigid("a", 1, 10, 30_000))
         sim.submit_now(rigid("b", 1, 1, 30_000))
-        sim.cancel_now("j000001")
+        assert oracles.queue_order(sim.scheduler) == ["j000001"]
+        assert sim.cancel_now("j000001") is JobState.CANCELLED
         assert sim.records["j000001"].state is JobState.CANCELLED
+        assert oracles.queue_order(sim.scheduler) == []
         sim.run_to_quiescence()
         assert sim.records["j000000"].state is JobState.COMPLETED
+
+    def test_cancel_of_an_unknown_job_raises(self):
+        sim = Simulation([cluster("cpu0", CPU, 1)])
+        later = sim.schedule_arrival(1_000, rigid("a", 1, 1, 30_000))
+        for job_id in ("ghost", later):     # an arrival still pending has no record yet
+            with pytest.raises(UnknownJob):
+                sim.cancel_now(job_id)
+        assert len(sim.log) == 0
+
+    def test_a_second_cancel_raises_already_terminal(self):
+        sim = Simulation([cluster("cpu0", CPU, 1)])
+        sim.submit_now(rigid("a", 1, 10, 30_000))
+        sim.cancel_now("j000000")
+        rows = len(sim.log)
+        with pytest.raises(AlreadyTerminal) as raised:
+            sim.cancel_now("j000000")
+        assert raised.value.state is JobState.CANCELLED
+        assert len(sim.log) == rows
+
+    def test_cancel_of_a_running_job_frees_its_nodes_and_keeps_its_work(self):
+        sim = Simulation([cluster("cpu0", CPU, 3, speed=2)])
+        sim.submit_now(rigid("a", 2, 10, 30_000))
+        sim.advance_to(700)
+        cs = sim.clusters()["cpu0"]
+        assert cs.owner == {0: "j000000", 1: "j000000"}
+        sim.cancel_now("j000000")
+        rec = sim.records["j000000"]
+        assert cs.owner == {} and cs.free_nodes() == [0, 1, 2]
+        # the last placement stays on the record: the result manifest reads it
+        assert (rec.cluster_id, rec.node_indices, rec.start_ms) == ("cpu0", (0, 1), 0)
+        assert (rec.state, rec.end_ms) == (JobState.CANCELLED, 700)
+        assert rec.credited_milli == 2 * 2 * 700    # speed x nodes x ms up to the cancel
+        with pytest.raises(scheduler_mod.NoAllocation):
+            sim.scheduler.release("j000000")
+
+    def test_cancel_of_a_requeued_job_removes_only_its_entry(self):
+        # b loses its node at t=100 and goes back to its old place, ahead
+        # of c and d; cancelling it takes out its entry and no other
+        sim = Simulation([cluster("cpu0", CPU, 2)])
+        for name in "abcd":
+            sim.submit_now(rigid(name, 1, 10, 30_000))
+        sim.inject_node_failure("cpu0", 1, 100, 50_000)
+        sim.advance_to(100)
+        assert oracles.queue_order(sim.scheduler) == ["j000001", "j000002", "j000003"]
+        assert sim.records["j000001"].state is JobState.QUEUED
+        sim.cancel_now("j000001")
+        assert oracles.queue_order(sim.scheduler) == ["j000002", "j000003"]
+        rec = sim.records["j000001"]
+        assert (rec.state, rec.end_ms, rec.credited_milli) == (JobState.CANCELLED, 100, 0)
+        assert events_of(sim.log, SimEventKind.JOB_CANCELLED) == [
+            {"t": 100, "seq": len(sim.log) - 1, "kind": "JobCancelled", "job_id": "j000001"}]
 
 
 # Each job state is the one its last Job* event names.

@@ -248,6 +248,11 @@ class TestWaitStats:
         assert stats.p95_wait_ms == 1_000
         assert stats.mean_turnaround_ms == 5_500
         assert stats.makespan_ms == 6_000
+        # the /v1/metrics "waits" body, keys in field order
+        assert list(stats.to_obj().items()) == [
+            ("n_jobs", 2), ("n_started", 2), ("n_never_started", 0), ("mean_wait_ms", 500),
+            ("median_wait_ms", 0), ("p95_wait_ms", 1_000), ("mean_turnaround_ms", 5_500),
+            ("makespan_ms", 6_000)]
 
     def test_mean_rounds_half_up(self):
         log = log_of(

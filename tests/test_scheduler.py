@@ -15,13 +15,11 @@ from hybridsched.model import (
     SimConfig,
 )
 from hybridsched.scheduler import (
-    AlreadyTerminal,
     ClusterState,
     DuplicateJob,
     NoAllocation,
     Reservation,
     Scheduler,
-    UnknownJob,
     Unsatisfiable,
     fair_share_targets,
 )
@@ -37,14 +35,14 @@ def cluster(cid, kind, nodes, speed=1):
 
 
 def rigid(job_id, nodes, wall=10_000, prefs=(CPU,), priority=0, work=10):
-    return JobRecord(job_id=job_id, state=JobState.QUEUED, spec=JobSpec(
+    return JobRecord(job_id=job_id, spec=JobSpec(
         name=job_id, user_id="u", kind_preferences=tuple(prefs),
         shape=Rigid(node_count=nodes), work_units=work, walltime_limit_ms=wall,
         priority=priority))
 
 
 def elastic(job_id, lo, hi, wall=10_000, work=10):
-    return JobRecord(job_id=job_id, state=JobState.QUEUED, spec=JobSpec(
+    return JobRecord(job_id=job_id, spec=JobSpec(
         name=job_id, user_id="u", kind_preferences=(CLOUD,),
         shape=Elastic(min_workers=lo, max_workers=hi), work_units=work,
         walltime_limit_ms=wall))
@@ -108,8 +106,8 @@ class TestQueueOrder:
 
     def test_cancel_of_a_requeued_job_removes_its_entry(self):
         # b runs, loses its node and goes back to its old place before c,
-        # behind x, which outranks both; cancelling b must take out its
-        # entry and no other
+        # behind x, which outranks both; a cancel of b (the engine's
+        # remove_queued) must take out its entry and no other
         sched, records = mk([cluster("cpu0", CPU, 2)])
         add(sched, records, rigid("a", 1))
         b = add(sched, records, rigid("b", 1))
@@ -119,7 +117,7 @@ class TestQueueOrder:
         sched.enqueue(b)
         add(sched, records, rigid("x", 2, priority=1))
         assert oracles.queue_order(sched) == ["x", "b", "c"]
-        assert sched.cancel("b") is JobState.CANCELLED
+        assert sched.remove_queued("b")
         assert sched.clusters["cpu0"].owner == {0: "a"}   # b held no node to free
         assert oracles.queue_order(sched) == ["x", "c"]
         assert not sched.remove_queued("b")
@@ -295,37 +293,6 @@ class TestReservationAndBackfill:
         assert decision.reservation is None   # held nodes have no deadline
 
 
-class TestCancel:
-    def test_cancel_queued_removes_entry(self):
-        sched, records = mk([cluster("cpu0", CPU, 1)])
-        add(sched, records, rigid("a", 1))
-        assert sched.cancel("a") is JobState.CANCELLED
-        assert sched.clusters["cpu0"].owner == {}
-        assert oracles.queue_order(sched) == []
-
-    def test_cancel_running_frees_nodes(self):
-        sched, records = mk([cluster("cpu0", CPU, 2)])
-        add(sched, records, rigid("a", 2))
-        sched.plan(0)
-        records["a"].state = JobState.RUNNING
-        assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
-        assert sched.cancel("a") is JobState.CANCELLED
-        assert sched.clusters["cpu0"].owner == {}
-        assert sched.clusters["cpu0"].free_nodes() == [0, 1]
-
-    def test_cancel_terminal_raises(self):
-        sched, records = mk([cluster("cpu0", CPU, 1)])
-        add(sched, records, rigid("a", 1))
-        sched.cancel("a")
-        with pytest.raises(AlreadyTerminal):
-            sched.cancel("a")
-
-    def test_cancel_unknown_raises(self):
-        sched, _records = mk([cluster("cpu0", CPU, 1)])
-        with pytest.raises(UnknownJob):
-            sched.cancel("ghost")
-
-
 class TestRecordAllocation:
     """The scheduler is the one writer of a record's placement; ClusterState.owner says if it is held."""
 
@@ -335,7 +302,6 @@ class TestRecordAllocation:
         cs = sched.clusters["cloud0"]
         assert placement(records, "e") == (None, ()) and rec.start_ms is None
         assert sched.plan(0).starts == ("e",)
-        rec.state = JobState.RUNNING
         assert placement(records, "e") == ("cloud0", (0, 1))
         assert cs.owner == {0: "e", 1: "e"}
         assert sched.apply_worker_count("e", 1) == (0,)            # shrink
@@ -345,7 +311,7 @@ class TestRecordAllocation:
         assert rec.node_indices == (0, 1, 2, 3)
         assert cs.owner == {0: "e", 1: "e", 2: "e", 3: "e"}
         assert rec.start_ms == 0
-        assert sched.release("e") == ("cloud0", (0, 1, 2, 3))
+        sched.release("e")
         # the record keeps the last placement; the owner map no longer holds it
         assert placement(records, "e") == ("cloud0", (0, 1, 2, 3)) and cs.owner == {}
         with pytest.raises(NoAllocation):
@@ -353,24 +319,10 @@ class TestRecordAllocation:
         with pytest.raises(NoAllocation):
             sched.apply_worker_count("e", 2)
 
-    def test_cancel_of_a_running_job_clears_its_allocation(self):
-        sched, records = mk([cluster("cpu0", CPU, 2)])
-        rec = add(sched, records, rigid("a", 2))
-        sched.plan(0)
-        rec.state = JobState.RUNNING
-        assert placement(records, "a") == ("cpu0", (0, 1))
-        assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
-        sched.cancel("a")
-        assert sched.clusters["cpu0"].owner == {}
-        assert placement(records, "a") == ("cpu0", (0, 1))   # what the result manifest reads
-        with pytest.raises(NoAllocation):
-            sched.release("a")
-
     def test_a_running_job_cannot_be_enqueued(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
         rec = add(sched, records, rigid("a", 1))
         sched.plan(0)
-        rec.state = JobState.RUNNING
         with pytest.raises(DuplicateJob):
             sched.enqueue(rec)
         assert oracles.queue_order(sched) == []
@@ -403,7 +355,6 @@ class TestElastic:
         rec = add(sched, records, elastic(job_id, lo, hi))
         decision = sched.plan(0)
         assert job_id in decision.starts
-        rec.state = JobState.RUNNING
         return rec
 
     def test_starts_at_min_workers(self):
@@ -448,6 +399,18 @@ class TestElastic:
         self._running_elastic(sched, records, "e", 1, 5)
         new = sched.apply_worker_count("e", 3)
         assert new == (0, 1, 2)
+
+    @pytest.mark.parametrize("state", list(JobState))
+    def test_targets_count_every_elastic_owner_whatever_its_state(self, state):
+        # lifecycle state is the engine's: the scheduler reads only who owns
+        # nodes, and a rigid owner is not elastic
+        sched, records = mk([cluster("cloud0", CLOUD, 6)], hybrid_rigid_on_cloud=True)
+        self._running_elastic(sched, records, "e1", 1, 6)
+        add(sched, records, rigid("r", 1, prefs=(CLOUD,)))
+        self._running_elastic(sched, records, "e2", 1, 6)
+        for rec in records.values():
+            rec.state = state
+        assert sched.elastic_targets("cloud0") == [("e1", 3), ("e2", 2)]
 
 
 class TestFairShare:
@@ -571,7 +534,6 @@ class TestPlanAgainstReference:
                 if state in ("busy", "busy_down"):
                     # a job started at t=0 whose walltime ends at the deadline
                     rec = rigid(f"r-{cid}-{n}", 1, wall=deadline, prefs=(kind,))
-                    rec.state = JobState.RUNNING
                     rec.cluster_id, rec.node_indices, rec.start_ms = cid, (n,), 0
                     records[rec.job_id] = rec
                     cs.owner[n] = rec.job_id
@@ -597,7 +559,7 @@ class TestPlanAgainstReference:
                 if not flags["hybrid_rigid_on_cloud"]:
                     prefs = tuple(k for k in prefs if k is not CLOUD)
             accept = tuple(cid for kind in prefs for cid in by_kind.get(kind, ()))
-            record = JobRecord(job_id=job_id, state=JobState.QUEUED, spec=spec)
+            record = JobRecord(job_id=job_id, spec=spec)
             records[job_id] = record
             if all(ref_clusters[cid][0] < needed for cid in accept):
                 with pytest.raises(Unsatisfiable):

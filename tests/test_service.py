@@ -29,6 +29,7 @@ from hybridsched import model
 from hybridsched import service as service_mod
 from hybridsched.catalog import DuplicateDataset, MissingDataset
 from hybridsched.cloud import RejectReason
+from hybridsched.engine import AlreadyTerminal, UnknownJob
 from hybridsched.model import (
     ClusterSpec,
     Elastic,
@@ -39,7 +40,6 @@ from hybridsched.model import (
     cluster_spec_to_obj,
     job_spec_to_obj,
 )
-from hybridsched.scheduler import AlreadyTerminal, UnknownJob
 from hybridsched.service import (
     ConfigError,
     ERROR_TABLE,
