@@ -293,6 +293,27 @@ class TestReservationAndBackfill:
         assert decision.reservation is None   # held nodes have no deadline
 
 
+class TestCancel:
+    """The scheduler's half of the engine's cancel: remove_queued for a queued job, release for a running one."""
+
+    def test_cancel_queued_removes_entry(self):
+        sched, records = mk([cluster("cpu0", CPU, 1)])
+        add(sched, records, rigid("a", 1))
+        assert sched.remove_queued("a")
+        assert sched.clusters["cpu0"].owner == {}
+        assert oracles.queue_order(sched) == []
+
+    def test_cancel_running_frees_nodes(self):
+        sched, records = mk([cluster("cpu0", CPU, 2)])
+        add(sched, records, rigid("a", 2))
+        sched.plan(0)
+        assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
+        assert not sched.remove_queued("a")     # a running job holds no queue entry
+        sched.release("a")
+        assert sched.clusters["cpu0"].owner == {}
+        assert sched.clusters["cpu0"].free_nodes() == [0, 1]
+
+
 class TestRecordAllocation:
     """The scheduler is the one writer of a record's placement; ClusterState.owner says if it is held."""
 
@@ -318,6 +339,18 @@ class TestRecordAllocation:
             sched.release("e")
         with pytest.raises(NoAllocation):
             sched.apply_worker_count("e", 2)
+
+    def test_cancel_of_a_running_job_clears_its_allocation(self):
+        sched, records = mk([cluster("cpu0", CPU, 2)])
+        add(sched, records, rigid("a", 2))
+        sched.plan(0)
+        assert placement(records, "a") == ("cpu0", (0, 1))
+        assert sched.clusters["cpu0"].owner == {0: "a", 1: "a"}
+        sched.release("a")     # what the engine's cancel of a running job calls
+        assert sched.clusters["cpu0"].owner == {}
+        assert placement(records, "a") == ("cpu0", (0, 1))   # what the result manifest reads
+        with pytest.raises(NoAllocation):
+            sched.release("a")
 
     def test_a_running_job_cannot_be_enqueued(self):
         sched, records = mk([cluster("cpu0", CPU, 2)])
