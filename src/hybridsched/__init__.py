@@ -14,7 +14,6 @@ from .model import (
     JobRecord,
     JobSpec,
     JobState,
-    LifecycleEvent,
     ResourceKind,
     Rigid,
     ValidationError,
@@ -48,7 +47,6 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobState",
-    "LifecycleEvent",
     "NonTerminating",
     "Quota",
     "Reservation",

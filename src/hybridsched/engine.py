@@ -29,7 +29,6 @@ from .model import (
     JobRecord,
     JobSpec,
     JobState,
-    LifecycleEvent,
     ResourceKind,
     SimConfig,
     projected_nodes,
@@ -56,12 +55,17 @@ class SimEventKind(str, Enum):
     RESCALE_APPLIED = "RescaleApplied"
 
 
-TERMINAL_EVENT_KINDS = frozenset({
-    SimEventKind.JOB_FINISHED,
-    SimEventKind.JOB_FAILED,
-    SimEventKind.JOB_TIMED_OUT,
-    SimEventKind.JOB_CANCELLED,
-})
+# The state each Job* row after JobSubmitted moves its job into (Simulation._job_row)
+STATE_OF_ROW = {
+    SimEventKind.JOB_QUEUED: JobState.QUEUED,
+    SimEventKind.JOB_STARTED: JobState.RUNNING,
+    SimEventKind.JOB_FINISHED: JobState.COMPLETED,
+    SimEventKind.JOB_FAILED: JobState.FAILED,
+    SimEventKind.JOB_TIMED_OUT: JobState.TIMED_OUT,
+    SimEventKind.JOB_CANCELLED: JobState.CANCELLED,
+}
+
+TERMINAL_EVENT_KINDS = frozenset(kind for kind, state in STATE_OF_ROW.items() if state.terminal)
 
 
 # One encoder for every line: json.dumps would build a new one per call.
@@ -336,7 +340,6 @@ class Simulation:
             self.scheduler.release(job_id)
         else:
             self.scheduler.remove_queued(job_id)
-        record.state = transition(record.state, LifecycleEvent.CANCEL_REQUESTED)
         self._retire(job_id, SimEventKind.JOB_CANCELLED)
         self._plan_cycle()
         return record.state
@@ -420,11 +423,11 @@ class Simulation:
         elif tag == _FINISH:
             if not self._timer_valid(a, b):
                 return
-            self._end_run(a, LifecycleEvent.FINISHED, SimEventKind.JOB_FINISHED)
+            self._end_run(a, SimEventKind.JOB_FINISHED)
         elif tag == _KILL:
             if not self._timer_valid(a, b):
                 return
-            self._end_run(a, LifecycleEvent.WALLTIME_EXCEEDED, SimEventKind.JOB_TIMED_OUT)
+            self._end_run(a, SimEventKind.JOB_TIMED_OUT)
         elif tag == _NODE_DOWN:
             self._handle_node_down(a, b)
         elif tag == _NODE_UP:
@@ -442,23 +445,26 @@ class Simulation:
         rs = self._run.get(job_id)      # None once the job has ended
         return rs is not None and rs.epoch == epoch
 
-    def _retire(self, job_id: str, kind: SimEventKind):
-        """The one terminal path: stamp end_ms, drop the live state, log the `kind` row.
+    def _job_row(self, record: JobRecord, kind: SimEventKind, payload: tuple):
+        """The one writer of JobRecord.state: move the job to the state its `kind` row
+        names, then log the row. A move outside the lifecycle table raises first."""
+        record.state = transition(record.state, STATE_OF_ROW[kind])
+        self._emit(kind, payload)
 
-        Every transition into a terminal state calls it, after the job has
-        taken its terminal state and released its nodes; its JobRecord keeps
-        the results, and the terminal row logs the job's identity row.
-        """
+    def _retire(self, job_id: str, kind: SimEventKind):
+        """The one terminal path: log the terminal `kind` row, which is the move, then
+        stamp end_ms and drop the live state. The job's nodes are already released;
+        its JobRecord keeps the results."""
         record = self.records[job_id]
+        self._job_row(record, kind, self._run[job_id].ident)
         record.end_ms = self.clock
-        ident = self._run.pop(job_id).ident
+        del self._run[job_id]
         user = record.spec.user_id
         jobs, nodes = self._user_load[user]
         if jobs == 1:
             del self._user_load[user]
         else:
             self._user_load[user] = (jobs - 1, nodes - projected_nodes(record.spec))
-        self._emit(kind, ident)
 
     # -- event handlers ---------------------------------------------------
 
@@ -473,17 +479,13 @@ class Simulation:
         try:
             self.scheduler.enqueue(record)
         except Unsatisfiable:
-            record.state = transition(record.state, LifecycleEvent.ERRORED)
             self._retire(job_id, SimEventKind.JOB_FAILED)
             return
-        record.state = transition(record.state, LifecycleEvent.VALIDATED)
-        self._emit(SimEventKind.JOB_QUEUED, rs.ident)
+        self._job_row(record, SimEventKind.JOB_QUEUED, rs.ident)
 
-    def _end_run(self, job_id: str, event: LifecycleEvent, kind: SimEventKind):
+    def _end_run(self, job_id: str, kind: SimEventKind):
         """A running job's timer fired: it finished or hit its walltime."""
-        record = self.records[job_id]
         self._credit(job_id)
-        record.state = transition(record.state, event)
         self.scheduler.release(job_id)
         self._retire(job_id, kind)
 
@@ -507,13 +509,11 @@ class Simulation:
         self._credit(victim)    # a failed job keeps its work; a requeued one restarts
         self.scheduler.release(victim)
         rs.epoch += 1
-        record.state = transition(record.state, LifecycleEvent.NODE_LOST,
-                                  retries_left=rs.retries_left)
-        if record.state is JobState.QUEUED:
+        if rs.retries_left > 0:
             rs.retries_left -= 1
             record.credited_milli = 0   # restart from scratch on the next attempt
             self.scheduler.enqueue(record)
-            self._emit(SimEventKind.JOB_QUEUED, rs.ident)
+            self._job_row(record, SimEventKind.JOB_QUEUED, rs.ident)
         else:
             self._retire(victim, SimEventKind.JOB_FAILED)
 
@@ -548,16 +548,15 @@ class Simulation:
         """Run a job that plan placed (on its record): Running, JobStarted, timer armed."""
         record = self.records[job_id]
         cs = self.scheduler.clusters[record.cluster_id]
-        record.state = transition(record.state, LifecycleEvent.STARTED)
         self._run[job_id].credit_from_ms = (
             self.clock + self._staging_delay(record.spec, cs.spec))
         nodes = record.node_indices     # the scheduler replaces it at a resize, never mutates it
         if isinstance(record.spec.shape, Elastic):
-            self._emit(SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
-                       "job_id", job_id, "node_indices", nodes, "workers", len(nodes)))
+            self._job_row(record, SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
+                          "job_id", job_id, "node_indices", nodes, "workers", len(nodes)))
         else:
-            self._emit(SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
-                       "job_id", job_id, "node_indices", nodes))
+            self._job_row(record, SimEventKind.JOB_STARTED, ("cluster_id", record.cluster_id,
+                          "job_id", job_id, "node_indices", nodes))
         self._schedule_finish(job_id)
 
     def _staging_delay(self, spec: JobSpec, cluster: ClusterSpec) -> int:

@@ -37,12 +37,13 @@ class ResourceKind(str, Enum):
 
 
 class JobState(str, Enum):
-    """Lifecycle states of a job, one per Job* event kind: a job is in the
+    """Lifecycle states of a job, one per Job* row kind: a job is in the
     state its last JobSubmitted, JobQueued, JobStarted, JobFinished,
-    JobFailed, JobTimedOut or JobCancelled event names.
+    JobFailed, JobTimedOut or JobCancelled row names. It moves only along
+    the (state, new state) pairs of the lifecycle table (transition).
 
     Completed, Failed, Cancelled and TimedOut are terminal: once reached,
-    no event moves the job anywhere else.
+    the job moves nowhere else.
     """
 
     SUBMITTED = "Submitted"
@@ -61,18 +62,6 @@ class JobState(str, Enum):
 _TERMINAL_STATES = frozenset(
     {JobState.COMPLETED, JobState.FAILED, JobState.CANCELLED, JobState.TIMED_OUT}
 )
-
-
-class LifecycleEvent(str, Enum):
-    """Events that drive the job state machine."""
-
-    VALIDATED = "Validated"
-    STARTED = "Started"
-    FINISHED = "Finished"
-    ERRORED = "Errored"
-    CANCEL_REQUESTED = "CancelRequested"
-    WALLTIME_EXCEEDED = "WalltimeExceeded"
-    NODE_LOST = "NodeLost"
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,10 +169,10 @@ class JobRecord:
     """Mutable per-job record tracked by the platform.
 
     The one per-job home of a job's lifecycle, placement and credited
-    work, each field with one writer. The engine writes state, submit_ms,
-    end_ms and credited_milli (reset by a requeue). The scheduler writes
-    the placement: cluster_id, node_indices (a
-    sorted tuple) and start_ms at each start, node_indices at each
+    work, each field with one writer. The engine writes state (as it logs
+    each Job* row), submit_ms, end_ms and credited_milli (reset by a
+    requeue). The scheduler writes the placement: cluster_id, node_indices
+    (a sorted tuple) and start_ms at each start, node_indices at each
     resize. They stay when the job gives up its nodes, as its last
     placement; whether it holds them now is ClusterState.owner's to say.
     submit_seq, also the scheduler's, is set at the first enqueue and
@@ -254,12 +243,12 @@ class DuplicateCluster(ValidationError):
 
 
 class InvalidTransition(Exception):
-    """The (state, event) pair is not in the lifecycle table."""
+    """The (state, new state) pair is not in the lifecycle table."""
 
-    def __init__(self, state: JobState, event: LifecycleEvent):
+    def __init__(self, state: JobState, new: JobState):
         self.state = state
-        self.event = event
-        super().__init__(f"no transition from {state.value} on {event.value}")
+        self.new = new
+        super().__init__(f"no transition from {state.value} to {new.value}")
 
 
 # --- operations -----------------------------------------------------------
@@ -303,32 +292,29 @@ def validate_job(spec: JobSpec, known_kinds: Container[ResourceKind]) -> JobSpec
     return spec
 
 
-# Lifecycle table: the moves the engine makes, and no others. NodeLost
-# from Running goes back to Queued while the retry budget lasts, to
-# Failed once it is exhausted.
-_TRANSITIONS: dict[tuple[JobState, LifecycleEvent], JobState] = {
-    (JobState.SUBMITTED, LifecycleEvent.VALIDATED): JobState.QUEUED,
-    (JobState.SUBMITTED, LifecycleEvent.ERRORED): JobState.FAILED,
-    (JobState.QUEUED, LifecycleEvent.STARTED): JobState.RUNNING,
-    (JobState.RUNNING, LifecycleEvent.FINISHED): JobState.COMPLETED,
-    (JobState.RUNNING, LifecycleEvent.WALLTIME_EXCEEDED): JobState.TIMED_OUT,
-    (JobState.QUEUED, LifecycleEvent.CANCEL_REQUESTED): JobState.CANCELLED,
-    (JobState.RUNNING, LifecycleEvent.CANCEL_REQUESTED): JobState.CANCELLED,
-}
+# Lifecycle table: the (state, new state) moves the engine makes, and no
+# others. Running goes back to Queued when a lost node requeues the job.
+_TRANSITIONS = frozenset({
+    (JobState.SUBMITTED, JobState.QUEUED),
+    (JobState.SUBMITTED, JobState.FAILED),
+    (JobState.QUEUED, JobState.RUNNING),
+    (JobState.QUEUED, JobState.CANCELLED),
+    (JobState.RUNNING, JobState.QUEUED),
+    (JobState.RUNNING, JobState.COMPLETED),
+    (JobState.RUNNING, JobState.FAILED),
+    (JobState.RUNNING, JobState.TIMED_OUT),
+    (JobState.RUNNING, JobState.CANCELLED),
+})
 
 
-def transition(state: JobState, event: LifecycleEvent, *, retries_left: int = 1) -> JobState:
-    """Return the next state for (state, event) or raise InvalidTransition.
+def transition(state: JobState, new: JobState) -> JobState:
+    """Return new if (state, new) is in the lifecycle table; raise InvalidTransition if not.
 
-    retries_left only matters for NodeLost from Running: positive budget
-    requeues the job, an exhausted budget fails it.
+    The engine makes every move through it, as it logs the Job* row named for the new state.
     """
-    if state is JobState.RUNNING and event is LifecycleEvent.NODE_LOST:
-        return JobState.QUEUED if retries_left > 0 else JobState.FAILED
-    try:
-        return _TRANSITIONS[(state, event)]
-    except KeyError:
-        raise InvalidTransition(state, event) from None
+    if (state, new) not in _TRANSITIONS:
+        raise InvalidTransition(state, new)
+    return new
 
 
 def projected_nodes(spec: JobSpec) -> int:

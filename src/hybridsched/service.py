@@ -252,10 +252,7 @@ class Service:
 
     def handle_submit(self, req) -> tuple[int, dict]:
         spec = job_spec_from_obj(req.json())
-        caller = req.header(self.config.auth_header)
-        if caller and caller != spec.user_id:
-            raise ApiError("auth_mismatch",
-                           f"auth header says {caller!r} but spec says {spec.user_id!r}", 403)
+        self._caller(req, spec.user_id)
         self.sim.check_job(spec)      # before admission; submit_now checks again
         self.cloud.admit(spec)
         layer = self.cloud.route(spec)
@@ -324,7 +321,7 @@ class Service:
     def handle_create_vcluster(self, req) -> tuple[int, dict]:
         body = req.json()
         _refuse_unknown(body, {"user_id", "node_count", "image"})
-        owner = req.header(self.config.auth_header) or _str_field(body, "user_id")
+        owner = self._caller(req, _str_field(body, "user_id") if "user_id" in body else None)
         vc = self.cloud.provision_vcluster(owner, body.get("node_count", 0),
                                            _str_field(body, "image"))
         return 201, self._vc_view(vc)
@@ -356,6 +353,17 @@ class Service:
         mark = len(self.sim.log)
         self.sim.advance_to(target)
         return 200, {"now_ms": self.sim.now_ms, "events_fired": len(self.sim.log) - mark}
+
+    def _caller(self, req, named: Optional[str]) -> str:
+        """The user a request acts for: the user_id its body names, or the auth header's
+        when the body names none (None). A header naming another user gets 403."""
+        caller = req.header(self.config.auth_header)
+        if named is None:
+            return caller or ""
+        if caller and caller != named:
+            raise ApiError("auth_mismatch",
+                           f"auth header says {caller!r} but spec says {named!r}", 403)
+        return named
 
     def _vc_view(self, vc) -> dict:
         return {

@@ -33,29 +33,20 @@ from hybridsched.traces import FaultDirective, MalformedTrace, SubmissionTrace
 
 STATES = ("Submitted", "Queued", "Running",
           "Completed", "Failed", "Cancelled", "TimedOut")
-EVENTS = ("Validated", "Started", "Finished",
-          "Errored", "CancelRequested", "WalltimeExceeded", "NodeLost")
 
-# None = invalid pair. "NodeLost" from Running depends on the retry
-# budget and is resolved by transition_oracle below.
-TRANSITION_TABLE = {
-    ("Submitted", "Validated"): "Queued",
-    ("Submitted", "Errored"): "Failed",
-    ("Queued", "Started"): "Running",
-    ("Queued", "CancelRequested"): "Cancelled",
-    ("Running", "Finished"): "Completed",
-    ("Running", "WalltimeExceeded"): "TimedOut",
-    ("Running", "CancelRequested"): "Cancelled",
-    ("Running", "NodeLost"): "budget",
+# The (state, new state) moves of the lifecycle; every other pair of
+# STATES is invalid.
+TRANSITIONS = {
+    ("Submitted", "Queued"),
+    ("Submitted", "Failed"),
+    ("Queued", "Running"),
+    ("Queued", "Cancelled"),
+    ("Running", "Queued"),
+    ("Running", "Completed"),
+    ("Running", "Failed"),
+    ("Running", "TimedOut"),
+    ("Running", "Cancelled"),
 }
-
-
-def transition_oracle(state, event, retries_left=1):
-    """Next state name, or None for an invalid pair."""
-    nxt = TRANSITION_TABLE.get((state, event))
-    if nxt == "budget":
-        return "Queued" if retries_left > 0 else "Failed"
-    return nxt
 
 
 # --- runtime model ---------------------------------------------------------

@@ -37,9 +37,9 @@ from hybridsched.model import (
     ClusterSpec,
     DuplicateCluster,
     Elastic,
+    InvalidTransition,
     JobSpec,
     JobState,
-    LifecycleEvent,
     ResourceKind,
     Rigid,
     UnknownKind,
@@ -488,17 +488,16 @@ STATE_OF_EVENT = {
 
 
 class TestLifecycleRows:
-    """Every row of the lifecycle table is a move some run makes, and the
-    table is the only way a job's state changes."""
+    """Every pair of the lifecycle table is a move some run makes, and each
+    move is the Job* row the engine logs with it."""
 
     @pytest.fixture
     def taken(self, monkeypatch):
-        moves = set()
+        moves = []
 
-        def spy(state, event, *, retries_left=1):
-            nxt = model.transition(state, event, retries_left=retries_left)
-            moves.add((state, event, nxt))
-            return nxt
+        def spy(state, new):
+            moves.append((state, new))
+            return model.transition(state, new)
         monkeypatch.setattr(engine, "transition", spy)
         monkeypatch.setattr(scheduler_mod, "transition", spy)
         return moves
@@ -524,28 +523,47 @@ class TestLifecycleRows:
         assert sorted(STATE_OF_EVENT.values()) == sorted(JobState)
         assert sorted(s.value for s in JobState) == sorted(oracles.STATES)
 
+    def test_engine_rows_name_the_states(self):
+        assert engine.STATE_OF_ROW == {
+            kind: state for kind, state in STATE_OF_EVENT.items()
+            if kind is not SimEventKind.JOB_SUBMITTED}
+        assert TERMINAL_EVENT_KINDS == {SimEventKind.JOB_FINISHED, SimEventKind.JOB_FAILED,
+                                        SimEventKind.JOB_TIMED_OUT, SimEventKind.JOB_CANCELLED}
+
     def test_no_row_is_dead(self, taken):
         for _ in self.runs():
             pass
-        rows = {(state, event) for state, event, _ in taken}
-        assert rows - {(JobState.RUNNING, LifecycleEvent.NODE_LOST)} == set(model._TRANSITIONS)
-        node_lost = {nxt for state, event, nxt in taken if event is LifecycleEvent.NODE_LOST}
-        assert node_lost == {JobState.QUEUED, JobState.FAILED}
+        assert set(taken) == model._TRANSITIONS
 
     def test_job_events_walk_the_table_to_the_final_state(self, taken):
         for log, records in self.runs():
-            moves = {(state, nxt) for state, _, nxt in taken}
             seen = {}
+            rows = []       # (state before, state after) of each Job* row after JobSubmitted
             for e in log_events(log):
                 kind = SimEventKind(e["kind"])
                 if kind in STATE_OF_EVENT:
-                    seen.setdefault(e["job_id"], []).append(STATE_OF_EVENT[kind])
+                    states = seen.setdefault(e["job_id"], [])
+                    if states:
+                        rows.append((states[-1], STATE_OF_EVENT[kind]))
+                    states.append(STATE_OF_EVENT[kind])
+            assert taken == rows      # one move per row, in log order
+            taken.clear()
             assert seen.keys() == records.keys()
             for job_id, states in seen.items():
                 assert states[0] is JobState.SUBMITTED
-                for before, after in zip(states, states[1:]):
-                    assert (before, after) in moves, (job_id, states)
                 assert states[-1] is records[job_id].state
+
+    def test_illegal_move_logs_nothing(self):
+        sim = Simulation([cluster("cpu0", CPU, 1)])
+        job_id = sim.submit_now(rigid("a", 1, 1, 30_000))
+        sim.run_to_quiescence()
+        record = sim.records[job_id]
+        assert record.state is JobState.COMPLETED
+        mark = len(sim.log)
+        with pytest.raises(InvalidTransition):
+            sim._job_row(record, SimEventKind.JOB_QUEUED, ("job_id", job_id))
+        assert len(sim.log) == mark
+        assert record.state is JobState.COMPLETED
 
 
 class TestStepping:

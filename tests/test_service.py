@@ -728,6 +728,35 @@ class TestVClusters:
                           {"user_id": "u", "node_count": 1, "image": "i"})
         assert status == 201 and vc["owner"] == "u"
 
+    def assert_nothing_held(self, svc):
+        _status, listing = call(svc, "GET", "/v1/vclusters")
+        assert listing["vclusters"] == []
+        assert engine.SimEventKind.NODES_HELD not in svc.sim.log.kind
+
+    def test_header_does_not_excuse_a_non_string_user_id(self, svc):
+        status, err = call(svc, "POST", "/v1/vclusters",
+                           {"user_id": 5, "node_count": 1, "image": "i"},
+                           headers={"X-User-Id": "u"})
+        assert (status, err["error"]) == (
+            422, {"code": "validation_failed", "message": "user_id must be a string"})
+        self.assert_nothing_held(svc)
+
+    def test_header_and_body_naming_different_users(self, svc):
+        call(svc, "POST", "/v1/users", {"user_id": "v", "quota": {
+            "max_concurrent_jobs": 0, "max_nodes_in_use": 0, "max_vcluster_nodes": 4}})
+        status, err = call(svc, "POST", "/v1/vclusters",
+                           {"user_id": "v", "node_count": 1, "image": "i"},
+                           headers={"X-User-Id": "u"})
+        assert (status, err["error"]) == (
+            403, {"code": "auth_mismatch", "message": "auth header says 'u' but spec says 'v'"})
+        self.assert_nothing_held(svc)
+
+    def test_header_and_body_naming_the_same_user(self, svc):
+        status, vc = call(svc, "POST", "/v1/vclusters",
+                          {"user_id": "u", "node_count": 1, "image": "i"},
+                          headers={"X-User-Id": "u"})
+        assert status == 201 and vc["owner"] == "u"
+
     def test_quota_and_capacity_errors(self, svc):
         status, err = call(svc, "POST", "/v1/vclusters",
                            {"user_id": "u", "node_count": 5, "image": "i"})
