@@ -12,8 +12,10 @@ guard tripped (non-terminating run).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from urllib.parse import quote
 
 from .engine import NonTerminating, SimConfig, UnknownNode, run_trace
 from .metrics import compare, format_table, utilization, utilization_rows, wait_stats
@@ -46,29 +48,41 @@ def _server(args) -> str:
 
 
 def _request(args, method: str, path: str, body=None, headers=None):
-    # imported here: requests (urllib3, ssl, ...) is for the remote
-    # commands only, and simulate and serve never load it
-    import requests
+    """(status, body bytes) of the server's answer, or None after one
+    `cannot reach` line. A 4xx or 5xx answer is an answer, not a failure."""
+    # imported here: simulate and serve never load the HTTP client
+    import http.client
+    import urllib.error
+    import urllib.request
 
     url = _server(args).rstrip("/") + path
+    data = None if body is None else json.dumps(body).encode()
     try:
-        resp = requests.request(method, url, json=body, headers=headers, timeout=10)
-    except requests.RequestException as exc:
+        req = urllib.request.Request(url, data=data, method=method,
+                                     headers={"Content-Type": "application/json",
+                                              **(headers or {})})
+        try:
+            resp = urllib.request.urlopen(req, timeout=10)
+        except urllib.error.HTTPError as exc:   # a 4xx or 5xx answer, also a URLError
+            resp = exc
+        with resp:
+            return resp.status, resp.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         _fail(f"cannot reach {url}: {exc}")
         return None
-    return resp
 
 
-def _finish(args, resp, render) -> int:
+def _finish(args, reply, render) -> int:
     """Common tail: --json passes the body through verbatim, else render."""
-    if resp is None:
+    if reply is None:
         return EXIT_REMOTE
-    if resp.status_code >= 400:
-        return _fail(f"{resp.status_code}: {resp.text}", EXIT_REMOTE)
+    status, body = reply
+    if status >= 400:
+        return _fail(f"{status}: {body.decode('utf-8', 'replace')}", EXIT_REMOTE)
     if args.json:
-        sys.stdout.write(resp.content.decode("utf-8"))
+        sys.stdout.write(body.decode("utf-8"))
         return EXIT_OK
-    render(resp.json())
+    render(json.loads(body))
     return EXIT_OK
 
 
@@ -92,18 +106,24 @@ def _render_fields(obj):
             print(f"{key}: {value}")
 
 
+def _job_path(job_id: str) -> str:
+    """The job's URL path, its id quoted as one segment: a `/`, `?` or `#`
+    in the id is percent-encoded, not sent as URL syntax."""
+    return "/v1/jobs/" + quote(job_id, safe="")
+
+
 def cmd_status(args) -> int:
-    resp = _request(args, "GET", f"/v1/jobs/{args.job_id}")
+    resp = _request(args, "GET", _job_path(args.job_id))
     return _finish(args, resp, _render_fields)
 
 
 def cmd_result(args) -> int:
-    resp = _request(args, "GET", f"/v1/jobs/{args.job_id}/result")
+    resp = _request(args, "GET", _job_path(args.job_id) + "/result")
     return _finish(args, resp, _render_fields)
 
 
 def cmd_cancel(args) -> int:
-    resp = _request(args, "DELETE", f"/v1/jobs/{args.job_id}")
+    resp = _request(args, "DELETE", _job_path(args.job_id))
     return _finish(args, resp, lambda obj: print(f"{obj['job_id']}: {obj['state']}"))
 
 

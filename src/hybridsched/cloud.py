@@ -236,11 +236,8 @@ class CloudLayer:
                 f"user {user_id} holds {held} vcluster nodes; "
                 f"+{node_count} exceeds quota {account.quota.max_vcluster_nodes}")
         chosen = None
-        for cid in sorted(self.sim.clusters()):
-            cs = self.sim.clusters()[cid]
-            if cs.spec.kind is not ResourceKind.CLOUD:
-                continue
-            free = cs.free_nodes()
+        for cid in self.sim.scheduler.by_kind.get(ResourceKind.CLOUD, ()):
+            free = self.sim.clusters()[cid].free_nodes()
             if len(free) >= node_count:
                 chosen = (cid, tuple(free[:node_count]))
                 break

@@ -312,9 +312,7 @@ class Service:
     def handle_list_users(self, req) -> tuple[int, dict]:
         return 200, {"users": [
             {"user_id": a.user_id, "display_name": a.display_name,
-             "quota": {"max_concurrent_jobs": a.quota.max_concurrent_jobs,
-                       "max_nodes_in_use": a.quota.max_nodes_in_use,
-                       "max_vcluster_nodes": a.quota.max_vcluster_nodes}}
+             "quota": dataclasses.asdict(a.quota)}
             for a in self.cloud.list_users()
         ]}
 

@@ -7,16 +7,19 @@ the package cannot leak into its own check. The wire decoders at the
 end are the one exception: they are the package's earlier decoders,
 kept to check the current ones against, and build its value types (the
 earlier service config decoder builds the earlier config type, which
-held three scheduler settings of its own). `log_from_events` and
-`outcome` are helpers, not oracles: the first turns parsed log lines
-into an `EventLog` for tests that hand a log to the package, the second
-gives what a decoder and its reference decoder must agree on.
+held three scheduler settings of its own). `log_from_events`,
+`outcome` and `http_call` are helpers, not oracles: the first turns
+parsed log lines into an `EventLog` for tests that hand a log to the
+package, the second gives what a decoder and its reference decoder must
+agree on, and the third is the tests' HTTP client for a live server.
 """
 
 import copy
 import heapq
 import json
 import math
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -154,6 +157,19 @@ def log_from_events(events):
                          for k, v in event.items() if k not in ("t", "seq", "kind"))
         log.append(event["t"], SimEventKind(event["kind"]), tuple(x for kv in payload for x in kv))
     return log
+
+
+def http_call(method, url, body=None):
+    """(status, body bytes) of one request to a live server, body sent as JSON."""
+    data = None if body is None else json.dumps(body).encode()
+    req = urllib.request.Request(url, data=data, method=method,
+                                 headers={"Content-Type": "application/json"})
+    try:
+        resp = urllib.request.urlopen(req, timeout=5)
+    except urllib.error.HTTPError as exc:   # a 4xx or 5xx answer
+        resp = exc
+    with resp:
+        return resp.status, resp.read()
 
 
 TERMINAL_KINDS = {"JobFinished", "JobFailed", "JobTimedOut", "JobCancelled"}

@@ -6,6 +6,7 @@ independent oracle (hand-walked timelines, brute-force scans, a
 no-backfill reference scheduler) rather than from the code under test.
 """
 
+import json
 import random
 import threading
 import time
@@ -303,8 +304,6 @@ def test_criterion_07_elastic_bounds_and_conservation():
 
 
 def test_criterion_08_http_round_trip():
-    import requests
-
     t0 = time.perf_counter()
     cfg = ServiceConfig(
         clusters=[cluster("cpu0", CPU, 4)],
@@ -323,16 +322,14 @@ def test_criterion_08_http_round_trip():
         job_ids = []
         for name, nodes, work in [("a", 2, 10), ("b", 1, 6), ("c", 1, 4)]:
             obj = job_spec_to_obj(rigid(name, nodes, work, 60_000))
-            r = requests.post(f"{base}/v1/jobs", json=obj, timeout=5)
-            assert r.status_code == 201, r.text
-            job_ids.append(r.json()["job_id"])
-        requests.post(f"{base}/v1/clock/advance", json={"until_ms": 120_000},
-                      timeout=5)
+            code, raw = oracles.http_call("POST", f"{base}/v1/jobs", obj)
+            assert code == 201, raw
+            job_ids.append(json.loads(raw)["job_id"])
+        oracles.http_call("POST", f"{base}/v1/clock/advance", {"until_ms": 120_000})
         consistent = 0
         for job_id in job_ids:
-            status = requests.get(f"{base}/v1/jobs/{job_id}", timeout=5).json()
-            manifest = requests.get(f"{base}/v1/jobs/{job_id}/result",
-                                    timeout=5).json()
+            status = json.loads(oracles.http_call("GET", f"{base}/v1/jobs/{job_id}")[1])
+            manifest = json.loads(oracles.http_call("GET", f"{base}/v1/jobs/{job_id}/result")[1])
             events = oracles.log_events(service.sim.log)
             started = [e["t"] for e in events
                        if e["kind"] == "JobStarted" and e.get("job_id") == job_id]

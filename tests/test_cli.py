@@ -1,5 +1,6 @@
 """CLI tests: exit codes, rendering, --json passthrough, offline simulate."""
 
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -9,9 +10,9 @@ import sys
 import threading
 
 import pytest
-import requests
 
 import hybridsched
+import oracles
 from hybridsched import cli as cli_mod
 from hybridsched.cli import EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_REMOTE, main
 from hybridsched.engine import Simulation
@@ -36,6 +37,7 @@ from hybridsched.traces import (
 
 CPU = ResourceKind.CPU
 GPU = ResourceKind.GPU
+CLOUD = ResourceKind.CLOUD
 
 
 def cluster(cid, kind, nodes, speed=1):
@@ -46,11 +48,11 @@ def cluster(cid, kind, nodes, speed=1):
 @pytest.fixture
 def server():
     cfg = ServiceConfig(
-        clusters=[cluster("cpu0", CPU, 4)],
+        clusters=[cluster("cpu0", CPU, 4), cluster("cloud0", CLOUD, 2)],
         listen_addr="127.0.0.1:0",
         users=[{"user_id": "u",
                 "quota": {"max_concurrent_jobs": 10, "max_nodes_in_use": 100,
-                          "max_vcluster_nodes": 0}}],
+                          "max_vcluster_nodes": 2}}],
     )
     srv, service = make_service_server(cfg)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -81,6 +83,75 @@ def unreachable_server() -> str:
     return "http://127.0.0.1:%d" % port
 
 
+@contextlib.contextmanager
+def garbage_server():
+    """URL of a server that answers one connection with a line that is not HTTP."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(1)
+
+    def answer():
+        conn, _addr = sock.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"garbage\r\n\r\n")
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d" % sock.getsockname()[1]
+    finally:
+        sock.close()
+        thread.join(timeout=5)
+
+
+# stdout of test_every_remote_command_runs_without_requests: the bytes the
+# remote commands printed when they sent their requests through requests
+EVERY_REMOTE_COMMAND_OUT = """\
+j000000
+exit 0
+j000001
+exit 0
+job_id: j000000
+name: j
+user_id: u
+state: Running
+submit_ms: 0
+start_ms: 0
+cluster_id: cpu0
+node_indices: [0]
+exit 0
+j000001: Cancelled
+exit 0
+now_ms: 60000  events_fired: 1
+exit 0
+job_id: j000000
+terminal: Completed
+submit_ms: 0
+start_ms: 0
+end_ms: 10000
+duration_ms: 10000
+credited_work_milliunits: 10000
+work_units: 10
+cluster_id: cpu0
+node_indices: [0]
+exit 0
+cluster  kind   nodes  free  busy  down  held  speed
+-------  -----  -----  ----  ----  ----  ----  -----
+cloud0   cloud  2      2     0     0     0     1
+cpu0     cpu    4      4     0     0     0     1
+exit 0
+cluster  busy_node_ms  avail_node_ms  held_node_ms  util
+-------  ------------  -------------  ------------  ------
+cloud0   0             120000         0             0.0000
+cpu0     10000         240000         0             0.0417
+TOTAL    10000         360000         0             0.0278
+jobs: 2  started: 2  mean_wait_ms: 0  makespan_ms: 10000
+exit 0
+exit 1
+"""
+
+
 class TestRemoteCommands:
     def test_submit_advance_result_flow(self, server, tmp_path, capsys):
         assert main(["--server", server, "submit", "--file",
@@ -106,7 +177,7 @@ class TestRemoteCommands:
     def test_json_is_byte_passthrough(self, server, tmp_path, capsys):
         main(["--server", server, "submit", "--file", spec_file(tmp_path)])
         capsys.readouterr()
-        raw = requests.get(server + "/v1/jobs/j000000", timeout=10).content
+        _status, raw = oracles.http_call("GET", server + "/v1/jobs/j000000")
         assert main(["--server", server, "--json", "status", "j000000"]) == EXIT_OK
         assert capsys.readouterr().out == raw.decode("utf-8")
 
@@ -139,6 +210,68 @@ class TestRemoteCommands:
     def test_unreachable_server_exits_1(self, capsys):
         assert main(["--server", unreachable_server(), "clusters"]) == EXIT_REMOTE
         assert "cannot reach" in capsys.readouterr().err
+
+    def test_a_server_url_with_no_scheme_exits_1(self, capsys):
+        url = unreachable_server().removeprefix("http://")
+        assert main(["--server", url, "clusters"]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith(f"hsctl: cannot reach {url}/v1/clusters: ") and err.count("\n") == 1
+
+    def test_a_reply_that_is_not_http_exits_1(self, capsys):
+        with garbage_server() as url:
+            assert main(["--server", url, "clusters"]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith(f"hsctl: cannot reach {url}/v1/clusters: ") and err.count("\n") == 1
+
+    def test_a_user_id_no_header_can_carry_exits_1(self, server, tmp_path, capsys):
+        # X-User-Id is sent as Latin-1; requests let the UnicodeEncodeError out
+        assert main(["--server", server, "submit", "--file",
+                     spec_file(tmp_path, user="\u4e2d")]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith("hsctl: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("job_id", ["j000000?x", "j000000 x"])
+    def test_a_job_id_is_one_path_segment(self, server, tmp_path, capsys, job_id):
+        # unquoted, "?x" would be sent as a query and j000000 shown, and
+        # http.client would refuse the space
+        main(["--server", server, "submit", "--file", spec_file(tmp_path)])
+        capsys.readouterr()
+        assert main(["--server", server, "status", job_id]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith("hsctl: 404: ") and f'"message": "unknown job {job_id}"' in err
+
+    def test_a_job_id_cannot_reach_another_route(self, server, capsys):
+        # unquoted, the ".." would be collapsed into DELETE /v1/vclusters/vc0000
+        body = {"user_id": "u", "node_count": 1, "image": "img"}
+        assert oracles.http_call("POST", server + "/v1/vclusters", body)[0] == 201
+        assert main(["--server", server, "cancel", "../vclusters/vc0000"]) == EXIT_REMOTE
+        err = capsys.readouterr().err
+        assert err.startswith("hsctl: 404: ") and "no_such_route" in err
+        status, raw = oracles.http_call("GET", server + "/v1/vclusters")
+        assert status == 200
+        assert [vc["state"] for vc in json.loads(raw)["vclusters"]] == ["Ready"]
+
+    def test_every_remote_command_runs_without_requests(self, server, tmp_path):
+        src = str(pathlib.Path(hybridsched.__file__).parent.parent)
+        spec = spec_file(tmp_path)
+        argvs = [["submit", "--file", spec], ["submit", "--file", spec],
+                 ["status", "j000000"], ["cancel", "j000001"],
+                 ["advance", "--until-ms", "60000"], ["result", "j000000"],
+                 ["clusters"], ["metrics"], ["status", "zzz"]]
+        code = f"""
+import sys
+sys.modules["requests"] = None     # import requests raises ImportError
+sys.path.insert(0, {src!r})
+from hybridsched.cli import main
+for argv in {argvs!r}:
+    print("exit", main(["--server", {server!r}] + argv), flush=True)
+"""
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == EVERY_REMOTE_COMMAND_OUT
+        assert run.stderr == ('hsctl: 404: {"error": {"code": "unknown_job", '
+                              '"message": "unknown job zzz"}}\n')
 
     def test_server_from_environment(self, server, capsys, monkeypatch):
         monkeypatch.setenv("HYBRIDSCHED_SERVER", server)
@@ -463,11 +596,8 @@ class TestBadFiles:
         assert self.one_hsctl_line(capsys).endswith(f"unknown field: {escaped}\n")
 
     def test_a_server_error_body_is_one_line(self, capsys, monkeypatch):
-        class Reply:
-            status_code = 502
-            text = "<html>\nTraceback (most recent call last):\n</html>"
-
-        monkeypatch.setattr(cli_mod, "_request", lambda *args, **kwargs: Reply())
+        reply = (502, b"<html>\nTraceback (most recent call last):\n</html>")
+        monkeypatch.setattr(cli_mod, "_request", lambda *args, **kwargs: reply)
         assert main(["status", "j000000"]) == EXIT_REMOTE
         err = self.one_hsctl_line(capsys)
         assert err == r"hsctl: 502: <html>\nTraceback (most recent call last):\n</html>" + "\n"
@@ -493,7 +623,8 @@ from hybridsched.model import ClusterSpec, ResourceKind
 from hybridsched.service import Service, ServiceConfig
 Service(ServiceConfig(clusters=[ClusterSpec("cpu0", ResourceKind.CPU, 2, 8, 1)],
                       datasets=[{{"name": "d", "size_bytes": 1}}]))
-http = ("requests", "urllib3", "http.server", "socketserver", "wsgiref.simple_server")
+http = ("requests", "urllib3", "urllib.request", "http.client", "http.server", "socketserver",
+        "wsgiref.simple_server")
 print(json.dumps([name for name in http if name in sys.modules]))
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

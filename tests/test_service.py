@@ -640,6 +640,10 @@ class TestUsers:
         assert status == 409 and err["error"]["code"] == "duplicate_user"
         _status, listing = call(svc, "GET", "/v1/users")
         assert [u["user_id"] for u in listing["users"]] == ["alice", "u"]
+        # the wire body keeps its key order
+        assert list(listing["users"][0]) == ["user_id", "display_name", "quota"]
+        assert list(listing["users"][0]["quota"]) == [
+            "max_concurrent_jobs", "max_nodes_in_use", "max_vcluster_nodes"]
 
     def test_bad_quota_shapes(self, svc):
         status, err = call(svc, "POST", "/v1/users",
@@ -1197,19 +1201,19 @@ class TestOverRealHttp:
         return server, thread, f"http://127.0.0.1:{port}"
 
     def test_sim_mode_round_trip(self):
-        import requests
-
         cfg = base_config(listen_addr="127.0.0.1:0")
         server, thread, base = self.run_server(cfg)
         try:
-            assert requests.get(f"{base}/v1/clock", timeout=5).json()["now_ms"] == 0
-            r = requests.post(f"{base}/v1/jobs", json=rigid_obj(work=10), timeout=5)
-            assert r.status_code == 201
-            job_id = r.json()["job_id"]
-            r = requests.post(f"{base}/v1/clock/advance",
-                              json={"until_ms": 60_000}, timeout=5)
-            assert r.status_code == 200
-            manifest = requests.get(f"{base}/v1/jobs/{job_id}/result", timeout=5).json()
+            _status, raw = oracles.http_call("GET", f"{base}/v1/clock")
+            assert json.loads(raw)["now_ms"] == 0
+            status, raw = oracles.http_call("POST", f"{base}/v1/jobs", rigid_obj(work=10))
+            assert status == 201
+            job_id = json.loads(raw)["job_id"]
+            status, _raw = oracles.http_call("POST", f"{base}/v1/clock/advance",
+                                             {"until_ms": 60_000})
+            assert status == 200
+            _status, raw = oracles.http_call("GET", f"{base}/v1/jobs/{job_id}/result")
+            manifest = json.loads(raw)
             assert manifest["terminal"] == "Completed"
             assert manifest["duration_ms"] == 10_000
         finally:
@@ -1218,15 +1222,13 @@ class TestOverRealHttp:
             server.server_close()
 
     def test_realtime_mode_moves_the_clock(self):
-        import requests
-
         cfg = base_config(listen_addr="127.0.0.1:0", mode="realtime")
         server, thread, base = self.run_server(cfg)
         try:
-            first = requests.get(f"{base}/v1/clock", timeout=5).json()
+            first = json.loads(oracles.http_call("GET", f"{base}/v1/clock")[1])
             assert first["mode"] == "realtime"
             time.sleep(0.05)
-            second = requests.get(f"{base}/v1/clock", timeout=5).json()
+            second = json.loads(oracles.http_call("GET", f"{base}/v1/clock")[1])
             assert second["now_ms"] >= first["now_ms"] + 50
         finally:
             server.shutdown()
