@@ -19,7 +19,8 @@ from urllib.parse import quote
 
 from .engine import NonTerminating, SimConfig, UnknownNode, run_trace
 from .metrics import compare, format_table, utilization, utilization_rows, wait_stats
-from .model import MalformedSpec, ValidationError, cluster_specs_from_obj, read_json
+from .model import (MalformedSpec, ValidationError, cluster_specs_from_obj, parse_json,
+                    read_json)
 from .service import ConfigError, load_config, serve
 from .traces import MalformedTrace, read_trace
 
@@ -47,7 +48,7 @@ def _server(args) -> str:
     return os.environ.get("HYBRIDSCHED_SERVER", DEFAULT_SERVER)
 
 
-def _request(args, method: str, path: str, body=None, headers=None):
+def _request(args, method: str, path: str, body=None):
     """(status, body bytes) of the server's answer, or None after one
     `cannot reach` line. A 4xx or 5xx answer is an answer, not a failure."""
     # imported here: simulate and serve never load the HTTP client
@@ -59,8 +60,7 @@ def _request(args, method: str, path: str, body=None, headers=None):
     data = None if body is None else json.dumps(body).encode()
     try:
         req = urllib.request.Request(url, data=data, method=method,
-                                     headers={"Content-Type": "application/json",
-                                              **(headers or {})})
+                                     headers={"Content-Type": "application/json"})
         try:
             resp = urllib.request.urlopen(req, timeout=10)
         except urllib.error.HTTPError as exc:   # a 4xx or 5xx answer, also a URLError
@@ -73,16 +73,21 @@ def _request(args, method: str, path: str, body=None, headers=None):
 
 
 def _finish(args, reply, render) -> int:
-    """Common tail: --json passes the body through verbatim, else render."""
+    """Common tail: --json writes the body's bytes as received, else render."""
     if reply is None:
         return EXIT_REMOTE
     status, body = reply
     if status >= 400:
         return _fail(f"{status}: {body.decode('utf-8', 'replace')}", EXIT_REMOTE)
     if args.json:
-        sys.stdout.write(body.decode("utf-8"))
+        sys.stdout.flush()      # text printed earlier goes first
+        sys.stdout.buffer.write(body)
         return EXIT_OK
-    render(json.loads(body))
+    try:
+        obj = parse_json(body, ValueError)
+    except ValueError as exc:
+        return _fail(f"{status} answer is {exc}", EXIT_REMOTE)
+    render(obj)
     return EXIT_OK
 
 
@@ -91,11 +96,7 @@ def cmd_submit(args) -> int:
         body = read_json(args.file, MalformedSpec)
     except (OSError, MalformedSpec) as exc:
         return _fail(f"cannot read {args.file}: {exc}")
-    headers = {}
-    user = args.user or (body.get("user_id") if isinstance(body, dict) else None)
-    if user:
-        headers["X-User-Id"] = user
-    resp = _request(args, "POST", "/v1/jobs", body=body, headers=headers)
+    resp = _request(args, "POST", "/v1/jobs", body=body)
     return _finish(args, resp, lambda obj: print(obj["job_id"]))
 
 
@@ -205,9 +206,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_serve(args) -> int:
     try:
-        serve(load_config(args.config))     # Service(config) checks the users and datasets
+        config = load_config(args.config)
     except (OSError, ConfigError) as exc:
         return _fail(f"bad config {args.config}: {exc}")
+    try:
+        serve(config)     # Service(config) checks the users and datasets before binding
+    except ConfigError as exc:
+        return _fail(f"bad config {args.config}: {exc}")
+    except OSError as exc:
+        return _fail(f"cannot listen on {config.listen_addr}: {exc}")
     return EXIT_OK
 
 
@@ -224,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("submit", help="submit a job spec file")
     p.add_argument("--file", required=True)
-    p.add_argument("--user", default=None, help="override the auth user id")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("status", help="show one job")

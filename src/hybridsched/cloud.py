@@ -154,8 +154,14 @@ class VirtualCluster:
     cluster_id: str
     node_indices: tuple[int, ...]
     image: str
-    state: VClusterState
     ready_at_ms: int
+    released: bool = False
+
+    def state_at(self, now_ms: int) -> VClusterState:
+        """The state the stored facts give at clock now_ms; reading it changes nothing."""
+        if self.released:
+            return VClusterState.RELEASED
+        return VClusterState.READY if now_ms >= self.ready_at_ms else VClusterState.PROVISIONING
 
 
 class CloudLayer:
@@ -218,7 +224,7 @@ class CloudLayer:
 
     def _vc_nodes_of(self, user_id: str) -> int:
         return sum(len(vc.node_indices) for vc in self.vclusters.values()
-                   if vc.owner == user_id and vc.state is not VClusterState.RELEASED)
+                   if vc.owner == user_id and not vc.released)
 
     def provision_vcluster(self, user_id: str, node_count: int, image: str) -> VirtualCluster:
         """Carve node_count free cloud nodes into a private vcluster.
@@ -247,11 +253,9 @@ class CloudLayer:
         self.sim.hold_nodes(cid, nodes)
         vcluster_id = f"vc{self._vc_idx:04d}"
         self._vc_idx += 1
-        now = self.sim.now_ms
-        state = VClusterState.PROVISIONING if self.provision_delay_ms > 0 else VClusterState.READY
         vc = VirtualCluster(vcluster_id=vcluster_id, owner=user_id, cluster_id=cid,
-                            node_indices=nodes, image=image, state=state,
-                            ready_at_ms=now + self.provision_delay_ms)
+                            node_indices=nodes, image=image,
+                            ready_at_ms=self.sim.now_ms + self.provision_delay_ms)
         self.vclusters[vcluster_id] = vc
         self.verify_partition(cid)
         return vc
@@ -260,21 +264,17 @@ class CloudLayer:
         vc = self.vclusters.get(vcluster_id)
         if vc is None:
             raise UnknownVCluster(vcluster_id)
-        if vc.state is VClusterState.PROVISIONING and self.sim.now_ms >= vc.ready_at_ms:
-            vc.state = VClusterState.READY
         return vc
 
     def list_vclusters(self) -> list[VirtualCluster]:
-        return [self.get_vcluster(v) for v in sorted(self.vclusters)]
+        return [self.vclusters[v] for v in sorted(self.vclusters)]
 
     def release_vcluster(self, vcluster_id: str) -> tuple[int, ...]:
-        vc = self.vclusters.get(vcluster_id)
-        if vc is None:
-            raise UnknownVCluster(vcluster_id)
-        if vc.state is VClusterState.RELEASED:
+        vc = self.get_vcluster(vcluster_id)
+        if vc.released:
             raise AlreadyReleased(vcluster_id)
         self.sim.release_hold(vc.cluster_id, vc.node_indices)
-        vc.state = VClusterState.RELEASED
+        vc.released = True
         self.verify_partition(vc.cluster_id)
         return vc.node_indices
 

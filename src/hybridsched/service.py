@@ -370,7 +370,7 @@ class Service:
             "cluster_id": vc.cluster_id,
             "node_indices": list(vc.node_indices),
             "image": vc.image,
-            "state": vc.state.value,
+            "state": vc.state_at(self.sim.now_ms).value,
             "ready_at_ms": vc.ready_at_ms,
         }
 

@@ -84,8 +84,9 @@ def unreachable_server() -> str:
 
 
 @contextlib.contextmanager
-def garbage_server():
-    """URL of a server that answers one connection with a line that is not HTTP."""
+def garbage_server(reply=b"garbage\r\n\r\n"):
+    """URL of a server that answers one connection with reply, by default a
+    line that is not HTTP."""
     sock = socket.socket()
     sock.bind(("127.0.0.1", 0))
     sock.listen(1)
@@ -94,7 +95,7 @@ def garbage_server():
         conn, _addr = sock.accept()
         with conn:
             conn.recv(65536)
-            conn.sendall(b"garbage\r\n\r\n")
+            conn.sendall(reply)
 
     thread = threading.Thread(target=answer, daemon=True)
     thread.start()
@@ -223,12 +224,33 @@ class TestRemoteCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"hsctl: cannot reach {url}/v1/clusters: ") and err.count("\n") == 1
 
-    def test_a_user_id_no_header_can_carry_exits_1(self, server, tmp_path, capsys):
-        # X-User-Id is sent as Latin-1; requests let the UnicodeEncodeError out
+    def test_a_user_id_that_is_not_latin_1_submits(self, server, tmp_path, capsys):
+        # the spec's user_id travels in the body only: no header, whose
+        # values are Latin-1, carries it
+        body = {"user_id": "\u4e2d", "quota": {"max_concurrent_jobs": 1, "max_nodes_in_use": 1,
+                                                "max_vcluster_nodes": 0}}
+        assert oracles.http_call("POST", server + "/v1/users", body)[0] == 201
         assert main(["--server", server, "submit", "--file",
-                     spec_file(tmp_path, user="\u4e2d")]) == EXIT_REMOTE
+                     spec_file(tmp_path, user="\u4e2d")]) == EXIT_OK
+        assert capsys.readouterr().out == "j000000\n"
+        assert main(["--server", server, "status", "j000000"]) == EXIT_OK
+        assert "user_id: \u4e2d\n" in capsys.readouterr().out
+
+    def test_a_2xx_body_that_is_not_json_exits_1(self, capsys):
+        html = b"<html>\n<body>a proxy page</body>\n</html>\n"
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: text/html\r\n\r\n" + html
+        with garbage_server(reply) as url:
+            assert main(["--server", url, "clusters"]) == EXIT_REMOTE
         err = capsys.readouterr().err
-        assert err.startswith("hsctl: ") and err.count("\n") == 1
+        assert err.startswith("hsctl: 200 answer is not valid JSON: ") and err.count("\n") == 1
+
+    def test_json_writes_a_body_that_is_not_utf_8_as_received(self, capsysbinary):
+        body = b'{"clusters": "\xff\xfe"}'
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
+        with garbage_server(reply) as url:
+            assert main(["--server", url, "--json", "clusters"]) == EXIT_OK
+        out, err = capsysbinary.readouterr()
+        assert (out, err) == (body, b"")
 
     @pytest.mark.parametrize("job_id", ["j000000?x", "j000000 x"])
     def test_a_job_id_is_one_path_segment(self, server, tmp_path, capsys, job_id):
@@ -277,12 +299,6 @@ for argv in {argvs!r}:
         monkeypatch.setenv("HYBRIDSCHED_SERVER", server)
         assert main(["clusters"]) == EXIT_OK
         assert "cpu0" in capsys.readouterr().out
-
-    def test_user_override_mismatch_rejected(self, server, tmp_path, capsys):
-        code = main(["--server", server, "submit", "--file",
-                     spec_file(tmp_path), "--user", "impostor"])
-        assert code == EXIT_REMOTE
-        assert "403" in capsys.readouterr().err
 
     def test_submit_bad_files(self, server, tmp_path, capsys):
         assert main(["--server", server, "submit", "--file",
@@ -505,6 +521,19 @@ class TestServe:
         assert main(["serve", "--config", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "bad config" in err and message in err
+
+    def test_a_port_in_use_is_not_a_bad_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HYBRIDSCHED_ADDR", raising=False)
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            addr = "127.0.0.1:%d" % held.getsockname()[1]
+            path = tmp_path / "service.json"
+            path.write_text(json.dumps({"clusters": [cluster_spec_to_obj(cluster("cpu0", CPU, 1))],
+                                        "listen_addr": addr}))
+            assert main(["serve", "--config", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"hsctl: cannot listen on {addr}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("config", [[], 5, {"clusters": 5}])
     def test_malformed_top_level_exits_2(self, tmp_path, capsys, monkeypatch, config):

@@ -191,7 +191,7 @@ class TestVClusters:
         assert vc.vcluster_id == "vc0000"
         assert vc.cluster_id == "cloud0"
         assert vc.node_indices == (0, 1)
-        assert vc.state is VClusterState.READY
+        assert vc.state_at(layer.sim.now_ms) is VClusterState.READY
         assert vc.image == "astro:latest"
 
     def test_ids_increment(self):
@@ -236,7 +236,7 @@ class TestVClusters:
         vc = layer.provision_vcluster("u", 2, "i")
         freed = layer.release_vcluster(vc.vcluster_id)
         assert freed == (0, 1)
-        assert vc.state is VClusterState.RELEASED
+        assert vc.state_at(layer.sim.now_ms) is VClusterState.RELEASED
         # quota headroom restored and the same low indices come back
         vc2 = layer.provision_vcluster("u", 2, "i")
         assert vc2.node_indices == (0, 1)
@@ -273,11 +273,15 @@ class TestVClusters:
         layer = make_layer(delay=500)
         layer.create_user("u", WIDE)
         vc = layer.provision_vcluster("u", 1, "i")
-        assert vc.state is VClusterState.PROVISIONING
+        assert vc.state_at(layer.sim.now_ms) is VClusterState.PROVISIONING
         assert vc.ready_at_ms == 500
-        assert layer.get_vcluster(vc.vcluster_id).state is VClusterState.PROVISIONING
+        assert (layer.get_vcluster(vc.vcluster_id).state_at(layer.sim.now_ms)
+                is VClusterState.PROVISIONING)
         layer.sim.advance_to(500)
-        assert layer.get_vcluster(vc.vcluster_id).state is VClusterState.READY
+        assert (layer.get_vcluster(vc.vcluster_id).state_at(layer.sim.now_ms)
+                is VClusterState.READY)
+        # the state is worked out from the clock, not stored when it is read
+        assert vc.state_at(499) is VClusterState.PROVISIONING
 
     def test_list_vclusters_sorted(self):
         layer = make_layer()
